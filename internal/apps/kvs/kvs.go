@@ -6,10 +6,9 @@
 package kvs
 
 import (
-	"bytes"
-	"encoding/gob"
+	"encoding/binary"
+	"errors"
 	"fmt"
-	"sort"
 	"sync"
 
 	"lazarus/internal/bft"
@@ -33,36 +32,54 @@ type Op struct {
 	Value []byte
 }
 
-// EncodeOp serializes a command for Client.Invoke.
+// EncodeOp serializes a command for Client.Invoke: the kind byte, the
+// key length as a uvarint, the key, then the value up to the end of the
+// payload. The error is always nil; callers predate the fixed layout.
 func EncodeOp(op Op) ([]byte, error) {
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(op); err != nil {
-		return nil, fmt.Errorf("kvs: encoding op: %w", err)
-	}
-	return buf.Bytes(), nil
+	buf := make([]byte, 0, 1+binary.MaxVarintLen64+len(op.Key)+len(op.Value))
+	buf = append(buf, byte(op.Kind))
+	buf = binary.AppendUvarint(buf, uint64(len(op.Key)))
+	buf = append(buf, op.Key...)
+	return append(buf, op.Value...), nil
 }
 
-// DecodeOp parses a command.
+// DecodeOp parses a command. The returned Value aliases payload.
 func DecodeOp(payload []byte) (Op, error) {
-	var op Op
-	if err := gob.NewDecoder(bytes.NewReader(payload)).Decode(&op); err != nil {
-		return Op{}, fmt.Errorf("kvs: decoding op: %w", err)
+	if len(payload) == 0 {
+		return Op{}, errors.New("kvs: decoding op: empty payload")
 	}
-	return op, nil
+	keyLen, n := binary.Uvarint(payload[1:])
+	if n <= 0 {
+		return Op{}, errors.New("kvs: decoding op: bad key length")
+	}
+	rest := payload[1+n:]
+	if keyLen > uint64(len(rest)) {
+		return Op{}, fmt.Errorf("kvs: decoding op: key length %d exceeds the %d bytes left", keyLen, len(rest))
+	}
+	return Op{Kind: OpKind(payload[0]), Key: string(rest[:keyLen]), Value: rest[keyLen:]}, nil
 }
 
-// Store is the replicated state machine. It implements bft.Application.
+// Store is the replicated state machine. It implements bft.Application
+// and bft.Checkpointer: beside the data it keeps a digest index updated
+// by every write, so a checkpoint costs what was written since the last
+// one (see checkpoint.go).
 type Store struct {
 	mu   sync.RWMutex
 	data map[string][]byte
+	idx  index
+	// newest is the most recent live checkpoint handle; writes log into
+	// it what they overwrite.
+	newest *handle
 }
 
 // New returns an empty store.
 func New() *Store {
-	return &Store{data: make(map[string][]byte)}
+	s := &Store{data: make(map[string][]byte)}
+	s.idx.reset()
+	return s
 }
 
-var _ bft.Application = (*Store)(nil)
+var _ bft.Checkpointer = (*Store)(nil)
 
 // Execute implements bft.Application.
 func (s *Store) Execute(payload []byte) []byte {
@@ -74,7 +91,13 @@ func (s *Store) Execute(payload []byte) []byte {
 	defer s.mu.Unlock()
 	switch op.Kind {
 	case OpPut:
-		s.data[op.Key] = append([]byte(nil), op.Value...)
+		// Stored values are never modified in place: handles and undo
+		// records share them.
+		value := append([]byte(nil), op.Value...)
+		old, had := s.data[op.Key]
+		s.remember(op.Key, old, had)
+		s.data[op.Key] = value
+		s.idx.put(op.Key, value)
 		return []byte("OK")
 	case OpGet:
 		v, ok := s.data[op.Key]
@@ -83,53 +106,19 @@ func (s *Store) Execute(payload []byte) []byte {
 		}
 		return append([]byte("VAL"), v...)
 	case OpDelete:
-		if _, ok := s.data[op.Key]; !ok {
+		old, had := s.data[op.Key]
+		if !had {
 			return []byte("NIL")
 		}
+		s.remember(op.Key, old, true)
 		delete(s.data, op.Key)
+		s.idx.remove(op.Key)
 		return []byte("OK")
 	case OpSize:
 		return []byte(fmt.Sprintf("SIZE %d", len(s.data)))
 	default:
 		return []byte(fmt.Sprintf("ERR unknown op %d", op.Kind))
 	}
-}
-
-// kvEntry flattens the map for deterministic snapshots.
-type kvEntry struct {
-	Key   string
-	Value []byte
-}
-
-// Snapshot implements bft.Application with a deterministic encoding.
-func (s *Store) Snapshot() ([]byte, error) {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	entries := make([]kvEntry, 0, len(s.data))
-	for k, v := range s.data {
-		entries = append(entries, kvEntry{k, v})
-	}
-	sort.Slice(entries, func(i, j int) bool { return entries[i].Key < entries[j].Key })
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(entries); err != nil {
-		return nil, fmt.Errorf("kvs: snapshot: %w", err)
-	}
-	return buf.Bytes(), nil
-}
-
-// Restore implements bft.Application.
-func (s *Store) Restore(snapshot []byte) error {
-	var entries []kvEntry
-	if err := gob.NewDecoder(bytes.NewReader(snapshot)).Decode(&entries); err != nil {
-		return fmt.Errorf("kvs: restore: %w", err)
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.data = make(map[string][]byte, len(entries))
-	for _, e := range entries {
-		s.data[e.Key] = e.Value
-	}
-	return nil
 }
 
 // Len returns the number of keys (local inspection, not replicated).

@@ -5,6 +5,9 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
+	"reflect"
+	"sort"
+	"sync"
 	"testing"
 	"testing/quick"
 	"time"
@@ -122,6 +125,251 @@ func TestOpCodecProperty(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 300, Rand: rand.New(rand.NewSource(1))}); err != nil {
 		t.Error(err)
 	}
+}
+
+// TestDecodeOpHostileInputs: an operation is input from a client, so every
+// malformed layout must come back as an error, never a panic or a key
+// that reaches past the payload.
+func TestDecodeOpHostileInputs(t *testing.T) {
+	valid, _ := EncodeOp(Op{Kind: OpPut, Key: "key", Value: []byte("value")})
+	for name, payload := range map[string][]byte{
+		"empty":                  nil,
+		"kind only":              {byte(OpGet)},
+		"unterminated varint":    {byte(OpPut), 0x80, 0x80},
+		"varint overflow":        append([]byte{byte(OpPut)}, bytes.Repeat([]byte{0xff}, 11)...),
+		"key longer than rest":   {byte(OpPut), 5, 'a', 'b'},
+		"key length near 2^64":   {byte(OpPut), 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x01, 'k'},
+		"truncated inside a key": valid[:3],
+	} {
+		if op, err := DecodeOp(payload); err == nil {
+			t.Errorf("%s: decoded to %+v, want an error", name, op)
+		}
+		if got := New().Execute(payload); !bytes.HasPrefix(got, []byte("ERR")) {
+			t.Errorf("%s: Execute = %q, want ERR", name, got)
+		}
+	}
+	// Cutting a valid payload anywhere past the key only shortens the value.
+	for cut := 5; cut <= len(valid); cut++ {
+		op, err := DecodeOp(valid[:cut])
+		if err != nil || op.Key != "key" || !bytes.Equal(op.Value, []byte("value")[:cut-5]) {
+			t.Errorf("cut at %d: %+v, %v", cut, op, err)
+		}
+	}
+}
+
+// TestRestoreHostileInputs: a snapshot is input from other replicas.
+func TestRestoreHostileInputs(t *testing.T) {
+	seed := New()
+	for _, k := range []string{"a", "b", "c"} {
+		op, _ := EncodeOp(Op{Kind: OpPut, Key: k, Value: []byte("v-" + k)})
+		seed.Execute(op)
+	}
+	valid, _ := seed.Snapshot()
+	entry := func(k, v string) []byte {
+		return append(append([]byte{byte(len(k))}, k...), append([]byte{byte(len(v))}, v...)...)
+	}
+	cases := map[string][]byte{
+		"empty":                  nil,
+		"count without entries":  {200},
+		"huge count":             {0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x01},
+		"value longer than rest": {1, 1, 'k', 9, 'v'},
+		"trailing bytes":         append(append([]byte(nil), valid...), 0),
+		"keys out of order":      append(append([]byte{2}, entry("b", "1")...), entry("a", "2")...),
+		"duplicate key":          append(append([]byte{2}, entry("a", "1")...), entry("a", "2")...),
+	}
+	for cut := 1; cut < len(valid); cut++ {
+		cases[fmt.Sprintf("truncated at %d", cut)] = valid[:cut]
+	}
+	before, _, _ := seed.Checkpoint()
+	for name, snap := range cases {
+		if err := seed.Restore(snap); err == nil {
+			t.Errorf("%s: accepted", name)
+		}
+	}
+	if after, _, _ := seed.Checkpoint(); after != before || seed.Len() != 3 {
+		t.Error("a rejected snapshot changed the store")
+	}
+}
+
+// history is a random sequence of writes over a small key space, so that
+// overwrites and deletes of live keys are common.
+type history []Op
+
+func (history) Generate(r *rand.Rand, size int) reflect.Value {
+	h := make(history, r.Intn(4*size+1))
+	for i := range h {
+		h[i] = Op{Kind: OpPut, Key: fmt.Sprintf("k%d", r.Intn(size+1))}
+		if r.Intn(4) == 0 {
+			h[i].Kind = OpDelete
+		} else {
+			h[i].Value = make([]byte, r.Intn(40))
+			r.Read(h[i].Value)
+		}
+	}
+	return reflect.ValueOf(h)
+}
+
+func (h history) apply(s *Store) {
+	for _, op := range h {
+		payload, _ := EncodeOp(op)
+		s.Execute(payload)
+	}
+}
+
+func mustCheckpoint(t *testing.T, s *Store) (bft.Digest, bft.StateHandle) {
+	t.Helper()
+	d, h, err := s.Checkpoint()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return d, h
+}
+
+// TestCheckpointProperty pins the Checkpointer contract on random
+// histories: the digest is a function of the contents only, a store
+// restored from a handle's bytes has the digest the handle was taken
+// with, and a handle's bytes are those of the moment it was taken
+// whatever is written, deleted, checkpointed, released or restored
+// afterwards — with two handles live at once.
+func TestCheckpointProperty(t *testing.T) {
+	check := func(first, second, third history, releaseOlderFirst bool) bool {
+		s := New()
+		first.apply(s)
+		want1, _ := s.Snapshot()
+		d1, h1 := mustCheckpoint(t, s)
+		second.apply(s)
+		want2, _ := s.Snapshot()
+		d2, h2 := mustCheckpoint(t, s)
+		third.apply(s)
+
+		same := func(h bft.StateHandle, want []byte) bool {
+			got, err := h.Bytes()
+			return err == nil && bytes.Equal(got, want)
+		}
+		if !same(h1, want1) || !same(h2, want2) {
+			t.Log("a handle's bytes moved with later writes")
+			return false
+		}
+
+		// Contents only: the same map reached by plain Puts in reverse key
+		// order, over keys that were first put and deleted again.
+		rebuilt := New()
+		third.apply(rebuilt)
+		for k := range rebuilt.data {
+			del, _ := EncodeOp(Op{Kind: OpDelete, Key: k})
+			rebuilt.Execute(del)
+		}
+		var keys []string
+		for k := range s.data {
+			keys = append(keys, k)
+		}
+		sort.Sort(sort.Reverse(sort.StringSlice(keys)))
+		for _, k := range keys {
+			put, _ := EncodeOp(Op{Kind: OpPut, Key: k, Value: s.data[k]})
+			rebuilt.Execute(put)
+		}
+		d3, h3 := mustCheckpoint(t, s)
+		h3.Release()
+		if dr, _ := mustCheckpoint(t, rebuilt); dr != d3 {
+			t.Log("two histories reaching one map digest differently")
+			return false
+		}
+
+		// Restored from a handle's bytes: the handle's digest.
+		for _, at := range []struct {
+			h bft.StateHandle
+			d bft.Digest
+		}{{h1, d1}, {h2, d2}} {
+			snap, _ := at.h.Bytes()
+			restored := New()
+			if err := restored.Restore(snap); err != nil {
+				t.Log(err)
+				return false
+			}
+			if d, _ := mustCheckpoint(t, restored); d != at.d {
+				t.Log("restored store digests differently from the checkpoint it came from")
+				return false
+			}
+		}
+
+		// Releasing one handle leaves the other whole, in either order,
+		// and a Restore under a live handle does not reach it.
+		older, newer, newerWant := h1, h2, want2
+		if !releaseOlderFirst {
+			older, newer, newerWant = h2, h1, want1
+		}
+		older.Release()
+		first.apply(s)
+		if !same(newer, newerWant) {
+			t.Log("releasing one handle damaged the other")
+			return false
+		}
+		empty, _ := New().Snapshot()
+		if err := s.Restore(empty); err != nil {
+			t.Log(err)
+			return false
+		}
+		third.apply(s)
+		if !same(newer, newerWant) {
+			t.Log("Restore reached a handle taken before it")
+			return false
+		}
+		newer.Release()
+		if _, err := newer.Bytes(); err == nil {
+			t.Log("released handle still serves bytes")
+			return false
+		}
+		return s.newest == nil
+	}
+	if err := quick.Check(check, &quick.Config{MaxCount: 200, Rand: rand.New(rand.NewSource(1))}); err != nil {
+		t.Error(err)
+	}
+}
+
+// TestStoreConcurrentReaders: the replica's event loop owns Execute,
+// Checkpoint and the handles, but monitoring and the benchmark's output
+// check read the store from other goroutines while it runs. Run with
+// -race.
+func TestStoreConcurrentReaders(t *testing.T) {
+	s := New()
+	done := make(chan struct{})
+	var readers sync.WaitGroup
+	for i := 0; i < 3; i++ {
+		readers.Add(1)
+		go func() {
+			defer readers.Done()
+			for {
+				select {
+				case <-done:
+					return
+				default:
+				}
+				if _, err := s.Snapshot(); err != nil {
+					t.Error(err)
+				}
+				s.Len()
+				s.Get("k1")
+			}
+		}()
+	}
+	var held []bft.StateHandle
+	for i := 0; i < 2000; i++ {
+		op, _ := EncodeOp(Op{Kind: OpPut, Key: fmt.Sprintf("k%d", i%50), Value: []byte{byte(i)}})
+		s.Execute(op)
+		if i%100 == 99 {
+			_, h := mustCheckpoint(t, s)
+			held = append(held, h)
+			if _, err := held[0].Bytes(); err != nil {
+				t.Error(err)
+			}
+			if len(held) > 2 {
+				held[0].Release()
+				held = held[1:]
+			}
+		}
+	}
+	close(done)
+	readers.Wait()
 }
 
 // TestReplicatedKVS runs the store over a real 4-replica BFT cluster.

@@ -227,22 +227,35 @@ func TestEpochSyncRequiresQuorumOfClaimants(t *testing.T) {
 
 // evilSnapshot builds a decodable replica snapshot with attacker-chosen
 // application state, claiming the given sequence number under the
-// replica's current membership.
-func evilSnapshot(t *testing.T, r *Replica, seq uint64, value int64) []byte {
+// replica's current membership, and the state reply a voucher would sign
+// for it (digest included: the vouchers lie consistently).
+func evilSnapshot(t *testing.T, r *Replica, seq uint64, value int64) *Message {
 	t.Helper()
 	var app bytes.Buffer
 	if err := gob.NewEncoder(&app).Encode(value); err != nil {
 		t.Fatal(err)
 	}
-	snap := replicaSnapshot{AppState: app.Bytes(), LastExec: seq, Epoch: r.membership.Epoch}
+	snap := replicaSnapshot{LastExec: seq, Epoch: r.membership.Epoch}
 	for _, id := range r.membership.Replicas {
 		snap.Members = append(snap.Members, memberEntry{ID: id, Key: append([]byte(nil), r.membership.Keys[id]...)})
 	}
+	digest := stateDigest(sha256.Sum256(app.Bytes()), &snap)
+	snap.AppState = app.Bytes()
 	var buf bytes.Buffer
 	if err := gob.NewEncoder(&buf).Encode(snap); err != nil {
 		t.Fatal(err)
 	}
-	return buf.Bytes()
+	return &Message{Type: MsgStateReply, SnapSeqNo: seq, Snapshot: buf.Bytes(), StateDigest: digest}
+}
+
+// vouch delivers reply to r as if each of the given members had signed it.
+func vouch(c *cluster, r *Replica, reply *Message, from ...transport.NodeID) {
+	for _, id := range from {
+		m := *reply
+		m.From = id
+		m.Sign(c.keys[id])
+		r.onStateReply(&m)
+	}
 }
 
 // TestStateReplyRejectsRemovedVoucher is the lying-voucher regression:
@@ -270,11 +283,7 @@ func TestStateReplyRejectsRemovedVoucher(t *testing.T) {
 	r.membership = cur // n=4, f=1: restore needs f+1 = 2 matching vouchers
 
 	evil := evilSnapshot(t, r, 50, 666)
-	for _, from := range []transport.NodeID{0, 2} { // removed ex-member + one compromised member
-		reply := &Message{Type: MsgStateReply, From: from, SnapSeqNo: 50, Snapshot: evil}
-		reply.Sign(c.keys[from])
-		r.onStateReply(reply)
-	}
+	vouch(c, r, evil, 0, 2) // removed ex-member + one compromised member
 	if r.lastExec != 0 || c.apps[1].Value() != 0 {
 		t.Fatalf("removed boot member's voucher counted: restored to seq %d value %d",
 			r.lastExec, c.apps[1].Value())
@@ -282,11 +291,7 @@ func TestStateReplyRejectsRemovedVoucher(t *testing.T) {
 
 	// Control: two current members vouching the same snapshot restore it
 	// (the f+1 counting itself still works).
-	for _, from := range []transport.NodeID{2, 3} {
-		reply := &Message{Type: MsgStateReply, From: from, SnapSeqNo: 50, Snapshot: evil}
-		reply.Sign(c.keys[from])
-		r.onStateReply(reply)
-	}
+	vouch(c, r, evil, 2, 3)
 	if r.lastExec != 50 {
 		t.Fatalf("current-member vouchers did not restore (lastExec %d)", r.lastExec)
 	}
@@ -302,12 +307,7 @@ func TestStateRestoreFailureEvictsLyingGroup(t *testing.T) {
 	defer c.stop()
 	r := c.replicas[1]
 
-	garbage := []byte("not a gob snapshot")
-	for _, from := range []transport.NodeID{2, 3} {
-		reply := &Message{Type: MsgStateReply, From: from, SnapSeqNo: 40, Snapshot: garbage}
-		reply.Sign(c.keys[from])
-		r.onStateReply(reply)
-	}
+	vouch(c, r, &Message{Type: MsgStateReply, SnapSeqNo: 40, Snapshot: []byte("not a gob snapshot")}, 2, 3)
 	if r.lastExec != 0 {
 		t.Fatalf("undecodable snapshot restored (lastExec %d)", r.lastExec)
 	}
@@ -318,12 +318,7 @@ func TestStateRestoreFailureEvictsLyingGroup(t *testing.T) {
 	}
 
 	// The honest quorum restores on retry.
-	good := evilSnapshot(t, r, 50, 9)
-	for _, from := range []transport.NodeID{0, 2} {
-		reply := &Message{Type: MsgStateReply, From: from, SnapSeqNo: 50, Snapshot: good}
-		reply.Sign(c.keys[from])
-		r.onStateReply(reply)
-	}
+	vouch(c, r, evilSnapshot(t, r, 50, 9), 0, 2)
 	if r.lastExec != 50 {
 		t.Fatalf("honest snapshot did not restore after eviction (lastExec %d)", r.lastExec)
 	}
@@ -338,12 +333,11 @@ func TestStateRequestRequiresAuthentication(t *testing.T) {
 	defer c.stop()
 	r := c.replicas[1]
 
-	snap, err := r.encodeSnapshot()
-	if err != nil {
+	r.lastExec, r.lowWater = 20, 20
+	var err error
+	if r.lastSnap, err = r.freeze(); err != nil {
 		t.Fatal(err)
 	}
-	r.lastSnap = snap
-	r.lowWater = 20
 
 	ep, err := c.net.Endpoint(3) // replica 3 is unstarted; drain its inbox directly
 	if err != nil {
@@ -695,8 +689,8 @@ func TestCheckpointStragglerRescue(t *testing.T) {
 	straggler.takeCheckpoint(8)
 	helper.takeCheckpoint(8)
 
-	d := helper.ckpts[8].digest
-	if straggler.ckpts[8].digest != d {
+	d := helper.ckpts[8].snapshot.digest
+	if straggler.ckpts[8].snapshot.digest != d {
 		t.Fatal("identical states hashed to different checkpoint digests")
 	}
 	if v := straggler.lastCkptVote; v == nil || v.SeqNo != 8 || v.LastStable != 0 {
@@ -809,11 +803,11 @@ func TestReconfigCheckpointMatchesExecutedState(t *testing.T) {
 	if r.lastCkptVote == nil || r.lastCkptVote.SeqNo != 1 {
 		t.Fatalf("no checkpoint vote at the reconfiguration seq (got %+v)", r.lastCkptVote)
 	}
-	snap, err := r.encodeSnapshot()
+	now, err := r.freeze()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if want := Digest(sha256.Sum256(snap)); r.lastCkptVote.StateDigest != want {
+	if want := now.digest; r.lastCkptVote.StateDigest != want {
 		t.Fatalf("checkpoint vote digest %x does not match the post-execution state %x: "+
 			"the snapshot was taken mid-request, before the reconfig's reply record",
 			r.lastCkptVote.StateDigest[:4], want[:4])
@@ -846,17 +840,17 @@ func TestStateTransferredReplicaVotesAtRestorePoint(t *testing.T) {
 
 	// A peer that genuinely executed through seq 8 supplies the snapshot.
 	helper.lastExec, helper.seq = 8, 8
-	snap, err := helper.encodeSnapshot()
+	at8, err := helper.freeze()
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := Digest(sha256.Sum256(snap))
-
-	for _, from := range []transport.NodeID{1, 2} { // f+1 = 2 vouchers
-		reply := &Message{Type: MsgStateReply, From: from, SnapSeqNo: 8, Snapshot: snap}
-		reply.Sign(c.keys[from])
-		straggler.onStateReply(reply)
+	reply, err := helper.stateReply(at8)
+	if err != nil {
+		t.Fatal(err)
 	}
+	want := at8.digest
+
+	vouch(c, straggler, reply, 1, 2) // f+1 = 2 vouchers
 	if straggler.lastExec != 8 {
 		t.Fatalf("state transfer did not restore (lastExec %d)", straggler.lastExec)
 	}

@@ -22,6 +22,51 @@ type Application interface {
 	Restore(snapshot []byte) error
 }
 
+// Checkpointer is an Application that can name its state without
+// serializing it. The replica checkpoints every CheckpointInterval
+// executions but ships a snapshot only when a peer asks for one, so an
+// application that keeps a digest up to date as it executes makes a
+// checkpoint cost what was written since the last one. An Application
+// that is not a Checkpointer is wrapped in snapshotCheckpointer and pays
+// a full Snapshot per checkpoint.
+type Checkpointer interface {
+	Application
+	// Checkpoint returns a digest of the current state and a handle to
+	// that state. The digest must be a function of the state alone:
+	// replicas that executed the same operations return the same digest,
+	// and so does a replica that reached the state through Restore.
+	Checkpoint() (Digest, StateHandle, error)
+}
+
+// StateHandle is the application state as of one Checkpoint call.
+type StateHandle interface {
+	// Bytes serializes that state, in the form Restore accepts, however
+	// many operations (or Restores) the application went through since.
+	// The replica does not modify the result.
+	Bytes() ([]byte, error)
+	// Release tells the application the state is no longer wanted. The
+	// replica holds a handle per checkpoint inside its log window plus the
+	// last stable one, and releases each exactly once.
+	Release()
+}
+
+// snapshotCheckpointer makes any Application a Checkpointer the direct
+// way: serialize everything and hash it.
+type snapshotCheckpointer struct{ Application }
+
+func (a snapshotCheckpointer) Checkpoint() (Digest, StateHandle, error) {
+	snap, err := a.Snapshot()
+	if err != nil {
+		return Digest{}, nil, err
+	}
+	return sha256.Sum256(snap), snapshotBytes(snap), nil
+}
+
+type snapshotBytes []byte
+
+func (b snapshotBytes) Bytes() ([]byte, error) { return b, nil }
+func (snapshotBytes) Release()                 {}
+
 // Membership is one configuration epoch of the replica group: the ordered
 // replica ids and their public keys.
 type Membership struct {

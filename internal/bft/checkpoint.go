@@ -2,7 +2,6 @@ package bft
 
 import (
 	"bytes"
-	"crypto/sha256"
 	"sort"
 
 	"lazarus/internal/metrics"
@@ -19,25 +18,27 @@ func (r *Replica) ckpt(seq uint64) *checkpointState {
 	return cs
 }
 
-// takeCheckpoint snapshots the replica state at seq and broadcasts a
-// signed CHECKPOINT vote. Replicas checkpoint every CheckpointInterval
-// executions and immediately after a membership change.
+// takeCheckpoint freezes the replica state at seq and broadcasts a signed
+// CHECKPOINT vote for its digest. Replicas checkpoint every
+// CheckpointInterval executions and immediately after a membership
+// change. Nothing is serialized here: the frozen state turns into bytes
+// only if a peer asks for it once the checkpoint is stable.
 func (r *Replica) takeCheckpoint(seq uint64) {
-	snap, err := r.encodeSnapshot()
+	stop := r.ins.checkpointUS.Timer()
+	snap, err := r.freeze()
+	stop()
 	if err != nil {
 		r.cfg.Logf("replica %d: checkpoint at %d failed: %v", r.cfg.ID, seq, err)
 		return
 	}
-	digest := Digest(sha256.Sum256(snap))
 	cs := r.ckpt(seq)
 	cs.snapshot = snap
-	cs.digest = digest
-	cs.votes[r.cfg.ID] = digest
+	cs.votes[r.cfg.ID] = snap.digest
 	msg := &Message{
 		Type:        MsgCheckpoint,
 		SeqNo:       seq,
 		Epoch:       r.membership.Epoch,
-		StateDigest: digest,
+		StateDigest: snap.digest,
 		// LastStable advertises our stable point so peers can tell a
 		// straggler's vote (see onCheckpoint) from routine traffic.
 		LastStable: r.lowWater,
@@ -84,9 +85,7 @@ func (r *Replica) onCheckpoint(msg *Message) {
 		r.ckptAhead[msg.From] = msg.SeqNo        //lazlint:allow epoch-guard(checkpoint votes tally cross-epoch by design: they are how a replica stranded in an old epoch learns the group moved on and triggers state transfer)
 		if len(r.ckptAhead) > r.membership.F() { //lazlint:allow digest-blind-tally(deliberately digest-blind: f+1 DISTINCT members claiming any checkpoint beyond our window proves at least one honest replica is ahead; which digest each claims is settled by the f+1-matching state transfer that follows)
 			r.ckptAhead = make(map[transport.NodeID]uint64)
-			r.cfg.Logf("replica %d: f+1 members checkpointed beyond window (low %d); requesting state",
-				r.cfg.ID, r.lowWater)
-			r.requestStateTransfer()
+			r.requestStateTransfer(transferBeyondWindow)
 		}
 		return
 	}
@@ -95,8 +94,11 @@ func (r *Replica) onCheckpoint(msg *Message) {
 	r.checkStable(msg.SeqNo)
 }
 
-// checkStable declares a checkpoint stable on a quorum of matching votes,
-// truncates the log below it, and detects that this replica fell behind.
+// checkStable declares a checkpoint stable on a quorum of matching votes
+// and truncates the log below it. A quorum for a checkpoint this replica
+// has not executed up to yet changes nothing: the votes stay, and when
+// execution gets there takeCheckpoint calls in again with the replica's
+// own digest to compare.
 func (r *Replica) checkStable(seq uint64) {
 	cs := r.ckpt(seq)
 	if cs.stable {
@@ -127,6 +129,15 @@ func (r *Replica) checkStable(seq uint64) {
 	if winner.IsZero() {
 		return
 	}
+	if cs.snapshot == nil && seq > r.lastExec {
+		// Behind is not lost. The pre-prepares and votes that get this
+		// replica to seq are in its log or on their way (seq is inside its
+		// window, or the votes would not have been tallied), and executing
+		// them is cheaper for everyone than shipping the state. If they
+		// never come, the progress timer finds lastExec below stableSeen.
+		r.stableSeen = max(r.stableSeen, seq)
+		return
+	}
 	cs.stable = true
 	lag := int64(r.lastExec) - int64(seq)
 	r.ins.ckptStabilityLag.Observe(lag)
@@ -134,22 +145,23 @@ func (r *Replica) checkStable(seq uint64) {
 		Type: metrics.EvCheckpointStable, Node: int64(r.cfg.ID),
 		Seq: seq, Epoch: r.membership.Epoch, DurUS: lag,
 	})
-	if cs.snapshot == nil || cs.digest != winner {
-		// The group is provably at seq but this replica has no matching
-		// state: it fell behind (or diverged) and must transfer state.
-		r.cfg.Logf("replica %d: behind stable checkpoint %d; requesting state", r.cfg.ID, seq)
-		r.requestStateTransfer()
+	if cs.snapshot == nil || cs.snapshot.digest != winner {
+		// This replica executed seq and holds a different state from the
+		// one a quorum agreed on (or none): it diverged, and only the
+		// group's state can repair it.
+		r.requestStateTransfer(transferDiverged)
 		return
 	}
 	r.advanceLowWater(seq, cs.snapshot)
 }
 
 // advanceLowWater installs a new stable checkpoint and garbage-collects.
-func (r *Replica) advanceLowWater(seq uint64, snapshot []byte) {
+func (r *Replica) advanceLowWater(seq uint64, snapshot *frozenState) {
 	if seq <= r.lowWater {
 		return
 	}
 	r.lowWater = seq
+	r.lastSnap.release()
 	r.lastSnap = snapshot
 	// Keep the retained vote's advertised stable point current (re-sign:
 	// the signature covers LastStable). Two replicas answer each other's
@@ -167,8 +179,11 @@ func (r *Replica) advanceLowWater(seq uint64, snapshot []byte) {
 	}
 	// The stable entry itself goes too: votes at or below lowWater are
 	// rejected on arrival, so it can never be consulted again.
-	for s := range r.ckpts {
+	for s, cs := range r.ckpts {
 		if s <= seq {
+			if cs.snapshot != snapshot {
+				cs.snapshot.release()
+			}
 			delete(r.ckpts, s)
 		}
 	}

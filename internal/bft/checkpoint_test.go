@@ -99,8 +99,7 @@ func TestCheckStableQuorumWithDissent(t *testing.T) {
 	seq := r.cfg.CheckpointInterval
 
 	cs := r.ckpt(seq)
-	cs.snapshot = []byte("snap")
-	cs.digest = Digest{2}
+	cs.snapshot = &frozenState{digest: Digest{2}}
 	cs.votes[0] = Digest{2}
 	cs.votes[1] = Digest{2}
 	cs.votes[2] = Digest{2}
@@ -130,7 +129,7 @@ func TestAdvanceLowWaterGC(t *testing.T) {
 		cs.votes[0] = Digest{1}
 	}
 	r.ckptAhead[2] = 10 * interval
-	r.advanceLowWater(2*interval, []byte("snap"))
+	r.advanceLowWater(2*interval, &frozenState{})
 
 	if len(r.ckpts) != 0 {
 		t.Errorf("ckpts holds %d entries after advancing past them", len(r.ckpts))

@@ -22,12 +22,20 @@ type replicaInstruments struct {
 	// pipelineInflight samples, at each proposal, how many consensus
 	// instances are in flight (proposed but not yet executed).
 	pipelineInflight *metrics.Histogram
+	// checkpointUS measures what taking a checkpoint holds the event loop
+	// for: the application's Checkpoint plus the state digest.
+	checkpointUS *metrics.Histogram
 
 	executedBatches *metrics.Counter
 	checkpoints     *metrics.Counter
 	viewChanges     *metrics.Counter
 	stateTransfers  *metrics.Counter
 	reconfigs       *metrics.Counter
+	// transferReason counts state requests by cause (transferReasons);
+	// snapshotsSerialised counts the times a frozen state was turned into
+	// bytes for a peer.
+	transferReason      map[string]*metrics.Counter
+	snapshotsSerialised *metrics.Counter
 
 	// verifyOps counts ed25519 request verifications actually performed;
 	// verifyCacheHits counts verifications skipped via the verdict cache;
@@ -57,6 +65,7 @@ func newReplicaInstruments(reg *metrics.Registry) replicaInstruments {
 		batchOccupancy:   reg.Histogram("bft.batch_occupancy"),
 		ckptStabilityLag: reg.Histogram("bft.checkpoint_stability_lag"),
 		pipelineInflight: reg.Histogram("bft.pipeline_inflight"),
+		checkpointUS:     reg.Histogram("bft.checkpoint_us"),
 		executedBatches:  reg.Counter("bft.executed_batches"),
 		checkpoints:      reg.Counter("bft.checkpoints"),
 		viewChanges:      reg.Counter("bft.view_changes"),
@@ -69,6 +78,12 @@ func newReplicaInstruments(reg *metrics.Registry) replicaInstruments {
 		timeoutBackoffs:  reg.Counter("bft.timeout_backoffs"),
 		retransmitVotes:  reg.Counter("bft.retransmit_votes"),
 		requestForwards:  reg.Counter("bft.request_forwards"),
+
+		transferReason:      make(map[string]*metrics.Counter, len(transferReasons)),
+		snapshotsSerialised: reg.Counter("bft.snapshots_serialised"),
+	}
+	for _, reason := range transferReasons {
+		ri.transferReason[reason] = reg.Counter("bft.state_transfer_reason." + reason)
 	}
 	for t := MsgRequest; t <= MsgCatchUp; t++ {
 		ri.msgIn[t] = reg.Counter("bft.msg_in." + strings.ToLower(t.String()))

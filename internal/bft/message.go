@@ -215,6 +215,20 @@ type Message struct {
 	repSigDone bool
 	repSigOK   bool
 	repSigKey  ed25519.PublicKey
+
+	// snapSum caches snapshotSum(). A state reply's megabytes are hashed
+	// once per message, not once per use; Snapshot must not change after.
+	snapSum    Digest
+	snapSumSet bool
+}
+
+// snapshotSum returns SHA-256(Snapshot): what the signature covers in
+// place of the bytes, and what state transfer matches copies by.
+func (m *Message) snapshotSum() Digest {
+	if !m.snapSumSet {
+		m.snapSum, m.snapSumSet = sha256.Sum256(m.Snapshot), true
+	}
+	return m.snapSum
 }
 
 // PreparedProof records that a batch prepared at (view, seq) — carried in
@@ -261,7 +275,7 @@ func (m *Message) signedInput() []byte {
 	}
 	fmt.Fprintf(&buf, "|%d|%d|", m.SnapSeqNo, m.SnapView)
 	if len(m.Snapshot) > 0 {
-		sum := sha256.Sum256(m.Snapshot)
+		sum := m.snapshotSum()
 		buf.Write(sum[:])
 	}
 	// Reply fields: without these, a signed MsgReply would not bind the

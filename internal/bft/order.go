@@ -307,8 +307,13 @@ func (r *Replica) onPrePrepare(msg *Message) {
 		}
 	}
 	r.acceptPrePrepare(msg)
-	// Ordered requests need no separate progress tracking.
-	r.armProgressTimer()
+	// An accepted proposal is progress owed: the timer runs until it
+	// executes. Votes can get here before the proposal, in which case it
+	// has executed already and there is nothing left to wait for — arming
+	// then would fire a solitary view change the moment the load pauses.
+	if !in.executed {
+		r.armProgressTimer()
+	}
 }
 
 // onPrepare counts prepare votes. A vote arriving before the pre-prepare
@@ -584,7 +589,7 @@ func (r *Replica) executeRequest(req *Request) {
 	if op, isReconfig := decodeReconfigOp(req.Op); isReconfig {
 		result = r.applyReconfig(op)
 	} else {
-		result = r.cfg.App.Execute(req.Op)
+		result = r.app.Execute(req.Op)
 	}
 	if r.cfg.Fault == FaultCorruptReply {
 		result = append([]byte("CORRUPTED:"), result...)

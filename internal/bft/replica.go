@@ -1,13 +1,10 @@
 package bft
 
 import (
-	"bytes"
 	"context"
 	"crypto/ed25519"
-	"encoding/gob"
 	"fmt"
 	"log"
-	"sort"
 	"sync"
 	"time"
 
@@ -181,8 +178,7 @@ type clientRecord struct {
 // checkpointState tracks checkpoint votes at one sequence number.
 type checkpointState struct {
 	votes    map[transport.NodeID]Digest
-	snapshot []byte // set on the replica's own checkpoint
-	digest   Digest
+	snapshot *frozenState // set on the replica's own checkpoint
 	stable   bool
 }
 
@@ -192,6 +188,9 @@ type checkpointState struct {
 type Replica struct {
 	cfg ReplicaConfig
 	ep  transport.Endpoint
+	// app is cfg.App, behind snapshotCheckpointer if it is not a
+	// Checkpointer itself: the replica has one checkpoint path.
+	app Checkpointer
 
 	// Event-loop state (no locking; single goroutine).
 	membership *Membership
@@ -209,7 +208,12 @@ type Replica struct {
 	// on attacker-chosen SeqNos — and f+1 distinct claims prove the group
 	// moved past our window (see onCheckpoint).
 	ckptAhead map[transport.NodeID]uint64
-	lastSnap  []byte // snapshot at lowWater, for state transfer
+	lastSnap  *frozenState // state at lowWater, for state transfer
+	// stableSeen is the highest checkpoint this replica learnt is stable in
+	// the group. While it is ahead of lastExec the replica is behind, not
+	// lost: its log may still get it there, and only a progress timeout
+	// says otherwise (see checkStable, onProgressTimeout).
+	stableSeen uint64
 	// lastCkptVote is this replica's newest signed checkpoint vote. It
 	// survives checkpoint garbage collection so a straggler whose quorum
 	// votes were lost in transit can be answered long after the fact —
@@ -328,10 +332,15 @@ func NewReplica(cfg ReplicaConfig) (*Replica, error) {
 	if err != nil {
 		return nil, fmt.Errorf("bft: replica %d endpoint: %w", cfg.ID, err)
 	}
+	app, ok := cfg.App.(Checkpointer)
+	if !ok {
+		app = snapshotCheckpointer{cfg.App}
+	}
 	ctx, cancel := context.WithCancel(context.Background())
 	r := &Replica{
 		cfg:         cfg,
 		ep:          ep,
+		app:         app,
 		membership:  cfg.Membership.Clone(),
 		log:         make(map[uint64]*instance),
 		clients:     make(map[transport.NodeID]*clientRecord),
@@ -394,15 +403,21 @@ func (r *Replica) Start() {
 	go r.loop()
 	if r.joining {
 		// A joining replica bootstraps by asking the group for state.
-		r.requestStateTransfer()
+		r.requestStateTransfer(transferJoin)
 	}
 }
 
-// Stop terminates the replica and waits for its goroutines.
+// Stop terminates the replica and waits for its goroutines, then gives
+// the application its checkpoint handles back (the loop that owned them
+// is gone).
 func (r *Replica) Stop() {
 	r.cancel()
 	r.ep.Close()
 	r.wg.Wait()
+	for _, cs := range r.ckpts {
+		cs.snapshot.release()
+	}
+	r.lastSnap.release()
 }
 
 // pump moves envelopes from the transport into the event loop.
@@ -610,105 +625,6 @@ func (r *Replica) verifySigned(msg *Message) bool {
 		return false
 	}
 	return msg.VerifySig(pub)
-}
-
-// replicaSnapshot is the full serialized replica state used by
-// checkpoints and state transfer: the application state plus the
-// protocol metadata a joiner needs. Maps are flattened into sorted slices
-// because checkpoint agreement hashes these bytes — the encoding must be
-// deterministic across replicas. The view is deliberately NOT part of the
-// snapshot: it is protocol-local, replicas at the same sequence number
-// legitimately disagree about it mid-view-change, and including it made
-// same-state checkpoints hash differently (blocking stability) while
-// restoring it dragged recovering replicas back to stale views. A
-// restored replica keeps its own view and re-synchronizes through the
-// view-change protocol.
-type replicaSnapshot struct {
-	AppState []byte
-	LastExec uint64
-	Epoch    uint64
-	Members  []memberEntry
-	Clients  []clientEntry
-}
-
-type memberEntry struct {
-	ID  transport.NodeID
-	Key []byte
-}
-
-type clientEntry struct {
-	ID      transport.NodeID
-	LastSeq uint64
-}
-
-func (r *Replica) encodeSnapshot() ([]byte, error) {
-	appState, err := r.cfg.App.Snapshot()
-	if err != nil {
-		return nil, fmt.Errorf("bft: replica %d app snapshot: %w", r.cfg.ID, err)
-	}
-	snap := replicaSnapshot{
-		AppState: appState,
-		LastExec: r.lastExec,
-		Epoch:    r.membership.Epoch,
-	}
-	for _, id := range r.membership.Replicas { // already sorted
-		snap.Members = append(snap.Members, memberEntry{
-			ID:  id,
-			Key: append([]byte(nil), r.membership.Keys[id]...),
-		})
-	}
-	clientIDs := make([]transport.NodeID, 0, len(r.clients))
-	for id := range r.clients {
-		clientIDs = append(clientIDs, id)
-	}
-	sort.Slice(clientIDs, func(i, j int) bool { return clientIDs[i] < clientIDs[j] })
-	for _, id := range clientIDs {
-		snap.Clients = append(snap.Clients, clientEntry{ID: id, LastSeq: r.clients[id].lastSeq})
-	}
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(snap); err != nil {
-		return nil, fmt.Errorf("bft: replica %d snapshot encode: %w", r.cfg.ID, err)
-	}
-	return buf.Bytes(), nil
-}
-
-func (r *Replica) restoreSnapshot(data []byte) error {
-	var snap replicaSnapshot
-	if err := gob.NewDecoder(bytes.NewReader(data)).Decode(&snap); err != nil {
-		return fmt.Errorf("bft: replica %d snapshot decode: %w", r.cfg.ID, err)
-	}
-	// Validate everything before mutating anything: a corrupted snapshot
-	// that decodes but carries a bogus membership must not leave the
-	// replica with its application state overwritten and its protocol
-	// state intact — restore is all-or-nothing.
-	keys := make(map[transport.NodeID]ed25519.PublicKey, len(snap.Members))
-	ids := make([]transport.NodeID, 0, len(snap.Members))
-	for _, m := range snap.Members {
-		keys[m.ID] = ed25519.PublicKey(m.Key)
-		ids = append(ids, m.ID)
-	}
-	mem, err := NewMembership(ids, keys)
-	if err != nil {
-		return err
-	}
-	mem.Epoch = snap.Epoch
-	if err := r.cfg.App.Restore(snap.AppState); err != nil {
-		return fmt.Errorf("bft: replica %d app restore: %w", r.cfg.ID, err)
-	}
-	r.membership = mem
-	r.lastExec = snap.LastExec
-	r.seq = snap.LastExec
-	r.lowWater = snap.LastExec
-	r.log = make(map[uint64]*instance)
-	r.ckpts = make(map[uint64]*checkpointState)
-	r.ckptAhead = make(map[transport.NodeID]uint64)
-	r.epochClaims = make(map[transport.NodeID]uint64)
-	r.clients = make(map[transport.NodeID]*clientRecord)
-	for _, ce := range snap.Clients {
-		r.clients[ce.ID] = &clientRecord{lastSeq: ce.LastSeq}
-	}
-	r.lastSnap = data
-	return nil
 }
 
 // logf is a helper for tests wanting verbose replicas.

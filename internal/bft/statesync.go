@@ -1,21 +1,48 @@
 package bft
 
 import (
-	"crypto/sha256"
+	"fmt"
 	"sort"
 
 	"lazarus/internal/metrics"
 	"lazarus/internal/transport"
 )
 
-// requestStateTransfer asks the group for its latest stable state. Used
-// by joining replicas (bootstrapping after a reconfiguration added them)
-// and by replicas that fell behind a stable checkpoint.
-func (r *Replica) requestStateTransfer() {
+// Why a replica asks for state. A replica that is merely behind executes
+// its way forward; it asks only when its log cannot get it there.
+const (
+	// transferJoin: a joining (or removed) replica polling for the state
+	// that makes it a member.
+	transferJoin = "join"
+	// transferBeyondWindow: f+1 members checkpointed past this replica's
+	// log window, so it has been dropping the group's proposals.
+	transferBeyondWindow = "beyond_window"
+	// transferEpoch: f+1 members run a higher epoch; the ordering
+	// handlers drop their messages.
+	transferEpoch = "epoch"
+	// transferTimeoutBehindStable: the progress timer fired with lastExec
+	// below a checkpoint known to be stable — peers have truncated the
+	// instances this replica is missing.
+	transferTimeoutBehindStable = "timeout_behind_stable"
+	// transferDiverged: this replica's digest at a checkpoint it executed
+	// differs from the one a quorum agreed on.
+	transferDiverged = "diverged"
+)
+
+var transferReasons = []string{
+	transferJoin, transferBeyondWindow, transferEpoch, transferTimeoutBehindStable, transferDiverged,
+}
+
+// requestStateTransfer asks the group for its latest stable state.
+func (r *Replica) requestStateTransfer(reason string) {
+	r.ins.transferReason[reason].Inc()
+	detail := fmt.Sprintf("%s: executed %d, low water %d, known stable %d, epoch probe %d",
+		reason, r.lastExec, r.lowWater, r.stableSeen, r.epochProbe)
 	r.trace.Emit(metrics.Event{
 		Type: metrics.EvStateTransfer, Node: int64(r.cfg.ID),
-		Seq: r.lastExec, Epoch: r.membership.Epoch,
+		Seq: r.lastExec, Epoch: r.membership.Epoch, Detail: detail,
 	})
+	r.cfg.Logf("replica %d: requesting state (%s) at epoch %d", r.cfg.ID, detail, r.membership.Epoch)
 	r.stReplies = make(map[transport.NodeID]*Message)
 	req := &Message{Type: MsgStateRequest, SeqNo: r.lastExec, Epoch: r.membership.Epoch}
 	// Signed once and reused: servers authenticate requesters before
@@ -46,9 +73,7 @@ func (r *Replica) maybeEpochSync(epoch uint64) {
 		return
 	}
 	r.epochProbe = epoch
-	r.cfg.Logf("replica %d: behind epoch %d (at %d); requesting state",
-		r.cfg.ID, epoch, r.membership.Epoch)
-	r.requestStateTransfer()
+	r.requestStateTransfer(transferEpoch)
 }
 
 // onStateRequest serves state to a lagging replica. Two cases:
@@ -75,38 +100,34 @@ func (r *Replica) onStateRequest(msg *Message) {
 		return
 	}
 	if msg.Epoch < r.membership.Epoch && msg.SeqNo < r.lastExec {
-		snap, err := r.encodeSnapshot()
+		fresh, err := r.freeze()
 		if err != nil {
 			r.cfg.Logf("replica %d: snapshot for state request failed: %v", r.cfg.ID, err)
 			return
 		}
-		reply := &Message{
-			Type:      MsgStateReply,
-			SnapSeqNo: r.lastExec,
-			SnapView:  r.view,
-			Snapshot:  snap,
-		}
-		reply.From = r.cfg.ID
-		reply.Sign(r.cfg.Key)
-		r.send(msg.From, reply)
+		defer fresh.release()
+		r.serveState(msg.From, fresh)
 		return
 	}
 	if r.lastSnap == nil || r.lowWater <= msg.SeqNo {
 		return // nothing newer to offer
 	}
-	reply := &Message{
-		Type:      MsgStateReply,
-		SnapSeqNo: r.lowWater,
-		SnapView:  r.view,
-		Snapshot:  r.lastSnap,
+	r.serveState(msg.From, r.lastSnap)
+}
+
+func (r *Replica) serveState(to transport.NodeID, f *frozenState) {
+	reply, err := r.stateReply(f)
+	if err != nil {
+		r.cfg.Logf("replica %d: serving state to %d failed: %v", r.cfg.ID, to, err)
+		return
 	}
-	reply.From = r.cfg.ID
-	reply.Sign(r.cfg.Key)
-	r.send(msg.From, reply)
+	r.send(to, reply)
 }
 
 // onStateReply collects snapshots; f+1 matching copies are proof enough
 // that the state is correct (at least one comes from a correct replica).
+// Copies match when they are for the same sequence number, the same bytes
+// and the same voted digest.
 func (r *Replica) onStateReply(msg *Message) {
 	if msg.SnapSeqNo <= r.lastExec && !r.joining {
 		return
@@ -115,13 +136,14 @@ func (r *Replica) onStateReply(msg *Message) {
 		return
 	}
 	r.stReplies[msg.From] = msg //lazlint:allow epoch-guard(state transfer is the cross-epoch recovery path: a replica fetching a snapshot is precisely the one whose local epoch is stale; freshness comes from f+1 matching snapshot digests, not epoch equality)
-	// Count matching (seq, digest) pairs, scanning replies in sorted
-	// sender order: if two snapshot groups ever tie at the same seq,
-	// which one gets restored must not depend on map iteration order.
+	// Count matching copies, scanning replies in sorted sender order: if
+	// two snapshot groups ever tie at the same seq, which one gets
+	// restored must not depend on map iteration order.
 	type key struct {
-		seq uint64
-		d   Digest
+		seq         uint64
+		snap, voted Digest
 	}
+	keyOf := func(m *Message) key { return key{m.SnapSeqNo, m.snapshotSum(), m.StateDigest} }
 	ids := make([]transport.NodeID, 0, len(r.stReplies))
 	for id := range r.stReplies {
 		ids = append(ids, id)
@@ -132,7 +154,7 @@ func (r *Replica) onStateReply(msg *Message) {
 	f := r.membership.F()
 	for _, id := range ids {
 		m := r.stReplies[id]
-		k := key{m.SnapSeqNo, sha256.Sum256(m.Snapshot)}
+		k := keyOf(m)
 		counts[k]++
 		if counts[k] >= f+1 && (best == nil || m.SnapSeqNo > best.SnapSeqNo) {
 			best = m
@@ -144,16 +166,16 @@ func (r *Replica) onStateReply(msg *Message) {
 	if best.SnapSeqNo <= r.lastExec && !r.joining {
 		return
 	}
-	if err := r.restoreSnapshot(best.Snapshot); err != nil {
+	if err := r.restoreSnapshot(best); err != nil {
 		r.cfg.Logf("replica %d: state restore failed: %v", r.cfg.ID, err)
 		// Every voucher of a snapshot that fails restore is lying — an
-		// honest replica's snapshot always decodes — so evict the whole
-		// poisoned group and retry: the progress timer re-issues the
-		// state request, and the f+1 quorum re-forms from honest peers.
-		bad := key{best.SnapSeqNo, sha256.Sum256(best.Snapshot)}
+		// honest replica's snapshot always decodes, and restores to the
+		// digest that replica voted — so evict the whole poisoned group
+		// and retry: the progress timer re-issues the state request, and
+		// the f+1 quorum re-forms from honest peers.
+		bad := keyOf(best)
 		for _, id := range ids {
-			m, ok := r.stReplies[id]
-			if ok && (key{m.SnapSeqNo, sha256.Sum256(m.Snapshot)}) == bad {
+			if keyOf(r.stReplies[id]) == bad {
 				delete(r.stReplies, id)
 			}
 		}
@@ -172,32 +194,37 @@ func (r *Replica) onStateReply(msg *Message) {
 	})
 	r.cfg.Logf("replica %d: state transfer to seq %d (epoch %d, joining=%v->%v)",
 		r.cfg.ID, r.lastExec, r.membership.Epoch, wasJoining, r.joining)
-	if !r.joining {
-		// Vote for the checkpoint at the restore point. A replica that
-		// arrives here by transfer never executed this seq, so it would
-		// otherwise never vote at it — yet it holds the f+1-vouched
-		// snapshot, which is exactly what a vote attests to. Freshly
-		// swapped-in members are the common case: without this vote, a
-		// post-reconfig group of n=3f+1 can be left with only 2f honest
-		// voters at the reconfig checkpoint (the removed member is powered
-		// off, the joiner silent), and one vote-garbling attacker then
-		// jams every straggler's window until it relents.
-		vote := &Message{
-			Type:        MsgCheckpoint,
-			SeqNo:       r.lastExec,
-			Epoch:       r.membership.Epoch,
-			StateDigest: sha256.Sum256(best.Snapshot),
-			LastStable:  r.lowWater,
-		}
-		vote.From = r.cfg.ID
-		vote.Sign(r.cfg.Key)
-		r.lastCkptVote = vote
-		r.broadcast(vote)
-	}
 	if r.joining {
 		// Still not a member: keep polling until the ADD executes.
 		r.armProgressTimer()
+		return
 	}
+	// Vote for the checkpoint at the restore point. A replica that
+	// arrives here by transfer never executed this seq, so it would
+	// otherwise never vote at it — yet it holds the f+1-vouched state,
+	// which is exactly what a vote attests to, and restoreSnapshot
+	// recomputed the digest from it. Freshly swapped-in members are the
+	// common case: without this vote, a post-reconfig group of n=3f+1 can
+	// be left with only 2f honest voters at the reconfig checkpoint (the
+	// removed member is powered off, the joiner silent), and one
+	// vote-garbling attacker then jams every straggler's window until it
+	// relents.
+	vote := &Message{
+		Type:        MsgCheckpoint,
+		SeqNo:       r.lastExec,
+		Epoch:       r.membership.Epoch,
+		StateDigest: r.lastSnap.digest,
+		LastStable:  r.lowWater,
+	}
+	vote.From = r.cfg.ID
+	vote.Sign(r.cfg.Key)
+	r.lastCkptVote = vote
+	r.broadcast(vote)
+	// One transfer is enough: requests the snapshot already covers leave
+	// the queue (they would only run the progress timer down), and the
+	// committed instances the log kept above the restore point execute now.
+	r.compactPending()
+	r.executeReady()
 }
 
 // verifyStateReply authenticates a snapshot voucher against the CURRENT

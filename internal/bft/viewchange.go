@@ -35,7 +35,7 @@ func (r *Replica) disarmProgressTimer() {
 func (r *Replica) onProgressTimeout() {
 	if r.joining {
 		// Joining replicas use the timer to retry state transfer.
-		r.requestStateTransfer()
+		r.requestStateTransfer(transferJoin)
 		return
 	}
 	if r.cfg.Fault == FaultSilent {
@@ -51,7 +51,13 @@ func (r *Replica) onProgressTimeout() {
 	if r.epochProbe > r.membership.Epoch {
 		// A member advertised a higher epoch and our state transfer has
 		// not completed: keep retrying it alongside the view change.
-		r.requestStateTransfer()
+		r.requestStateTransfer(transferEpoch)
+	} else if r.stableSeen > r.lastExec {
+		// The group made a checkpoint stable that this replica has not
+		// reached, and a whole timeout went by without its log getting it
+		// there: the instances it is missing were truncated by the peers
+		// that could have re-sent them. Only now is the state worth moving.
+		r.requestStateTransfer(transferTimeoutBehindStable)
 	}
 	// A checkpoint of ours that never stabilized means our proposal
 	// window may be jammed: re-advertise the vote. Peers whose stable
@@ -692,10 +698,9 @@ func (r *Replica) installNewView(newView uint64, prePrepares []Message, stable u
 	if r.seq < r.lastExec {
 		r.seq = r.lastExec
 	}
-	if stable > r.lastExec {
-		// The group's stable state is ahead of us.
-		r.requestStateTransfer()
-	}
+	// The group's stable state may be ahead of us; whether the log still
+	// gets us there is the progress timer's call.
+	r.stableSeen = max(r.stableSeen, stable)
 	r.disarmProgressTimer()
 	if len(r.pending) > 0 {
 		r.armProgressTimer()

@@ -4,6 +4,7 @@ import (
 	"math"
 	"math/bits"
 	"sync/atomic"
+	"time"
 )
 
 // Histogram bucket layout: HDR-style base-2 buckets with subBucketBits
@@ -61,6 +62,15 @@ func (h *Histogram) Observe(v int64) {
 }
 
 // bucketIndex maps a non-negative value to its bucket.
+// Timer starts a stopwatch and returns the function that stops it and
+// observes the elapsed microseconds. The caller never sees a clock value,
+// so code that must not branch on wall time (internal/bft) can still time
+// itself.
+func (h *Histogram) Timer() (stop func()) {
+	start := time.Now()
+	return func() { h.Observe(time.Since(start).Microseconds()) }
+}
+
 func bucketIndex(v int64) int {
 	if v < subBuckets {
 		return int(v)

@@ -206,6 +206,9 @@ func TestTCPStatsCounts(t *testing.T) {
 	for i := 0; i < msgs; i++ {
 		recvOne(t, b, 2*time.Second)
 	}
+	// The writer counts a frame after the write returns, which can be
+	// after the receiver handed it over.
+	eventuallyStats(t, tnet, 2*time.Second, "sender counted its frames", func(s Stats) bool { return s.FramesSent == msgs })
 	s := tnet.Stats()
 	if s.FramesSent != msgs || s.FramesRecv != msgs {
 		t.Errorf("frames sent/recv = %d/%d, want %d/%d", s.FramesSent, s.FramesRecv, msgs, msgs)
