@@ -37,7 +37,6 @@ func benchCluster(b *testing.B, app bfttest.AppFactory, clients int) (*bfttest.C
 		N:                  4,
 		Clients:            clients,
 		CheckpointInterval: 4096,
-		BatchSize:          64,
 		BatchDelay:         500 * time.Microsecond,
 		ViewChangeTimeout:  5 * time.Second,
 	})
@@ -203,14 +202,14 @@ func BenchmarkFig9Reconfiguration(b *testing.B) {
 		}
 		b.StartTimer()
 
-		addOp, _ := bft.EncodeReconfigOp(bft.ReconfigOp{Add: true, Replica: 4, PubKey: cl.PublicKey(4)})
+		addOp := bft.EncodeReconfigOp(bft.ReconfigOp{Add: true, Replica: 4, PubKey: cl.PublicKey(4)})
 		if _, err := ctrl.Invoke(ctx, addOp); err != nil {
 			b.Fatal(err)
 		}
 		for joiner.Stats().StateTransfers == 0 {
 			time.Sleep(5 * time.Millisecond)
 		}
-		rmOp, _ := bft.EncodeReconfigOp(bft.ReconfigOp{Add: false, Replica: 0})
+		rmOp := bft.EncodeReconfigOp(bft.ReconfigOp{Add: false, Replica: 0})
 		if _, err := ctrl.Invoke(ctx, rmOp); err != nil {
 			b.Fatal(err)
 		}

@@ -54,7 +54,6 @@ func run() error {
 		LTUSecret: []byte("lazarus-demo-ltu-secret"),
 		ReplicaTuning: func(rc *bft.ReplicaConfig) {
 			rc.CheckpointInterval = 64
-			rc.ViewChangeTimeout = 300 * time.Millisecond
 		},
 		App: func() bft.Application { return kvs.New() },
 		Net: transport.NewMemory(transport.MemoryConfig{Seed: *seed}),

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"bytes"
 	"context"
 	"fmt"
 	"os"
@@ -35,7 +36,6 @@ func chaosRun(rounds int, seed int64, metricsOut string, controllerFaults, byzFa
 	defer cancel()
 
 	reg := metrics.NewRegistry()
-	tr := metrics.NewTracer(16384)
 	fmt.Printf("== chaos: %d monitor rounds, seed %d, controller faults %v, byzantine faults %v, wan %q ==\n",
 		rounds, seed, controllerFaults, byzFaults, wanProfile)
 	rep, err := controlplane.RunChaos(ctx, controlplane.ChaosConfig{
@@ -53,7 +53,6 @@ func chaosRun(rounds int, seed int64, metricsOut string, controllerFaults, byzFa
 		WANProfile:     wanProfile,
 		WALPath:        walPath,
 		Metrics:        reg,
-		Trace:          tr,
 		Logf: func(format string, args ...any) {
 			fmt.Printf("  "+format+"\n", args...)
 		},
@@ -107,14 +106,14 @@ func chaosRun(rounds int, seed int64, metricsOut string, controllerFaults, byzFa
 	}
 
 	if metricsOut != "" {
-		sum := summarize(reg, tr, seed, time.Second, 2, rep.ClientOps, rep.ClientErrs)
-		sum.Tool = "lazbench chaos"
-		sum.LoadSeconds = 0 // chaos load is fault-paced, not a timed phase
-		sum.OpsPerSec = 0
-		if err := writeBenchFile(metricsOut, sum); err != nil {
+		var buf bytes.Buffer
+		if err := reg.Snapshot().WriteJSON(&buf); err != nil {
 			return err
 		}
-		fmt.Printf("\nmetrics baseline written to %s\n", metricsOut)
+		if err := os.WriteFile(metricsOut, buf.Bytes(), 0o644); err != nil {
+			return err
+		}
+		fmt.Printf("\nmetrics snapshot written to %s\n", metricsOut)
 	}
 
 	if len(rep.Violations) > 0 {

@@ -23,21 +23,14 @@
 //	                         primary) and asserts safety and liveness throughout;
 //	                         -wan runs the whole thing under a netem profile
 //	                         (lan|wan|flaky|geo3) with scheduled partition episodes
-//	                         that must each end in a post-heal commit
-//	lazbench perf [-out F] [-sweep] [-baseline F] [-wan P1,P2]
-//	                         live-cluster throughput, commit-latency and swap-stage
-//	                         quantiles (baseline JSON written to -out, default
-//	                         BENCH_pr9.json); -sweep adds a batch-size × pipeline-depth
-//	                         grid, -wan adds a static-vs-adaptive progress-timeout
-//	                         comparison per named netem profile, -baseline fails the
-//	                         run if ops/s regresses more than 30% below a checked-in
-//	                         baseline artifact measured at the same configuration
-//	lazbench metrics         instrumented micro-run; prints the registry snapshot as JSON
-//	lazbench all             everything above (except ablations, chaos, perf and metrics)
+//	                         that must each end in a post-heal commit; -metrics-out
+//	                         writes the run's metrics registry snapshot as JSON
+//	lazbench all             everything above (except ablations and chaos)
 //
 // Absolute performance numbers come from the calibrated model
 // (internal/perfmodel); risk numbers from the seeded synthetic dataset
-// (internal/feeds). EXPERIMENTS.md records paper-vs-measured values.
+// (internal/feeds). EXPERIMENTS.md records paper-vs-measured values. The
+// running system's own speed is measured by benchmark/ (see its README).
 package main
 
 import (
@@ -61,14 +54,11 @@ func run(args []string) error {
 	ctrlFaults := fs.Bool("controller-faults", false, "chaos: kill and WAL-recover the controller mid-swap")
 	byzFaults := fs.Bool("byz-faults", false, "chaos: turn f members into Byzantine attacker replicas per round")
 	walPath := fs.String("wal", "", "chaos: back the control plane with a file WAL at this path")
-	wan := fs.String("wan", "", "netem profile: chaos takes one name, perf a comma-separated list (lan|wan|flaky|geo3)")
-	metricsOut := fs.String("metrics-out", "", "write the perf/chaos metrics baseline JSON to this file")
-	out := fs.String("out", "BENCH_pr9.json", "perf baseline artifact path (-metrics-out overrides)")
-	sweep := fs.Bool("sweep", false, "perf: also sweep batch size × pipeline depth")
-	baseline := fs.String("baseline", "", "perf: fail if ops/s drops >30% below this baseline JSON")
+	wan := fs.String("wan", "", "chaos: run under this netem profile (lan|wan|flaky|geo3)")
+	metricsOut := fs.String("metrics-out", "", "chaos: write the metrics registry snapshot as JSON to this file")
 	if len(args) == 0 {
 		fs.Usage()
-		return fmt.Errorf("missing subcommand (table1|fig2|fig3|fig5|fig6|table2|fig7|fig8|fig9|fig10|ablation|leader|net|chaos|perf|metrics|all)")
+		return fmt.Errorf("missing subcommand (table1|fig2|fig3|fig5|fig6|table2|fig7|fig8|fig9|fig10|ablation|leader|net|chaos|all)")
 	}
 	sub := args[0]
 	if err := fs.Parse(args[1:]); err != nil {
@@ -91,14 +81,6 @@ func run(args []string) error {
 		"chaos": func(_ int, s int64) error {
 			return chaosRun(*rounds, s, *metricsOut, *ctrlFaults, *byzFaults, *walPath, *wan)
 		},
-		"perf": func(_ int, s int64) error {
-			path := *out
-			if *metricsOut != "" {
-				path = *metricsOut
-			}
-			return perfCmd(s, path, *sweep, *baseline, *wan)
-		},
-		"metrics": func(_ int, s int64) error { return metricsCmd(s) },
 	}
 	if sub == "all" {
 		for _, name := range []string{"table1", "fig2", "fig3", "table2", "fig7", "fig8", "fig9", "fig10", "net", "fig5", "fig6"} {

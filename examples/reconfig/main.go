@@ -141,12 +141,10 @@ func run() error {
 		st.Config, st.Quarantine, st.Epoch)
 
 	// State survived the swap: the same client keeps its request
-	// sequence numbers and simply learns the new replica set.
-	var replicas []transport.NodeID
-	for _, nodeID := range st.Nodes {
-		replicas = append(replicas, nodeID)
-	}
-	client.UpdateReplicas(replicas)
+	// sequence numbers and simply learns the new replica set, keys
+	// included, so the joiner's replies verify and the retired one's do not.
+	members := ctrl.Membership()
+	client.UpdateMembership(members.Replicas, members.Keys)
 	op, err := kvs.EncodeOp(kvs.Op{Kind: kvs.OpGet, Key: "key3"})
 	if err != nil {
 		return err

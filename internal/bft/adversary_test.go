@@ -241,11 +241,7 @@ func evilSnapshot(t *testing.T, r *Replica, seq uint64, value int64) *Message {
 	}
 	digest := stateDigest(sha256.Sum256(app.Bytes()), &snap)
 	snap.AppState = app.Bytes()
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(snap); err != nil {
-		t.Fatal(err)
-	}
-	return &Message{Type: MsgStateReply, SnapSeqNo: seq, Snapshot: buf.Bytes(), StateDigest: digest}
+	return &Message{Type: MsgStateReply, SnapSeqNo: seq, Snapshot: snap.encode(), StateDigest: digest}
 }
 
 // vouch delivers reply to r as if each of the given members had signed it.
@@ -307,7 +303,7 @@ func TestStateRestoreFailureEvictsLyingGroup(t *testing.T) {
 	defer c.stop()
 	r := c.replicas[1]
 
-	vouch(c, r, &Message{Type: MsgStateReply, SnapSeqNo: 40, Snapshot: []byte("not a gob snapshot")}, 2, 3)
+	vouch(c, r, &Message{Type: MsgStateReply, SnapSeqNo: 40, Snapshot: []byte("not a snapshot envelope")}, 2, 3)
 	if r.lastExec != 0 {
 		t.Fatalf("undecodable snapshot restored (lastExec %d)", r.lastExec)
 	}
@@ -501,10 +497,7 @@ func TestReconfigFencesPipelinedInstances(t *testing.T) {
 
 	// Seq 1: a controller-signed reconfiguration (ADD replica 9).
 	newPub, _ := keypair(t)
-	op, err := EncodeReconfigOp(ReconfigOp{Add: true, Replica: 9, PubKey: newPub})
-	if err != nil {
-		t.Fatal(err)
-	}
+	op := EncodeReconfigOp(ReconfigOp{Add: true, Replica: 9, PubKey: newPub})
 	recReq := Request{Client: transport.ClientIDBase + 999, Seq: 1, Op: op}
 	recReq.Sign(c.ctrlPriv)
 	recBatch := &Batch{Requests: []Request{recReq}}
@@ -781,10 +774,7 @@ func TestReconfigCheckpointMatchesExecutedState(t *testing.T) {
 	r := c.replicas[1] // backup of view 0; unstarted, driven directly
 
 	newPub, _ := keypair(t)
-	op, err := EncodeReconfigOp(ReconfigOp{Add: true, Replica: 9, PubKey: newPub})
-	if err != nil {
-		t.Fatal(err)
-	}
+	op := EncodeReconfigOp(ReconfigOp{Add: true, Replica: 9, PubKey: newPub})
 	recReq := Request{Client: transport.ClientIDBase + 999, Seq: 1, Op: op}
 	recReq.Sign(c.ctrlPriv)
 	b := &Batch{Requests: []Request{recReq}}

@@ -80,11 +80,8 @@ func TestConcurrentClients(t *testing.T) {
 func TestToleratesSilentBackup(t *testing.T) {
 	// One silent (crashed) non-primary replica: the quorum of 3 keeps
 	// the system live.
-	c := newCluster(t, 4, 1, func(cfg *ReplicaConfig) {
-		if cfg.ID == 3 { // not the view-0 primary (0)
-			cfg.Fault = FaultSilent
-		}
-	})
+	c := newCluster(t, 4, 1, nil)
+	c.mute(3) // not the view-0 primary (0)
 	c.start()
 	defer c.stop()
 	cl := c.client(0)
@@ -98,11 +95,8 @@ func TestToleratesSilentBackup(t *testing.T) {
 }
 
 func TestViewChangeOnSilentPrimary(t *testing.T) {
-	c := newCluster(t, 4, 1, func(cfg *ReplicaConfig) {
-		if cfg.ID == 0 { // view-0 primary
-			cfg.Fault = FaultSilent
-		}
-	})
+	c := newCluster(t, 4, 1, nil)
+	c.mute(0) // view-0 primary
 	c.start()
 	defer c.stop()
 	cl := c.client(0)
@@ -117,11 +111,8 @@ func TestViewChangeOnSilentPrimary(t *testing.T) {
 }
 
 func TestViewChangeOnEquivocatingPrimary(t *testing.T) {
-	c := newCluster(t, 4, 1, func(cfg *ReplicaConfig) {
-		if cfg.ID == 0 {
-			cfg.Fault = FaultEquivocate
-		}
-	})
+	c := newCluster(t, 4, 1, nil)
+	c.attack(0, AttackEquivocate) // view-0 primary
 	c.start()
 	defer c.stop()
 	cl := c.client(0)
@@ -129,10 +120,23 @@ func TestViewChangeOnEquivocatingPrimary(t *testing.T) {
 	if got := decodeInt(invoke(t, cl, "add 3")); got != 3 {
 		t.Fatalf("result = %d, want 3", got)
 	}
-	// Correct replicas must agree (no divergence despite equivocation).
+	// Correct replicas must agree (no divergence despite equivocation),
+	// under a primary the view change put in the equivocator's place.
 	eventually(t, 5*time.Second, "correct replicas converge", func() bool {
 		return c.apps[1].Value() == 3 && c.apps[2].Value() == 3 && c.apps[3].Value() == 3
 	})
+	if c.replicas[1].Stats().CurrentView == 0 {
+		t.Error("the equivocating primary still leads")
+	}
+	executed := make(map[uint64]Digest)
+	for id := transport.NodeID(1); id <= 3; id++ {
+		for _, rec := range c.replicas[id].ExecTrace() {
+			if d, ok := executed[rec.Seq]; ok && d != rec.Digest {
+				t.Errorf("replica %d executed a different batch at seq %d", id, rec.Seq)
+			}
+			executed[rec.Seq] = rec.Digest
+		}
+	}
 }
 
 // TestViewChangeCatchesUpStraggler pins the commit re-announcement in
@@ -195,11 +199,8 @@ func TestViewChangeCatchesUpStraggler(t *testing.T) {
 }
 
 func TestClientSurvivesCorruptReplies(t *testing.T) {
-	c := newCluster(t, 4, 1, func(cfg *ReplicaConfig) {
-		if cfg.ID == 2 {
-			cfg.Fault = FaultCorruptReply
-		}
-	})
+	c := newCluster(t, 4, 1, nil)
+	atk := c.attack(2, AttackEquivocate) // forges its replies, validly signed
 	c.start()
 	defer c.stop()
 	cl := c.client(0)
@@ -208,9 +209,12 @@ func TestClientSurvivesCorruptReplies(t *testing.T) {
 	if decodeInt(got) != 4 {
 		t.Fatalf("client accepted wrong result %q", got)
 	}
-	if bytes.HasPrefix(got, []byte("CORRUPTED:")) {
-		t.Fatal("client accepted a corrupted reply")
+	if bytes.HasPrefix(got, []byte("forged:")) {
+		t.Fatal("client accepted a forged reply")
 	}
+	eventually(t, 5*time.Second, "the attacker to forge a reply", func() bool {
+		return atk.Stats().Equivocated > 0
+	})
 }
 
 func TestCheckpointTruncatesLog(t *testing.T) {
@@ -335,10 +339,7 @@ func TestReconfigurationAddThenRemove(t *testing.T) {
 	joiner.Start()
 	defer joiner.Stop()
 
-	addOp, err := EncodeReconfigOp(ReconfigOp{Add: true, Replica: 4, PubKey: c.pubs[4]})
-	if err != nil {
-		t.Fatal(err)
-	}
+	addOp := EncodeReconfigOp(ReconfigOp{Add: true, Replica: 4, PubKey: c.pubs[4]})
 	if rr, err := DecodeReconfigResult(invoke(t, ctrl, string(addOp))); err != nil || rr.Status != ReconfigApplied || rr.Epoch != 1 {
 		t.Fatalf("add reconfig result: %+v, err %v", rr, err)
 	}
@@ -356,16 +357,13 @@ func TestReconfigurationAddThenRemove(t *testing.T) {
 	})
 
 	// Remove replica 0 (quarantine it).
-	rmOp, err := EncodeReconfigOp(ReconfigOp{Add: false, Replica: 0})
-	if err != nil {
-		t.Fatal(err)
-	}
+	rmOp := EncodeReconfigOp(ReconfigOp{Add: false, Replica: 0})
 	if rr, err := DecodeReconfigResult(invoke(t, ctrl, string(rmOp))); err != nil || rr.Status != ReconfigApplied || rr.Epoch != 2 {
 		t.Fatalf("remove reconfig result: %+v, err %v", rr, err)
 	}
 	// The group (now 1,2,3,4) keeps serving. Removing the view-0 primary
 	// forces a view change first.
-	cl.UpdateReplicas([]transport.NodeID{1, 2, 3, 4})
+	cl.UpdateMembership([]transport.NodeID{1, 2, 3, 4}, c.pubs)
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
 	result, err := cl.Invoke(ctx, []byte("add 1"))
@@ -392,10 +390,7 @@ func TestReconfigRejectedWithoutControllerKey(t *testing.T) {
 	cl := c.client(0) // ordinary client, not the controller
 	defer cl.Close()
 
-	op, err := EncodeReconfigOp(ReconfigOp{Add: false, Replica: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
+	op := EncodeReconfigOp(ReconfigOp{Add: false, Replica: 3})
 	ctx, cancel := context.WithTimeout(context.Background(), 3*time.Second)
 	defer cancel()
 	if _, err := cl.Invoke(ctx, op); err == nil {
@@ -515,12 +510,8 @@ func TestBatchDigestOrderSensitive(t *testing.T) {
 // replicas plus one corrupt replier still leave a correct quorum of 5 and
 // an honest f+1 reply set.
 func TestSevenReplicasToleratesTwoFaults(t *testing.T) {
-	c := newCluster(t, 7, 1, func(cfg *ReplicaConfig) {
-		switch cfg.ID {
-		case 5, 6: // backups; view-0 primary is replica 0
-			cfg.Fault = FaultSilent
-		}
-	})
+	c := newCluster(t, 7, 1, nil)
+	c.mute(5, 6) // backups; view-0 primary is replica 0
 	c.start()
 	defer c.stop()
 	if c.membership.F() != 2 || c.membership.Quorum() != 5 {
@@ -552,11 +543,8 @@ func TestSevenReplicasToleratesTwoFaults(t *testing.T) {
 // TestSevenReplicasViewChangeCascade: with the primaries of views 0 AND 1
 // silent, liveness requires cascading view changes to view 2.
 func TestSevenReplicasViewChangeCascade(t *testing.T) {
-	c := newCluster(t, 7, 1, func(cfg *ReplicaConfig) {
-		if cfg.ID == 0 || cfg.ID == 1 {
-			cfg.Fault = FaultSilent
-		}
-	})
+	c := newCluster(t, 7, 1, nil)
+	c.mute(0, 1)
 	c.start()
 	defer c.stop()
 	cl := c.client(0)
@@ -574,7 +562,6 @@ func TestSevenReplicasViewChangeCascade(t *testing.T) {
 // well below operations executed.
 func TestBatchingAmortizesConsensus(t *testing.T) {
 	c := newCluster(t, 4, 8, func(cfg *ReplicaConfig) {
-		cfg.BatchSize = 16
 		cfg.BatchDelay = 5 * time.Millisecond // give batches time to fill
 	})
 	c.start()

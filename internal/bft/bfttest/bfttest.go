@@ -26,16 +26,8 @@ type Options struct {
 	Clients int
 	// CheckpointInterval overrides the replica default.
 	CheckpointInterval uint64
-	// BatchSize overrides the replica default.
-	BatchSize int
 	// BatchDelay overrides the replica default.
 	BatchDelay time.Duration
-	// PipelineDepth overrides the replica default (consensus instances
-	// in flight).
-	PipelineDepth int
-	// VerifyWorkers overrides the replica default (signature-verification
-	// pool size).
-	VerifyWorkers int
 	// ViewChangeTimeout overrides the replica default.
 	ViewChangeTimeout time.Duration
 	// NetConfig shapes the in-memory network.
@@ -48,8 +40,6 @@ type Options struct {
 	// AdaptiveTimeout switches replicas to RTT-tracking progress
 	// timeouts (see bft.ReplicaConfig.AdaptiveTimeout).
 	AdaptiveTimeout bool
-	// Fault assigns Byzantine behaviour per replica (nil = all correct).
-	Fault func(id transport.NodeID) bft.FaultMode
 	// Metrics, when set, is shared by the network and every replica, so
 	// one registry aggregates the whole cluster.
 	Metrics *metrics.Registry
@@ -152,10 +142,6 @@ func (c *Cluster) AddReplica(id transport.NodeID, joining bool) (*bft.Replica, e
 		c.pubs[id], c.keys[id] = pub, priv
 	}
 	app := c.appFactory(id)
-	var fault bft.FaultMode
-	if c.opts.Fault != nil {
-		fault = c.opts.Fault(id)
-	}
 	r, err := bft.NewReplica(bft.ReplicaConfig{
 		ID:                 id,
 		Key:                c.keys[id],
@@ -164,15 +150,11 @@ func (c *Cluster) AddReplica(id transport.NodeID, joining bool) (*bft.Replica, e
 		Net:                c.Wrapped,
 		ClientKeys:         c.clientKeys,
 		ControllerKey:      c.ctrlPub,
-		BatchSize:          c.opts.BatchSize,
 		BatchDelay:         c.opts.BatchDelay,
-		PipelineDepth:      c.opts.PipelineDepth,
-		VerifyWorkers:      c.opts.VerifyWorkers,
 		CheckpointInterval: c.opts.CheckpointInterval,
 		ViewChangeTimeout:  c.opts.ViewChangeTimeout,
 		AdaptiveTimeout:    c.opts.AdaptiveTimeout,
 		Joining:            joining,
-		Fault:              fault,
 		Metrics:            c.opts.Metrics,
 		Trace:              c.opts.Trace,
 	})

@@ -31,7 +31,7 @@ func TestCatchUpDoesNotAllocateBeforeValidation(t *testing.T) {
 	defer c.stop()
 	r := c.replicas[1] // unstarted, driven directly
 
-	for seq := uint64(1); seq <= r.cfg.WindowSize; seq++ {
+	for seq := uint64(1); seq <= r.window(); seq++ {
 		r.onCatchUp(&Message{
 			Type: MsgCatchUp, From: 3, SeqNo: seq, Epoch: r.membership.Epoch,
 			Prepared: []PreparedProof{{

@@ -14,7 +14,7 @@ func attackerForTest(t *testing.T, kind AttackKind) (*Attacker, ed25519.PublicKe
 	return NewAttacker(0, priv, kind, 99), pub
 }
 
-func mustEncode(t *testing.T, m *Message) []byte {
+func mustEncode(t testing.TB, m *Message) []byte {
 	t.Helper()
 	p, err := Encode(m)
 	if err != nil {

@@ -81,7 +81,7 @@ func (r *Replica) onCheckpoint(msg *Message) {
 	if msg.SeqNo <= r.lowWater {
 		return // already stable
 	}
-	if msg.SeqNo > r.lowWater+r.cfg.WindowSize {
+	if msg.SeqNo > r.lowWater+r.window() {
 		r.ckptAhead[msg.From] = msg.SeqNo        //lazlint:allow epoch-guard(checkpoint votes tally cross-epoch by design: they are how a replica stranded in an old epoch learns the group moved on and triggers state transfer)
 		if len(r.ckptAhead) > r.membership.F() { //lazlint:allow digest-blind-tally(deliberately digest-blind: f+1 DISTINCT members claiming any checkpoint beyond our window proves at least one honest replica is ahead; which digest each claims is settled by the f+1-matching state transfer that follows)
 			r.ckptAhead = make(map[transport.NodeID]uint64)

@@ -32,11 +32,11 @@ func TestCheckpointSpamBounded(t *testing.T) {
 	}
 
 	interval := r.cfg.CheckpointInterval
-	window := r.cfg.WindowSize
+	window := r.window()
 	for i := uint64(1); i <= 1000; i++ {
 		vote(1, window+i*interval)
 	}
-	// The window holds at most WindowSize/CheckpointInterval checkpoint
+	// The window holds at most window/CheckpointInterval checkpoint
 	// points (plus reconfig checkpoints at odd offsets, none here).
 	maxEntries := int(window/interval) + 1
 	if got := len(r.ckpts); got > maxEntries {

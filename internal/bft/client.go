@@ -34,11 +34,10 @@ type ClientConfig struct {
 	// clients from hammering a group that is merely slow — retransmitting
 	// at full rate into a congested WAN is how load surges wedge it.
 	RetryBackoff, RetryBackoffMax time.Duration
-	// ReplicaKeys maps replicas to their public keys. When non-empty,
-	// Invoke discards any reply whose signature does not verify against
-	// the sender's key — membership filtering alone lets anything able to
-	// spoof a member's transport id forge votes. Empty disables
-	// verification (only for tests exercising the unauthenticated path).
+	// ReplicaKeys maps replicas to their public keys (required). Invoke
+	// discards any reply whose signature does not verify against the
+	// sender's key — membership filtering alone lets anything able to
+	// spoof a member's transport id forge votes.
 	ReplicaKeys map[transport.NodeID]ed25519.PublicKey
 }
 
@@ -64,6 +63,8 @@ func NewClient(cfg ClientConfig) (*Client, error) {
 		return nil, fmt.Errorf("bft: client %d: bad private key", cfg.ID)
 	case len(cfg.Replicas) == 0:
 		return nil, fmt.Errorf("bft: client %d: no replicas", cfg.ID)
+	case len(cfg.ReplicaKeys) == 0:
+		return nil, fmt.Errorf("bft: client %d: no replica keys", cfg.ID)
 	case cfg.Net == nil:
 		return nil, fmt.Errorf("bft: client %d: nil network", cfg.ID)
 	}
@@ -99,25 +100,17 @@ func copyKeys(keys map[transport.NodeID]ed25519.PublicKey) map[transport.NodeID]
 	return out
 }
 
-// UpdateReplicas installs a new replica set (after a Lazarus
-// reconfiguration; in a full deployment clients learn this from reply
-// epochs and a directory service).
-func (c *Client) UpdateReplicas(replicas []transport.NodeID) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.replicas = append([]transport.NodeID(nil), replicas...)
-}
-
 // UpdateMembership installs a new replica set together with its public
-// keys, keeping reply verification in step with reconfigurations. A nil
-// keys map leaves the current keys in place.
+// keys (after a Lazarus reconfiguration; in a full deployment clients
+// learn this from reply epochs and a directory service), keeping reply
+// verification in step with the group. The keys replace the old ones: a
+// replica with no entry cannot vote, so an empty map fails every Invoke
+// rather than switching verification off.
 func (c *Client) UpdateMembership(replicas []transport.NodeID, keys map[transport.NodeID]ed25519.PublicKey) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.replicas = append([]transport.NodeID(nil), replicas...)
-	if keys != nil {
-		c.keys = copyKeys(keys)
-	}
+	c.keys = copyKeys(keys)
 }
 
 // Replicas returns the client's current replica set.
@@ -189,47 +182,49 @@ func (c *Client) Invoke(ctx context.Context, op []byte) ([]byte, error) {
 				continue
 			}
 		}
-		deadline := time.Now().Add(c.cfg.RequestTimeout) //lazlint:allow wallclock(client-side request timeout; never enters replica state)
-		for {
-			remaining := time.Until(deadline) //lazlint:allow wallclock(client-side request timeout; never enters replica state)
-			if remaining <= 0 {
-				break
-			}
-			rctx, cancel := context.WithTimeout(ctx, remaining)
-			env, err := c.ep.Recv(rctx)
-			cancel()
-			if err != nil {
-				if ctx.Err() != nil {
-					return nil, ctx.Err()
-				}
-				break // attempt timed out; retransmit
-			}
-			reply, err := Decode(env.Payload)
-			if err != nil || reply.Type != MsgReply || reply.ReplySeq != seq {
-				continue // stale or foreign message
-			}
-			if !member[env.From] {
-				continue // sender is outside the replica-set snapshot
-			}
-			if _, dup := votes[env.From]; dup {
-				// Already hold this replica's verified vote; retransmitted
-				// replies are identical, so skip the signature check.
-				continue
-			}
-			if len(keys) > 0 {
-				pub, ok := keys[env.From]
-				if !ok || !reply.VerifySig(pub) {
-					continue // forged or tampered: only signed votes count
-				}
-			}
-			votes[env.From] = reply.Result
-			if result, ok := tally(votes, c.cfg.F+1); ok {
-				return result, nil
-			}
+		if result, ok := c.collect(ctx, seq, member, keys, votes); ok {
+			return result, nil
+		}
+		if err := ctx.Err(); err != nil {
+			return nil, err
 		}
 	}
 	return nil, fmt.Errorf("bft: client %d: no quorum for request %d after %d attempts",
 		c.cfg.ID, seq, c.cfg.MaxAttempts)
+}
+
+// collect adds the replies to request seq that arrive within one
+// RequestTimeout to votes, and reports the result f+1 of them agree on.
+func (c *Client) collect(ctx context.Context, seq uint64, member map[transport.NodeID]bool,
+	keys map[transport.NodeID]ed25519.PublicKey, votes map[transport.NodeID][]byte) ([]byte, bool) {
+	ctx, cancel := context.WithTimeout(ctx, c.cfg.RequestTimeout)
+	defer cancel()
+	for {
+		env, err := c.ep.Recv(ctx)
+		if err != nil {
+			return nil, false // attempt timed out; retransmit
+		}
+		reply, err := Decode(env.Payload)
+		if err != nil || reply.Type != MsgReply || reply.ReplySeq != seq {
+			continue // stale or foreign message
+		}
+		if !member[env.From] {
+			continue // sender is outside the replica-set snapshot
+		}
+		if _, dup := votes[env.From]; dup {
+			// Already hold this replica's verified vote; retransmitted
+			// replies are identical, so skip the signature check.
+			continue
+		}
+		pub, ok := keys[env.From]
+		if !ok || !reply.VerifySig(pub) {
+			continue // forged or tampered: only signed votes count
+		}
+		votes[env.From] = reply.Result
+		if result, ok := tally(votes, c.cfg.F+1); ok {
+			return result, true
+		}
+	}
 }
 
 // tally looks for need matching results among the votes.

@@ -10,16 +10,57 @@ import (
 	"lazarus/internal/transport"
 )
 
+// replicaKeys makes key pairs for replicas 0..n-1.
+func replicaKeys(t *testing.T, n int) (map[transport.NodeID]ed25519.PublicKey, map[transport.NodeID]ed25519.PrivateKey) {
+	t.Helper()
+	pubs := make(map[transport.NodeID]ed25519.PublicKey, n)
+	privs := make(map[transport.NodeID]ed25519.PrivateKey, n)
+	for i := 0; i < n; i++ {
+		pubs[transport.NodeID(i)], privs[transport.NodeID(i)] = keypair(t)
+	}
+	return pubs, privs
+}
+
+// signedReply is what replica from, holding key, would send the first
+// client in answer to its request 1.
+func signedReply(t *testing.T, from transport.NodeID, result string, key ed25519.PrivateKey) []byte {
+	t.Helper()
+	msg := &Message{Type: MsgReply, From: from, ReplySeq: 1,
+		ReplyClient: transport.ClientIDBase, Result: []byte(result)}
+	msg.Sign(key)
+	return mustEncode(t, msg)
+}
+
+// keepSending has ep send payload to the first client every few
+// milliseconds until stop closes.
+func keepSending(stop <-chan struct{}, wg *sync.WaitGroup, ep transport.Endpoint, payload []byte) {
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			ep.Send(transport.ClientIDBase, payload)
+			time.Sleep(5 * time.Millisecond)
+		}
+	}()
+}
+
 func TestNewClientValidation(t *testing.T) {
 	net := transport.NewMemory(transport.MemoryConfig{})
 	defer net.Close()
 	_, priv := keypair(t)
+	pubs, _ := replicaKeys(t, 4)
 	base := ClientConfig{
-		ID:       transport.ClientIDBase,
-		Key:      priv,
-		Replicas: []transport.NodeID{0, 1, 2, 3},
-		F:        1,
-		Net:      net,
+		ID:          transport.ClientIDBase,
+		Key:         priv,
+		Replicas:    []transport.NodeID{0, 1, 2, 3},
+		ReplicaKeys: pubs,
+		F:           1,
+		Net:         net,
 	}
 	if _, err := NewClient(base); err != nil {
 		t.Fatalf("valid config rejected: %v", err)
@@ -44,6 +85,11 @@ func TestNewClientValidation(t *testing.T) {
 	if _, err := NewClient(bad); err == nil {
 		t.Error("nil network accepted")
 	}
+	bad = base
+	bad.ReplicaKeys = nil
+	if _, err := NewClient(bad); err == nil {
+		t.Error("client that cannot authenticate replies accepted")
+	}
 }
 
 func TestClientGivesUpWithoutQuorum(t *testing.T) {
@@ -57,10 +103,12 @@ func TestClientGivesUpWithoutQuorum(t *testing.T) {
 		}
 	}
 	_, priv := keypair(t)
+	pubs, _ := replicaKeys(t, 4)
 	cl, err := NewClient(ClientConfig{
 		ID:             transport.ClientIDBase,
 		Key:            priv,
 		Replicas:       []transport.NodeID{0, 1, 2, 3},
+		ReplicaKeys:    pubs,
 		F:              1,
 		Net:            net,
 		RequestTimeout: 50 * time.Millisecond,
@@ -89,12 +137,14 @@ func TestClientHonorsContext(t *testing.T) {
 		}
 	}
 	_, priv := keypair(t)
+	pubs, _ := replicaKeys(t, 4)
 	cl, err := NewClient(ClientConfig{
-		ID:       transport.ClientIDBase,
-		Key:      priv,
-		Replicas: []transport.NodeID{0, 1, 2, 3},
-		F:        1,
-		Net:      net,
+		ID:          transport.ClientIDBase,
+		Key:         priv,
+		Replicas:    []transport.NodeID{0, 1, 2, 3},
+		ReplicaKeys: pubs,
+		F:           1,
+		Net:         net,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -114,11 +164,8 @@ func TestClientHonorsContext(t *testing.T) {
 func TestClientIgnoresForgedReplies(t *testing.T) {
 	// f forged replies must not reach the f+1 quorum: with f=1, a single
 	// lying node cannot convince the client.
-	c := newCluster(t, 4, 1, func(cfg *ReplicaConfig) {
-		if cfg.ID == 1 {
-			cfg.Fault = FaultCorruptReply
-		}
-	})
+	c := newCluster(t, 4, 1, nil)
+	c.attack(1, AttackEquivocate) // forges every reply, validly signed
 	c.start()
 	defer c.stop()
 	cl := c.client(0)
@@ -134,9 +181,9 @@ func TestClientIgnoresForgedReplies(t *testing.T) {
 func TestClientIgnoresRetiredReplicaVotes(t *testing.T) {
 	// Two nodes OUTSIDE the client's replica-set snapshot (e.g. replicas
 	// retired by a Lazarus reconfiguration, possibly compromised) pump
-	// f+1 matching bogus replies at the client. The old code tallied
-	// votes from any sender, so the pair reached the quorum and the
-	// client accepted their fabricated result.
+	// f+1 matching bogus replies at the client, each signed with the key
+	// the node held as a member. Tallying votes from any sender would let
+	// the pair reach the quorum.
 	net := transport.NewMemory(transport.MemoryConfig{})
 	defer net.Close()
 	for i := 0; i < 4; i++ {
@@ -153,10 +200,21 @@ func TestClientIgnoresRetiredReplicaVotes(t *testing.T) {
 		t.Fatal(err)
 	}
 	_, priv := keypair(t)
+	// The client still holds the retired pair's public keys (callers may
+	// hand it a key map that is a superset of the membership), so their
+	// signatures verify and only the membership snapshot can reject the
+	// votes.
+	pubs, _ := replicaKeys(t, 4)
+	retired := map[transport.NodeID]transport.Endpoint{50: retiredA, 51: retiredB}
+	retiredKeys := make(map[transport.NodeID]ed25519.PrivateKey, len(retired))
+	for id := range retired {
+		pubs[id], retiredKeys[id] = keypair(t)
+	}
 	cl, err := NewClient(ClientConfig{
 		ID:             transport.ClientIDBase,
 		Key:            priv,
 		Replicas:       []transport.NodeID{0, 1, 2, 3},
+		ReplicaKeys:    pubs,
 		F:              1,
 		Net:            net,
 		RequestTimeout: 100 * time.Millisecond,
@@ -169,34 +227,9 @@ func TestClientIgnoresRetiredReplicaVotes(t *testing.T) {
 
 	stop := make(chan struct{})
 	var wg sync.WaitGroup
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		for _, from := range []transport.NodeID{50, 51} {
-			payload, err := Encode(&Message{Type: MsgReply, From: from, ReplySeq: 1, Result: []byte("evil")})
-			if err != nil {
-				t.Error(err)
-				return
-			}
-			src := retiredA
-			if from == 51 {
-				src = retiredB
-			}
-			wg.Add(1)
-			go func(src transport.Endpoint, payload []byte) {
-				defer wg.Done()
-				for {
-					select {
-					case <-stop:
-						return
-					default:
-					}
-					src.Send(transport.ClientIDBase, payload)
-					time.Sleep(5 * time.Millisecond)
-				}
-			}(src, payload)
-		}
-	}()
+	for from, src := range retired {
+		keepSending(stop, &wg, src, signedReply(t, from, "evil", retiredKeys[from]))
+	}
 
 	res, err := cl.Invoke(context.Background(), []byte("op"))
 	close(stop)
@@ -299,24 +332,57 @@ func TestClientRejectsUnsignedInMemberReplies(t *testing.T) {
 	}
 }
 
-func TestUpdateReplicasVisible(t *testing.T) {
+// TestUpdateMembershipVisible: following a reconfiguration swaps the keys
+// with the replica set, so the joiner's replies count and a retired
+// replica's key is gone.
+func TestUpdateMembershipVisible(t *testing.T) {
 	net := transport.NewMemory(transport.MemoryConfig{})
 	defer net.Close()
+	eps := make(map[transport.NodeID]transport.Endpoint)
+	for i := 0; i < 5; i++ {
+		ep, err := net.Endpoint(transport.NodeID(i))
+		if err != nil {
+			t.Fatal(err)
+		}
+		eps[transport.NodeID(i)] = ep
+	}
+	pubs, privs := replicaKeys(t, 5)
 	_, priv := keypair(t)
+	before := map[transport.NodeID]ed25519.PublicKey{0: pubs[0], 1: pubs[1], 2: pubs[2], 3: pubs[3]}
 	cl, err := NewClient(ClientConfig{
-		ID:       transport.ClientIDBase,
-		Key:      priv,
-		Replicas: []transport.NodeID{0, 1, 2, 3},
-		F:        1,
-		Net:      net,
+		ID:             transport.ClientIDBase,
+		Key:            priv,
+		Replicas:       []transport.NodeID{0, 1, 2, 3},
+		ReplicaKeys:    before,
+		F:              1,
+		Net:            net,
+		RequestTimeout: 200 * time.Millisecond,
+		MaxAttempts:    4,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer cl.Close()
-	cl.UpdateReplicas([]transport.NodeID{1, 2, 3, 4})
-	got := cl.Replicas()
-	if len(got) != 4 || got[3] != 4 {
+	after := map[transport.NodeID]ed25519.PublicKey{1: pubs[1], 2: pubs[2], 3: pubs[3], 4: pubs[4]}
+	cl.UpdateMembership([]transport.NodeID{1, 2, 3, 4}, after)
+	if got := cl.Replicas(); len(got) != 4 || got[3] != 4 {
 		t.Errorf("Replicas() = %v", got)
+	}
+
+	// The retired replica 0 vouches for one result, survivor 3 and the
+	// joiner 4 for another: f+1 needs the joiner's vote to count.
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	for from, result := range map[transport.NodeID]string{0: "stale", 3: "current", 4: "current"} {
+		keepSending(stop, &wg, eps[from], signedReply(t, from, result, privs[from]))
+	}
+	res, err := cl.Invoke(context.Background(), []byte("op"))
+	close(stop)
+	wg.Wait()
+	if err != nil {
+		t.Fatalf("invoke after the membership update: %v", err)
+	}
+	if string(res) != "current" {
+		t.Fatalf("invoke returned %q, want the result the joiner vouched for", res)
 	}
 }

@@ -1,17 +1,17 @@
 package bft
 
-// Wire codec for the ordering hot path. Gob re-transmits and re-parses a
-// full type description in every standalone message (~56µs and ~400
-// allocations per Decode, regardless of message size), which dominated
-// the event loop: one consensus instance makes a replica decode half a
-// dozen protocol messages serially. The five message types on the
-// ordering fast path — request, pre-prepare, prepare, commit, reply —
-// therefore use a hand-rolled length-prefixed binary layout; the cold,
-// deeply nested types (view change, new view, checkpoint, state
-// transfer) stay on gob, where clarity beats the nanoseconds.
+// The wire codec: one hand-rolled, length-prefixed, big-endian binary
+// layout for everything the package serialises — the eleven message types
+// (nested certificates included), ReconfigOp, ReconfigResult and the state
+// snapshot envelope — written by the append helpers and read by the
+// bounds-checked wireReader below. DESIGN.md §8 tabulates the layout.
 //
-// Every payload starts with a one-byte format tag so the two codecs
-// coexist on the same transport.
+// A message carries the fields of its type and no others, and every
+// value has exactly one encoding, so Encode(Decode(p)) == p for every p
+// that decodes. The reader trusts no prefix: a length must fit in the
+// bytes that remain, an element count in the bytes that remain divided
+// by the element's smallest encoding, and messages nest no deeper than
+// NEW-VIEW → VIEW-CHANGE → proof → vote needs.
 
 import (
 	"encoding/binary"
@@ -20,21 +20,33 @@ import (
 	"lazarus/internal/transport"
 )
 
-const (
-	wireGob  = 0x00 // remainder of the payload is a gob stream
-	wireFast = 0x01 // remainder is the binary layout below
-)
-
-// maxWireBytes bounds any single length prefix read from the wire,
-// keeping a hostile payload from forcing a huge allocation before the
-// bounds checks catch it (transport frames are capped at 16 MiB anyway).
+// maxWireBytes bounds any single length prefix read from the wire
+// (transport frames are capped at 16 MiB anyway).
 const maxWireBytes = 16 << 20
 
+// maxWireDepth is how deep messages may nest inside a message: a
+// NEW-VIEW (depth 0) carries VIEW-CHANGEs (1) whose proofs carry votes (2).
+const maxWireDepth = 2
+
+// The smallest encodings of the repeated elements, which cap a claimed
+// element count by the bytes that remain.
+const (
+	minRequestWire = 8 + 8 + 4 + 4
+	minMessageWire = 1 + 4*8 + 4
+	minProofWire   = 8 + 8 + 32 + 1 + 4
+)
+
+// Which optional parts a proof carries.
+const (
+	proofHasBatch      = 1 << 0
+	proofHasPrePrepare = 1 << 1
+)
+
+func appendU32(b []byte, v uint32) []byte { return binary.BigEndian.AppendUint32(b, v) }
 func appendU64(b []byte, v uint64) []byte { return binary.BigEndian.AppendUint64(b, v) }
 
 func appendBlob(b, p []byte) []byte {
-	b = binary.BigEndian.AppendUint32(b, uint32(len(p)))
-	return append(b, p...)
+	return append(appendU32(b, uint32(len(p))), p...)
 }
 
 func appendRequest(b []byte, req *Request) []byte {
@@ -44,104 +56,208 @@ func appendRequest(b []byte, req *Request) []byte {
 	return appendBlob(b, req.Sig)
 }
 
-// encodeFast appends the binary encoding of m to buf, or reports false
-// for message types the fast codec does not cover.
-func encodeFast(buf []byte, m *Message) ([]byte, bool) {
-	switch m.Type {
-	case MsgRequest:
-		if m.Request == nil {
-			return nil, false
+func appendBatch(b []byte, batch *Batch) []byte {
+	b = appendU32(b, uint32(len(batch.Requests)))
+	for i := range batch.Requests {
+		b = appendRequest(b, &batch.Requests[i])
+	}
+	return b
+}
+
+// The three helpers below nest, and like the reader they fail once and
+// for good: *err is set for the first message that cannot be encoded — one
+// no decoder would accept back — and what is appended after that is moot.
+
+func appendMessages(b []byte, msgs []Message, err *error) []byte {
+	b = appendU32(b, uint32(len(msgs)))
+	for i := range msgs {
+		b = appendMessage(b, &msgs[i], err)
+	}
+	return b
+}
+
+func appendProofs(b []byte, proofs []PreparedProof, err *error) []byte {
+	b = appendU32(b, uint32(len(proofs)))
+	for i := range proofs {
+		p := &proofs[i]
+		b = appendU64(b, p.View)
+		b = appendU64(b, p.SeqNo)
+		b = append(b, p.BatchDigest[:]...)
+		var has byte
+		if p.Batch != nil {
+			has |= proofHasBatch
 		}
-	case MsgPrePrepare:
-		if m.Batch == nil {
-			return nil, false
+		if p.PrePrepare != nil {
+			has |= proofHasPrePrepare
 		}
-	case MsgPrepare, MsgCommit, MsgReply:
+		b = append(b, has)
+		if p.Batch != nil {
+			b = appendBatch(b, p.Batch)
+		}
+		if p.PrePrepare != nil {
+			b = appendMessage(b, p.PrePrepare, err)
+		}
+		b = appendMessages(b, p.Prepares, err)
+	}
+	return b
+}
+
+func appendMessage(b []byte, m *Message, err *error) []byte {
+	b = append(b, byte(m.Type))
+	b = appendU64(b, uint64(m.From))
+	b = appendU64(b, m.View)
+	b = appendU64(b, m.SeqNo)
+	b = appendU64(b, m.Epoch)
+	switch {
+	case m.Type == MsgRequest && m.Request != nil:
+		b = appendRequest(b, m.Request)
+	case m.Type == MsgPrePrepare && m.Batch != nil:
+		b = append(b, m.BatchDigest[:]...)
+		b = appendBlob(b, m.Sig)
+		b = appendBatch(b, m.Batch)
+	case m.Type == MsgPrepare:
+		b = append(b, m.BatchDigest[:]...)
+		b = appendBlob(b, m.Sig)
+	case m.Type == MsgCommit:
+		b = append(b, m.BatchDigest[:]...)
+	case m.Type == MsgReply:
+		b = appendU64(b, m.ReplySeq)
+		b = appendU64(b, m.ReplyEpoch)
+		b = appendU64(b, uint64(m.ReplyClient))
+		b = appendBlob(b, m.Result)
+		b = appendBlob(b, m.Sig)
+	case m.Type == MsgCheckpoint:
+		b = append(b, m.StateDigest[:]...)
+		b = appendU64(b, m.LastStable)
+		b = appendBlob(b, m.Sig)
+	case m.Type == MsgViewChange:
+		b = appendU64(b, m.NewView)
+		b = appendU64(b, m.LastStable)
+		b = appendProofs(b, m.Prepared, err)
+		b = appendBlob(b, m.Sig)
+	case m.Type == MsgNewView:
+		b = appendU64(b, m.NewView)
+		b = appendMessages(b, m.NewViewMsgs, err)
+		b = appendMessages(b, m.PrePrepares, err)
+		b = appendBlob(b, m.Sig)
+	case m.Type == MsgStateRequest:
+		b = appendBlob(b, m.Sig)
+	case m.Type == MsgStateReply:
+		b = appendU64(b, m.SnapSeqNo)
+		b = appendU64(b, m.SnapView)
+		b = append(b, m.StateDigest[:]...)
+		b = appendBlob(b, m.Snapshot)
+		b = appendBlob(b, m.Sig)
+	case m.Type == MsgCatchUp:
+		b = appendProofs(b, m.Prepared, err)
 	default:
-		return nil, false
-	}
-	buf = append(buf, wireFast, byte(m.Type))
-	buf = appendU64(buf, uint64(m.From))
-	buf = appendU64(buf, m.View)
-	buf = appendU64(buf, m.SeqNo)
-	buf = appendU64(buf, m.Epoch)
-	switch m.Type {
-	case MsgRequest:
-		buf = appendRequest(buf, m.Request)
-	case MsgPrePrepare:
-		buf = append(buf, m.BatchDigest[:]...)
-		buf = appendBlob(buf, m.Sig)
-		buf = binary.BigEndian.AppendUint32(buf, uint32(len(m.Batch.Requests)))
-		for i := range m.Batch.Requests {
-			buf = appendRequest(buf, &m.Batch.Requests[i])
+		if *err == nil {
+			*err = fmt.Errorf("bft: encoding %v: unknown type, or its request or batch is missing", m.Type)
 		}
-	case MsgPrepare:
-		buf = append(buf, m.BatchDigest[:]...)
-		buf = appendBlob(buf, m.Sig)
-	case MsgCommit:
-		buf = append(buf, m.BatchDigest[:]...)
-	case MsgReply:
-		buf = appendU64(buf, m.ReplySeq)
-		buf = appendU64(buf, m.ReplyEpoch)
-		buf = appendU64(buf, uint64(m.ReplyClient))
-		buf = appendBlob(buf, m.Result)
-		buf = appendBlob(buf, m.Sig)
 	}
-	return buf, true
+	return b
 }
 
-// wireReader is a bounds-checked cursor over a fast-codec payload. After
+// Encode serializes the message for the transport.
+func Encode(m *Message) ([]byte, error) {
+	var err error
+	b := appendMessage(nil, m, &err)
+	return b, err
+}
+
+// Decode deserializes a message. A payload that is truncated, carries
+// trailing bytes, names an unknown type or claims more than it holds is
+// an error.
+func Decode(payload []byte) (*Message, error) {
+	r := wireReader{buf: payload, ok: true}
+	m := &Message{}
+	r.message(m, 0)
+	if !r.done() {
+		return nil, fmt.Errorf("bft: decoding %v: malformed payload", m.Type)
+	}
+	return m, nil
+}
+
+// wireReader is a bounds-checked cursor over an encoded payload. After
 // any failed read, ok is false and every further read returns zero
-// values, so decode paths check ok once at the end.
+// values, so decode paths check done once at the end.
 type wireReader struct {
-	buf []byte
-	off int
-	ok  bool
+	buf     []byte
+	off     int
+	claimed int // bytes the element counts read so far lay claim to (see count)
+	ok      bool
 }
 
-func (r *wireReader) u64() uint64 {
-	if !r.ok || r.off+8 > len(r.buf) {
-		r.ok = false
-		return 0
-	}
-	v := binary.BigEndian.Uint64(r.buf[r.off:])
-	r.off += 8
-	return v
-}
+// done reports whether every read succeeded and consumed the payload
+// exactly.
+func (r *wireReader) done() bool { return r.ok && r.off == len(r.buf) }
 
-func (r *wireReader) u32() uint32 {
-	if !r.ok || r.off+4 > len(r.buf) {
-		r.ok = false
-		return 0
-	}
-	v := binary.BigEndian.Uint32(r.buf[r.off:])
-	r.off += 4
-	return v
-}
-
-func (r *wireReader) digest() Digest {
-	var d Digest
-	if !r.ok || r.off+len(d) > len(r.buf) {
-		r.ok = false
-		return d
-	}
-	copy(d[:], r.buf[r.off:])
-	r.off += len(d)
-	return d
-}
-
-// blob reads a length-prefixed byte slice. The bytes are copied out: the
-// payload buffer belongs to the transport and may be reused.
-func (r *wireReader) blob() []byte {
-	n := int(r.u32())
-	if !r.ok || n > maxWireBytes || r.off+n > len(r.buf) {
+// take returns the next n bytes of the payload, or nil after failing the
+// reader if fewer remain.
+func (r *wireReader) take(n int) []byte {
+	if !r.ok || n > len(r.buf)-r.off {
 		r.ok = false
 		return nil
 	}
-	out := make([]byte, n)
-	copy(out, r.buf[r.off:])
+	p := r.buf[r.off : r.off+n]
 	r.off += n
-	return out
+	return p
+}
+
+func (r *wireReader) u8() byte {
+	if p := r.take(1); p != nil {
+		return p[0]
+	}
+	return 0
+}
+
+func (r *wireReader) u32() uint32 {
+	if p := r.take(4); p != nil {
+		return binary.BigEndian.Uint32(p)
+	}
+	return 0
+}
+
+func (r *wireReader) u64() uint64 {
+	if p := r.take(8); p != nil {
+		return binary.BigEndian.Uint64(p)
+	}
+	return 0
+}
+
+func (r *wireReader) digest() (d Digest) {
+	copy(d[:], r.take(len(d)))
+	return d
+}
+
+// blob reads a length-prefixed byte slice (nil when empty). The bytes are
+// copied out: the payload buffer belongs to the transport and may be
+// reused.
+func (r *wireReader) blob() []byte {
+	n := r.u32()
+	if n == 0 || n > maxWireBytes {
+		r.ok = r.ok && n == 0
+		return nil
+	}
+	return append([]byte(nil), r.take(int(n))...)
+}
+
+// count reads an element count and fails the reader if the bytes that
+// remain could not hold that many elements of at least min bytes each, or
+// if all counts so far claim more than the whole payload: a list is
+// allocated before its elements are read, so nested lists could otherwise
+// each claim the same trailing bytes. A min covers only bytes an element
+// shares with no element nested in it, so a well-formed payload passes and
+// allocation stays within its size times the largest struct-to-min ratio.
+func (r *wireReader) count(min int) int {
+	n := r.u32()
+	need := uint64(n) * uint64(min)
+	if need > uint64(len(r.buf)-r.off) || uint64(r.claimed)+need > uint64(len(r.buf)) {
+		r.ok = false
+		return 0
+	}
+	r.claimed += int(need)
+	return int(n)
 }
 
 func (r *wireReader) request(req *Request) {
@@ -151,39 +267,75 @@ func (r *wireReader) request(req *Request) {
 	req.Sig = r.blob()
 }
 
-// decodeFast parses a payload written by encodeFast (after the format
-// tag).
-func decodeFast(payload []byte) (*Message, error) {
-	if len(payload) < 1 {
-		return nil, fmt.Errorf("bft: decoding message: empty fast payload")
+func (r *wireReader) batch() *Batch {
+	batch := &Batch{}
+	if n := r.count(minRequestWire); n > 0 {
+		batch.Requests = make([]Request, n)
+		for i := 0; i < n && r.ok; i++ {
+			r.request(&batch.Requests[i])
+		}
 	}
-	m := &Message{Type: MsgType(payload[0])}
-	r := &wireReader{buf: payload, off: 1, ok: true}
+	return batch
+}
+
+// messages reads the messages nested in a message at depth.
+func (r *wireReader) messages(depth int) []Message {
+	n := r.count(minMessageWire)
+	if n == 0 || depth >= maxWireDepth {
+		r.ok = r.ok && n == 0
+		return nil
+	}
+	msgs := make([]Message, n)
+	for i := 0; i < n && r.ok; i++ {
+		r.message(&msgs[i], depth+1)
+	}
+	return msgs
+}
+
+// proofs reads the prepared certificates of a message at depth.
+func (r *wireReader) proofs(depth int) []PreparedProof {
+	n := r.count(minProofWire)
+	if n == 0 || depth >= maxWireDepth {
+		r.ok = r.ok && n == 0
+		return nil
+	}
+	proofs := make([]PreparedProof, n)
+	for i := 0; i < n && r.ok; i++ {
+		p := &proofs[i]
+		p.View = r.u64()
+		p.SeqNo = r.u64()
+		p.BatchDigest = r.digest()
+		has := r.u8()
+		if has&^(proofHasBatch|proofHasPrePrepare) != 0 {
+			r.ok = false
+		}
+		if r.ok && has&proofHasBatch != 0 {
+			p.Batch = r.batch()
+		}
+		if r.ok && has&proofHasPrePrepare != 0 {
+			p.PrePrepare = &Message{}
+			r.message(p.PrePrepare, depth+1)
+		}
+		p.Prepares = r.messages(depth)
+	}
+	return proofs
+}
+
+// message reads one message, the inverse of appendMessage.
+func (r *wireReader) message(m *Message, depth int) {
+	m.Type = MsgType(r.u8())
 	m.From = transport.NodeID(r.u64())
 	m.View = r.u64()
 	m.SeqNo = r.u64()
 	m.Epoch = r.u64()
 	switch m.Type {
 	case MsgRequest:
-		req := &Request{}
-		r.request(req)
-		m.Request = req
+		m.Request = &Request{}
+		r.request(m.Request)
 	case MsgPrePrepare:
 		m.BatchDigest = r.digest()
 		m.Sig = r.blob()
-		n := int(r.u32())
-		// A request takes at least 24 bytes on the wire; cap the batch
-		// allocation by what the payload could possibly hold.
-		if max := (len(payload) - r.off) / 24; r.ok && n > max+1 {
-			r.ok = false
-		}
-		if r.ok {
-			batch := &Batch{Requests: make([]Request, n)}
-			for i := 0; i < n && r.ok; i++ {
-				r.request(&batch.Requests[i])
-			}
-			m.Batch = batch
-		}
+		m.Batch = r.batch()
 	case MsgPrepare:
 		m.BatchDigest = r.digest()
 		m.Sig = r.blob()
@@ -195,11 +347,31 @@ func decodeFast(payload []byte) (*Message, error) {
 		m.ReplyClient = transport.NodeID(r.u64())
 		m.Result = r.blob()
 		m.Sig = r.blob()
+	case MsgCheckpoint:
+		m.StateDigest = r.digest()
+		m.LastStable = r.u64()
+		m.Sig = r.blob()
+	case MsgViewChange:
+		m.NewView = r.u64()
+		m.LastStable = r.u64()
+		m.Prepared = r.proofs(depth)
+		m.Sig = r.blob()
+	case MsgNewView:
+		m.NewView = r.u64()
+		m.NewViewMsgs = r.messages(depth)
+		m.PrePrepares = r.messages(depth)
+		m.Sig = r.blob()
+	case MsgStateRequest:
+		m.Sig = r.blob()
+	case MsgStateReply:
+		m.SnapSeqNo = r.u64()
+		m.SnapView = r.u64()
+		m.StateDigest = r.digest()
+		m.Snapshot = r.blob()
+		m.Sig = r.blob()
+	case MsgCatchUp:
+		m.Prepared = r.proofs(depth)
 	default:
-		return nil, fmt.Errorf("bft: decoding message: type %v is not a fast-codec type", m.Type)
+		r.ok = false
 	}
-	if !r.ok || r.off != len(payload) {
-		return nil, fmt.Errorf("bft: decoding %v: malformed fast payload", m.Type)
-	}
-	return m, nil
 }

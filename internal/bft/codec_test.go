@@ -1,16 +1,17 @@
 package bft
 
 import (
+	"bytes"
+	"encoding/binary"
 	"reflect"
+	"runtime"
 	"testing"
 
 	"lazarus/internal/transport"
 )
 
-// codecMessages covers every fast-codec type (with empty and populated
-// variants) plus a gob-path type, so Encode/Decode round-trips are
-// checked across both formats.
-func codecMessages() []*Message {
+// hotMessages covers the five ordering-path types, empty and populated.
+func hotMessages() []*Message {
 	req := Request{Client: transport.ClientIDBase + 3, Seq: 42, Op: []byte("put k v"), Sig: make([]byte, 64)}
 	for i := range req.Sig {
 		req.Sig[i] = byte(i)
@@ -28,13 +29,128 @@ func codecMessages() []*Message {
 		{Type: MsgReply, From: 2, View: 1, Epoch: 1, ReplySeq: 42, ReplyEpoch: 1,
 			ReplyClient: transport.ClientIDBase + 3, Result: []byte("ok"), Sig: make([]byte, 64)},
 		{Type: MsgReply, From: 0},
-		// Gob path: a signed checkpoint vote.
-		{Type: MsgCheckpoint, From: 1, SeqNo: 8, Epoch: 1, StateDigest: Digest{7}, Sig: []byte("sig")},
 	}
 }
 
+// coldMessages covers the other six types — view change and new view
+// (with nested prepared certificates), catch-up, checkpoint and state
+// transfer. Reconfiguration rides inside requests, so a request whose Op
+// is an encoded ReconfigOp is included too. No digest is computed on the
+// values returned, so they compare equal to their decoded copies (which
+// start with cold digest caches).
+func coldMessages() []*Message {
+	newBatch := func() *Batch {
+		return &Batch{Requests: []Request{{Client: transport.ClientIDBase, Seq: 3, Op: []byte("put k v"), Sig: make([]byte, 64)}}}
+	}
+	digest := newBatch().Digest()
+	pp := Message{Type: MsgPrePrepare, From: 0, View: 2, SeqNo: 9,
+		Batch: newBatch(), BatchDigest: digest, Sig: make([]byte, 64)}
+	prep := Message{Type: MsgPrepare, From: 1, View: 2, SeqNo: 9,
+		BatchDigest: digest, Sig: make([]byte, 64)}
+	proof := PreparedProof{View: 2, SeqNo: 9, BatchDigest: digest, Batch: newBatch(),
+		PrePrepare: &pp, Prepares: []Message{prep}}
+	vc := &Message{Type: MsgViewChange, From: 1, NewView: 3, Epoch: 1, LastStable: 8,
+		Prepared: []PreparedProof{proof, {View: 1, SeqNo: 10, BatchDigest: Digest{3}}}, Sig: make([]byte, 64)}
+	nv := &Message{Type: MsgNewView, From: 2, NewView: 3, Epoch: 1,
+		NewViewMsgs: []Message{*vc}, PrePrepares: []Message{pp}, Sig: make([]byte, 64)}
+	reconfigOp := EncodeReconfigOp(ReconfigOp{Add: true, Replica: 7, PubKey: make([]byte, 32)})
+	return []*Message{
+		vc,
+		nv,
+		// A catch-up response carries a single prepared certificate in
+		// the same Prepared field view changes use; a checkpoint vote
+		// additionally advertises the sender's stable point.
+		{Type: MsgCatchUp, From: 2, SeqNo: 9, Epoch: 1, Prepared: []PreparedProof{proof}},
+		{Type: MsgCheckpoint, From: 1, SeqNo: 16, Epoch: 1, StateDigest: Digest{5},
+			LastStable: 8, Sig: make([]byte, 64)},
+		{Type: MsgStateRequest, From: 3, SeqNo: 12, Epoch: 1, Sig: make([]byte, 64)},
+		{Type: MsgStateReply, From: 3, SnapSeqNo: 16, SnapView: 3, StateDigest: Digest{6},
+			Snapshot: []byte("snapshot-bytes"), Sig: make([]byte, 64)},
+		{Type: MsgViewChange, From: 2, NewView: 1},
+		{Type: MsgRequest, From: transport.ClientIDBase,
+			Request: &Request{Client: transport.ClientIDBase, Seq: 4, Op: reconfigOp, Sig: make([]byte, 64)}},
+	}
+}
+
+func allMessages() []*Message { return append(hotMessages(), coldMessages()...) }
+
+// decodeAllocBudget is the most Decode may allocate for a payload of n
+// bytes. The worst ratio is a list of 37-byte messages decoding to
+// 424-byte structs, 11.5×, a little more once the allocator rounds up; the
+// reader charges every list at every nesting level against the one
+// payload (wireReader.count), so the ratios of nested lists do not add.
+// Hence sixteen times the input plus a page of slack — never what a length
+// or count prefix claims.
+func decodeAllocBudget(n int) uint64 { return uint64(16*n + 4096) }
+
+// withinBudget runs decode and fails the test if it allocated more than
+// the payload's size justifies. TotalAlloc counts the whole process, so a
+// reading over budget is taken again: what decode allocates is the same
+// every time, what the runtime adds is not.
+func withinBudget(tb testing.TB, payload []byte, decode func()) {
+	tb.Helper()
+	var got uint64
+	for try := 0; try < 3; try++ {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		decode()
+		runtime.ReadMemStats(&after)
+		if got = after.TotalAlloc - before.TotalAlloc; got <= decodeAllocBudget(len(payload)) {
+			return
+		}
+	}
+	tb.Fatalf("decoding %d bytes allocated %d, budget %d: %x", len(payload), got, decodeAllocBudget(len(payload)), payload)
+}
+
+// inflations returns the payload with a 1 GiB claim written over every
+// four bytes of it in turn, which covers every length and count prefix
+// wherever the layout puts one.
+func inflations(payload []byte) [][]byte {
+	var out [][]byte
+	for off := 0; off+4 <= len(payload); off++ {
+		hostile := append([]byte(nil), payload...)
+		binary.BigEndian.PutUint32(hostile[off:], 1<<30)
+		out = append(out, hostile)
+	}
+	return out
+}
+
+// nestedInflation is a NEW-VIEW whose first message is a NEW-VIEW whose
+// first message is a PRE-PREPARE, each claiming as many elements as the
+// filler zero bytes that follow could hold: three lists over the same
+// bytes, where inflations only ever inflates one.
+func nestedInflation(filler int) []byte {
+	header := func(typ MsgType) []byte { return append([]byte{byte(typ)}, make([]byte, 4*8)...) }
+	tail := filler
+	pp := appendU32(make([]byte, 32+4), uint32(tail/minRequestWire)) // digest, empty sig, batch count
+	pp = append(header(MsgPrePrepare), pp...)
+	tail += len(pp)
+	inner := appendU32(make([]byte, 8), uint32(tail/minMessageWire)) // NewView, message count
+	inner = append(header(MsgNewView), inner...)
+	tail += len(inner)
+	outer := appendU32(make([]byte, 8), uint32(tail/minMessageWire))
+	outer = append(header(MsgNewView), outer...)
+	return append(append(append(outer, inner...), pp...), make([]byte, filler)...)
+}
+
+// TestCodecNestedCountsShareOneBudget: element counts at every nesting
+// level are charged against the one payload, so lists nested over the same
+// bytes cannot each claim all of them.
+func TestCodecNestedCountsShareOneBudget(t *testing.T) {
+	for _, filler := range []int{0, 24, 2400, 1 << 16} {
+		hostile := nestedInflation(filler)
+		withinBudget(t, hostile, func() {
+			if m, err := Decode(hostile); err == nil {
+				t.Errorf("%d filler bytes claimed three times over decoded to %v", filler, m.Type)
+			}
+		})
+	}
+}
+
+// TestCodecRoundTrip: Decode(Encode(m)) equals m for every type, and the
+// encoding is canonical.
 func TestCodecRoundTrip(t *testing.T) {
-	for _, want := range codecMessages() {
+	for _, want := range allMessages() {
 		payload, err := Encode(want)
 		if err != nil {
 			t.Fatalf("%v: encode: %v", want.Type, err)
@@ -43,36 +159,46 @@ func TestCodecRoundTrip(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%v: decode: %v", want.Type, err)
 		}
-		// Normalize the representations the codec does not preserve
-		// bit-for-bit: nil vs empty slices.
-		if got.Type == MsgPrePrepare && len(got.Batch.Requests) == 0 {
-			got.Batch.Requests = nil
-		}
-		normReq := func(r *Request) {
-			if r == nil {
-				return
-			}
-			if len(r.Op) == 0 {
-				r.Op = nil
-			}
-			if len(r.Sig) == 0 {
-				r.Sig = nil
-			}
-		}
-		normReq(got.Request)
-		if got.Batch != nil {
-			for i := range got.Batch.Requests {
-				normReq(&got.Batch.Requests[i])
-			}
-		}
-		if len(got.Result) == 0 {
-			got.Result = nil
-		}
-		if len(got.Sig) == 0 {
-			got.Sig = nil
-		}
 		if !reflect.DeepEqual(got, want) {
 			t.Errorf("%v: round trip mismatch:\n got %+v\nwant %+v", want.Type, got, want)
+		}
+		if again, err := Encode(got); err != nil || !bytes.Equal(again, payload) {
+			t.Errorf("%v: re-encoding the decoded message gave different bytes (err %v)", want.Type, err)
+		}
+	}
+}
+
+// TestCodecHotSizes pins what the ordering path puts on the wire: the
+// benchmark's codec.bytes.* rows read these.
+func TestCodecHotSizes(t *testing.T) {
+	sig := make([]byte, 64)
+	for _, tc := range []struct {
+		m    *Message
+		want int
+	}{
+		{&Message{Type: MsgCommit}, 65},
+		{&Message{Type: MsgPrepare, Sig: sig}, 133},
+		{&Message{Type: MsgPrePrepare, Sig: sig, Batch: &Batch{}}, 137},
+		{&Message{Type: MsgRequest, Request: &Request{Sig: sig}}, 121},
+		{&Message{Type: MsgReply, Sig: sig}, 129},
+	} {
+		if got := len(mustEncode(t, tc.m)); got != tc.want {
+			t.Errorf("%v encodes to %d bytes, want %d", tc.m.Type, got, tc.want)
+		}
+	}
+}
+
+// TestCodecRejectsWhatItCannotCarry: a message no decoder would accept
+// back is an encoding error, not a payload.
+func TestCodecRejectsWhatItCannotCarry(t *testing.T) {
+	for _, m := range []*Message{
+		{Type: MsgRequest},
+		{Type: MsgPrePrepare},
+		{Type: MsgCatchUp + 1},
+		{Type: MsgNewView, PrePrepares: []Message{{Type: MsgPrePrepare}}},
+	} {
+		if p, err := Encode(m); err == nil {
+			t.Errorf("%v without its payload encoded to %x", m.Type, p)
 		}
 	}
 }
@@ -100,22 +226,19 @@ func TestCodecDigestsSurviveRoundTrip(t *testing.T) {
 	}
 }
 
-// TestCodecRejectsTruncatedPayloads: every truncation of a valid fast
-// payload must fail cleanly, never panic or decode to garbage silently.
+// TestCodecRejectsTruncatedPayloads: every truncation of a valid payload
+// of any type, and any trailing byte, must fail cleanly — never panic or
+// decode to garbage silently.
 func TestCodecRejectsTruncatedPayloads(t *testing.T) {
-	for _, msg := range codecMessages() {
-		payload, err := Encode(msg)
-		if err != nil {
-			t.Fatal(err)
-		}
+	for _, msg := range allMessages() {
+		payload := mustEncode(t, msg)
 		for cut := 0; cut < len(payload); cut++ {
 			if m, err := Decode(payload[:cut]); err == nil {
-				// Gob tolerates some truncations structurally; fast-codec
-				// payloads must not.
-				if payload[0] == wireFast {
-					t.Fatalf("%v truncated to %d bytes decoded to %+v", msg.Type, cut, m)
-				}
+				t.Fatalf("%v truncated to %d bytes decoded to %+v", msg.Type, cut, m)
 			}
+		}
+		if m, err := Decode(append(payload, 0)); err == nil {
+			t.Fatalf("%v with a trailing byte decoded to %+v", msg.Type, m)
 		}
 	}
 }
@@ -125,12 +248,9 @@ func TestCodecRejectsTruncatedPayloads(t *testing.T) {
 func TestCodecRejectsHostileLengths(t *testing.T) {
 	m := &Message{Type: MsgRequest, From: transport.ClientIDBase,
 		Request: &Request{Client: transport.ClientIDBase, Seq: 1, Op: []byte("x")}}
-	payload, err := Encode(m)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// The Op length prefix sits after tag+type+4 header fields+client+seq.
-	off := 2 + 8*4 + 16
+	payload := mustEncode(t, m)
+	// The Op length prefix sits after type+4 header fields+client+seq.
+	off := 1 + 8*4 + 16
 	hostile := append([]byte(nil), payload...)
 	hostile[off] = 0xff // claim ~4 GiB of Op bytes
 	if _, err := Decode(hostile); err == nil {
@@ -138,10 +258,7 @@ func TestCodecRejectsHostileLengths(t *testing.T) {
 	}
 	// Hostile pre-prepare batch count.
 	pp := &Message{Type: MsgPrePrepare, From: 0, SeqNo: 1, Batch: &Batch{}}
-	payload, err = Encode(pp)
-	if err != nil {
-		t.Fatal(err)
-	}
+	payload = mustEncode(t, pp)
 	hostile = append([]byte(nil), payload...)
 	hostile[len(hostile)-4] = 0xff // batch count is the trailing u32
 	if _, err := Decode(hostile); err == nil {
@@ -149,86 +266,39 @@ func TestCodecRejectsHostileLengths(t *testing.T) {
 	}
 }
 
-// coldMessages covers the gob-path message types: view change and new
-// view (with nested prepared certificates), state transfer and
-// checkpoint. Reconfiguration rides inside requests, so a request whose
-// Op is an encoded ReconfigOp is included too.
-func coldMessages(t *testing.T) []*Message {
-	t.Helper()
-	batch := &Batch{Requests: []Request{{Client: transport.ClientIDBase, Seq: 3, Op: []byte("put k v"), Sig: make([]byte, 64)}}}
-	pp := Message{Type: MsgPrePrepare, From: 0, View: 2, SeqNo: 9,
-		Batch: batch, BatchDigest: batch.Digest(), Sig: make([]byte, 64)}
-	prep := Message{Type: MsgPrepare, From: 1, View: 2, SeqNo: 9,
-		BatchDigest: batch.Digest(), Sig: make([]byte, 64)}
-	proof := PreparedProof{View: 2, SeqNo: 9, BatchDigest: batch.Digest(), Batch: batch,
-		PrePrepare: &pp, Prepares: []Message{prep}}
-	vc := &Message{Type: MsgViewChange, From: 1, NewView: 3, Epoch: 1, LastStable: 8,
-		Prepared: []PreparedProof{proof}, Sig: make([]byte, 64)}
-	nv := &Message{Type: MsgNewView, From: 2, NewView: 3, Epoch: 1,
-		NewViewMsgs: []Message{*vc}, PrePrepares: []Message{pp}, Sig: make([]byte, 64)}
-	reconfigOp, err := EncodeReconfigOp(ReconfigOp{Add: true, Replica: 7, PubKey: make([]byte, 32)})
-	if err != nil {
-		t.Fatal(err)
+// TestCodecRejectsDeepNesting: messages nest as deep as NEW-VIEW →
+// VIEW-CHANGE → proof → vote and no deeper, whatever a payload claims.
+func TestCodecRejectsDeepNesting(t *testing.T) {
+	m := &Message{Type: MsgNewView}
+	for i := 0; i < maxWireDepth+1; i++ {
+		m = &Message{Type: MsgNewView, NewViewMsgs: []Message{*m}}
 	}
-	return []*Message{
-		vc,
-		nv,
-		// A catch-up response carries a single prepared certificate in
-		// the same Prepared field view changes use; a checkpoint vote
-		// additionally advertises the sender's stable point.
-		{Type: MsgCatchUp, From: 2, SeqNo: 9, Epoch: 1, Prepared: []PreparedProof{proof}},
-		{Type: MsgCheckpoint, From: 1, SeqNo: 16, Epoch: 1, StateDigest: Digest{5},
-			LastStable: 8, Sig: make([]byte, 64)},
-		{Type: MsgStateRequest, From: 3, SeqNo: 12, Epoch: 1, Sig: make([]byte, 64)},
-		{Type: MsgStateReply, From: 3, SnapSeqNo: 16, SnapView: 3,
-			Snapshot: []byte("snapshot-bytes"), Sig: make([]byte, 64)},
-		{Type: MsgCheckpoint, From: 2, SeqNo: 16, Epoch: 1, StateDigest: Digest{5}, Sig: make([]byte, 64)},
-		{Type: MsgRequest, From: transport.ClientIDBase,
-			Request: &Request{Client: transport.ClientIDBase, Seq: 4, Op: reconfigOp, Sig: make([]byte, 64)}},
+	if got, err := Decode(mustEncode(t, m)); err == nil {
+		t.Fatalf("a NEW-VIEW nested %d deep decoded to %+v", maxWireDepth+1, got)
 	}
 }
 
-// TestCodecColdTypesSurviveHostileInputs fuzzes the cold (gob-path)
-// message types the Byzantine attackers replay and corrupt: every
-// truncation and every single-byte corruption of a valid payload must
-// decode to an error or a message — never panic — and a length field
-// inflated to claim gigabytes must fail rather than allocate.
+// TestCodecColdTypesSurviveHostileInputs attacks the nested message types
+// the Byzantine attackers replay and corrupt: every truncation and every
+// single-byte corruption of a valid payload must decode to an error or a
+// message — never panic — and a length or count prefix inflated to claim
+// a gigabyte, at every position one can sit, must fail without allocating
+// more than the payload's size justifies. FuzzDecode searches the rest of
+// the input space for the same properties.
 func TestCodecColdTypesSurviveHostileInputs(t *testing.T) {
-	tryDecode := func(payload []byte) {
-		t.Helper()
-		defer func() {
-			if rec := recover(); rec != nil {
-				t.Fatalf("decode panicked on hostile payload: %v", rec)
-			}
-		}()
-		_, _ = Decode(payload)
-	}
-	for _, msg := range coldMessages(t) {
-		payload, err := Encode(msg)
-		if err != nil {
-			t.Fatalf("%v: encode: %v", msg.Type, err)
-		}
-		// Round trip sanity: the hostile cases below only mean something
-		// if the pristine payload decodes.
-		if _, err := Decode(payload); err != nil {
-			t.Fatalf("%v: pristine payload does not decode: %v", msg.Type, err)
-		}
-		// Truncation at every offset.
+	for _, msg := range coldMessages() {
+		payload := mustEncode(t, msg)
 		for cut := 0; cut < len(payload); cut++ {
-			tryDecode(payload[:cut])
+			_, _ = Decode(payload[:cut])
 		}
-		// Single-byte corruption at every offset (gob may still decode —
-		// the protocol handlers authenticate content — but must not panic).
-		for off := 1; off < len(payload); off++ {
+		for off := 0; off < len(payload); off++ {
 			hostile := append([]byte(nil), payload...)
 			hostile[off] ^= 0xff
-			tryDecode(hostile)
+			_, _ = Decode(hostile)
 		}
-		// Oversized-field claim: append a gob slice header claiming ~1 GiB
-		// of trailing bytes. Gob must reject it without allocating.
-		hostile := append([]byte(nil), payload...)
-		hostile = append(hostile, 0xfc, 0x40, 0x00, 0x00, 0x00)
-		tryDecode(hostile)
+		for _, hostile := range inflations(payload) {
+			withinBudget(t, hostile, func() { _, _ = Decode(hostile) })
+		}
 	}
 }
 

@@ -196,27 +196,29 @@ func TestPipelinedCommitsExecuteInOrder(t *testing.T) {
 // fills must be proposed immediately, never waiting out the BatchDelay
 // tick (which this test sets far beyond its own runtime).
 func TestFullBatchProposesWithoutTick(t *testing.T) {
-	c := newCluster(t, 4, 3, func(cfg *ReplicaConfig) {
-		cfg.BatchSize = 2
+	c := newCluster(t, 4, 1, func(cfg *ReplicaConfig) {
 		cfg.BatchDelay = time.Hour // a tick never fires
 	})
 	defer c.stop()
 	r := c.replicas[0] // primary of view 0; unstarted, so no ticker runs
 
-	sendReq := func(i int) {
-		cid := transport.ClientIDBase + transport.NodeID(i)
-		req := signedReq(c, cid, 1, "add 1")
-		r.onRequest(&Message{Type: MsgRequest, From: cid, Request: &req})
+	var sent uint64
+	sendReq := func() {
+		sent++
+		req := signedReq(c, transport.ClientIDBase, sent, "add 1")
+		r.onRequest(&Message{Type: MsgRequest, From: req.Client, Request: &req})
 	}
-	sendReq(0)
+	sendReq()
 	if r.seq != 1 {
 		t.Fatalf("idle primary did not propose immediately (seq %d)", r.seq)
 	}
-	sendReq(1)
+	for i := 0; i < batchSize-1; i++ {
+		sendReq()
+	}
 	if r.seq != 1 {
 		t.Fatalf("partial batch proposed into a busy pipeline (seq %d)", r.seq)
 	}
-	sendReq(2)
+	sendReq()
 	if r.seq != 2 {
 		t.Fatalf("full batch waited for the BatchDelay tick (seq %d)", r.seq)
 	}
@@ -263,8 +265,6 @@ func TestVerifyPoolConvergesAndCachesVerdicts(t *testing.T) {
 	reg := metrics.NewRegistry()
 	c := newCluster(t, 4, 2, func(cfg *ReplicaConfig) {
 		cfg.Metrics = reg
-		cfg.VerifyWorkers = 4
-		cfg.PipelineDepth = 8
 	})
 	c.start()
 	defer c.stop()

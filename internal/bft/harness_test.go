@@ -78,7 +78,7 @@ func decodeInt(b []byte) int64 {
 
 // cluster is a complete in-memory BFT deployment for tests.
 type cluster struct {
-	t          *testing.T
+	t          testing.TB
 	net        *transport.Memory
 	membership *Membership
 	replicas   map[transport.NodeID]*Replica
@@ -92,7 +92,7 @@ type cluster struct {
 	cfgTweak   func(*ReplicaConfig)
 }
 
-func keypair(t *testing.T) (ed25519.PublicKey, ed25519.PrivateKey) {
+func keypair(t testing.TB) (ed25519.PublicKey, ed25519.PrivateKey) {
 	t.Helper()
 	pub, priv, err := ed25519.GenerateKey(rand.Reader)
 	if err != nil {
@@ -103,7 +103,7 @@ func keypair(t *testing.T) (ed25519.PublicKey, ed25519.PrivateKey) {
 
 // newCluster builds (but does not start) n replicas with ids 0..n-1 and
 // nClients clients at ClientIDBase...
-func newCluster(t *testing.T, n, nClients int, tweak func(*ReplicaConfig)) *cluster {
+func newCluster(t testing.TB, n, nClients int, tweak func(*ReplicaConfig)) *cluster {
 	t.Helper()
 	c := &cluster{
 		t:          t,
@@ -168,6 +168,21 @@ func (c *cluster) addReplica(id transport.NodeID, joining bool) *Replica {
 	c.replicas[id] = r
 	c.apps[id] = app
 	return r
+}
+
+// mute makes the replicas silent (crash-like): they run, and nothing they
+// send arrives.
+func (c *cluster) mute(ids ...transport.NodeID) {
+	for _, id := range ids {
+		c.net.Intercept(id, func(transport.NodeID, []byte) [][]byte { return nil })
+	}
+}
+
+// attack hands a replica's outgoing traffic to an Attacker holding its key.
+func (c *cluster) attack(id transport.NodeID, kind AttackKind) *Attacker {
+	atk := NewAttacker(id, c.keys[id], kind, 1)
+	c.net.Intercept(id, atk.Intercept)
+	return atk
 }
 
 func (c *cluster) start() {

@@ -12,9 +12,7 @@ import (
 	"bytes"
 	"crypto/ed25519"
 	"crypto/sha256"
-	"encoding/gob"
 	"fmt"
-	"sync"
 
 	"lazarus/internal/transport"
 )
@@ -88,8 +86,8 @@ type Request struct {
 	// Sig authenticates the request with the client's key.
 	Sig []byte
 
-	// digest caches Digest(). Unexported, so gob never ships it and a
-	// decoded request recomputes on first use. Requests are immutable
+	// digest caches Digest(). It never crosses the wire: a decoded
+	// request recomputes on first use. Requests are immutable
 	// once built, and each replica's copies live on its single event-loop
 	// goroutine, so the cache needs no synchronization.
 	digest    Digest
@@ -203,15 +201,15 @@ type Message struct {
 
 	// authDone/authOK carry request-authentication verdicts computed by
 	// the verify pool (see verify.go): authOK[i] is the verdict for the
-	// i'th request the message carries. Unexported so gob never ships
-	// them — verdicts are local trust, not wire state.
+	// i'th request the message carries. They never cross the wire —
+	// verdicts are local trust, not wire state.
 	authDone bool
 	authOK   []bool
 
 	// repSigDone/repSigOK carry the replica-signature verdict for
 	// pre-prepares and prepares, computed against repSigKey (captured on
 	// the event loop, where membership is owned, before pool offload).
-	// Unexported for the same reason as authDone.
+	// Local for the same reason as authDone.
 	repSigDone bool
 	repSigOK   bool
 	repSigKey  ed25519.PublicKey
@@ -293,49 +291,4 @@ func (m *Message) Sign(key ed25519.PrivateKey) {
 // VerifySig checks the replica signature.
 func (m *Message) VerifySig(pub ed25519.PublicKey) bool {
 	return len(m.Sig) == ed25519.SignatureSize && ed25519.Verify(pub, m.signedInput(), m.Sig)
-}
-
-// encodeBufs recycles the scratch buffers gob encoding grows; a steady
-// workload otherwise re-grows a fresh multi-KB buffer per message.
-var encodeBufs = sync.Pool{
-	New: func() any { return new(bytes.Buffer) },
-}
-
-// Encode serializes the message for the transport: the binary fast
-// codec for the ordering hot path, gob (behind a format tag) for the
-// cold message types. See codec.go.
-func Encode(m *Message) ([]byte, error) {
-	if out, ok := encodeFast(nil, m); ok {
-		return out, nil
-	}
-	buf := encodeBufs.Get().(*bytes.Buffer)
-	buf.Reset()
-	buf.WriteByte(wireGob)
-	if err := gob.NewEncoder(buf).Encode(m); err != nil {
-		encodeBufs.Put(buf)
-		return nil, fmt.Errorf("bft: encoding %v: %w", m.Type, err)
-	}
-	out := make([]byte, buf.Len())
-	copy(out, buf.Bytes())
-	encodeBufs.Put(buf)
-	return out, nil
-}
-
-// Decode deserializes a message.
-func Decode(payload []byte) (*Message, error) {
-	if len(payload) == 0 {
-		return nil, fmt.Errorf("bft: decoding message: empty payload")
-	}
-	switch payload[0] {
-	case wireFast:
-		return decodeFast(payload[1:])
-	case wireGob:
-		var m Message
-		if err := gob.NewDecoder(bytes.NewReader(payload[1:])).Decode(&m); err != nil {
-			return nil, fmt.Errorf("bft: decoding message: %w", err)
-		}
-		return &m, nil
-	default:
-		return nil, fmt.Errorf("bft: decoding message: unknown format tag %#x", payload[0])
-	}
 }

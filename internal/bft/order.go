@@ -3,7 +3,6 @@ package bft
 import (
 	"bytes"
 	"crypto/ed25519"
-	"encoding/gob"
 	"fmt"
 	"time"
 
@@ -36,25 +35,27 @@ type ReconfigOp struct {
 }
 
 // EncodeReconfigOp serializes a reconfiguration for submission as a
-// request payload. Only requests signed by the controller key execute.
-func EncodeReconfigOp(op ReconfigOp) ([]byte, error) {
-	var buf bytes.Buffer
-	buf.Write(reconfigPrefix)
-	if err := gob.NewEncoder(&buf).Encode(op); err != nil {
-		return nil, fmt.Errorf("bft: encoding reconfig op: %w", err)
+// request payload: prefix add:u8 replica:u64 pubKey:blob (see codec.go).
+// Only requests signed by the controller key execute.
+func EncodeReconfigOp(op ReconfigOp) []byte {
+	b := append([]byte(nil), reconfigPrefix...)
+	if op.Add {
+		b = append(b, 1)
+	} else {
+		b = append(b, 0)
 	}
-	return buf.Bytes(), nil
+	b = appendU64(b, uint64(op.Replica))
+	return appendBlob(b, op.PubKey)
 }
 
 func decodeReconfigOp(payload []byte) (ReconfigOp, bool) {
 	if !bytes.HasPrefix(payload, reconfigPrefix) {
 		return ReconfigOp{}, false
 	}
-	var op ReconfigOp
-	if err := gob.NewDecoder(bytes.NewReader(payload[len(reconfigPrefix):])).Decode(&op); err != nil {
-		return ReconfigOp{}, false
-	}
-	return op, true
+	r := wireReader{buf: payload, off: len(reconfigPrefix), ok: true}
+	add := r.u8()
+	op := ReconfigOp{Add: add == 1, Replica: transport.NodeID(r.u64()), PubKey: r.blob()}
+	return op, add <= 1 && r.done()
 }
 
 // onRequest handles a client request: authenticate, deduplicate, queue
@@ -137,14 +138,11 @@ func (r *Replica) proposeAll() {
 
 // propose starts consensus on pending batches. It keeps proposing —
 // pipelining multiple consensus instances — while requests are pending,
-// the checkpoint window has room, and fewer than PipelineDepth instances
+// the checkpoint window has room, and fewer than pipelineDepth instances
 // are in flight (proposed but not yet executed). Unless force is set,
 // partial batches are proposed only into an idle pipeline.
 func (r *Replica) propose(force bool) {
 	if r.joining || r.inViewChange || !r.primary() {
-		return
-	}
-	if r.cfg.Fault == FaultSilent {
 		return
 	}
 	// A replica that just became primary may have executed past its own
@@ -153,19 +151,15 @@ func (r *Replica) propose(force bool) {
 	if r.seq < r.lastExec {
 		r.seq = r.lastExec
 	}
-	depth := uint64(r.cfg.PipelineDepth)
 	for len(r.pending) > 0 &&
 		// Respect the window: do not run ahead of checkpointing.
-		r.seq < r.lowWater+r.cfg.WindowSize &&
+		r.seq < r.lowWater+r.window() &&
 		// Respect the pipeline depth: bound optimistic work in flight.
-		r.seq-r.lastExec < depth &&
+		r.seq-r.lastExec < pipelineDepth &&
 		// Eager calls propose partial batches only when nothing is in
 		// flight; the tick sweeps the rest.
-		(force || len(r.pending) >= r.cfg.BatchSize || r.seq == r.lastExec) {
-		n := len(r.pending)
-		if n > r.cfg.BatchSize {
-			n = r.cfg.BatchSize
-		}
+		(force || len(r.pending) >= batchSize || r.seq == r.lastExec) {
+		n := min(len(r.pending), batchSize)
 		batch := &Batch{Requests: append([]Request(nil), r.pending[:n]...)}
 		r.pending = r.pending[n:]
 		for i := range batch.Requests {
@@ -175,11 +169,6 @@ func (r *Replica) propose(force bool) {
 		r.seq++
 		seq := r.seq
 		r.ins.pipelineInflight.Observe(int64(seq - r.lastExec))
-
-		if r.cfg.Fault == FaultEquivocate {
-			r.proposeEquivocating(seq, batch)
-			return
-		}
 		pp := &Message{
 			Type:        MsgPrePrepare,
 			From:        r.cfg.ID,
@@ -195,32 +184,6 @@ func (r *Replica) propose(force bool) {
 		pp.Sign(r.cfg.Key)
 		r.broadcast(pp)
 		r.acceptPrePrepare(pp) // the primary pre-prepares locally
-	}
-}
-
-// proposeEquivocating is the Byzantine primary: it sends batch A to half
-// the replicas and batch B to the other half. Correct replicas cannot
-// gather prepare quorums for either, progress stalls, and the view change
-// removes the primary — the behaviour the tests assert.
-func (r *Replica) proposeEquivocating(seq uint64, batch *Batch) {
-	alt := &Batch{} // conflicting empty proposal
-	ppA := &Message{Type: MsgPrePrepare, From: r.cfg.ID, View: r.view, SeqNo: seq,
-		Epoch: r.membership.Epoch, Batch: batch, BatchDigest: batch.Digest()}
-	ppB := &Message{Type: MsgPrePrepare, From: r.cfg.ID, View: r.view, SeqNo: seq,
-		Epoch: r.membership.Epoch, Batch: alt, BatchDigest: alt.Digest()}
-	// Both variants are properly signed: equivocation is two *valid*
-	// conflicting proposals, not two forgeries.
-	ppA.Sign(r.cfg.Key)
-	ppB.Sign(r.cfg.Key)
-	for i, id := range r.membership.Replicas {
-		if id == r.cfg.ID {
-			continue
-		}
-		if i%2 == 0 {
-			r.send(id, ppA)
-		} else {
-			r.send(id, ppB)
-		}
 	}
 }
 
@@ -502,7 +465,7 @@ func (r *Replica) executeReady() {
 		r.updateStats(func(s *ReplicaStats) { s.Executed++ })
 		r.ins.executedBatches.Inc()
 		if !in.startedAt.IsZero() {
-			durUS := time.Since(in.startedAt).Microseconds() //lazlint:allow wallclock(commit-latency metric; observability only)
+			durUS := time.Since(in.startedAt).Microseconds() //lazlint:allow wallclock(commit-latency metric and, under AdaptiveTimeout, the progress timer's RTT sample below; never hashed, voted on or executed)
 			r.ins.commitLatencyUS.Observe(durUS)
 			// The same measurement feeds the adaptive progress timer:
 			// propose→execute is the consensus round trip the timer
@@ -590,9 +553,6 @@ func (r *Replica) executeRequest(req *Request) {
 		result = r.applyReconfig(op)
 	} else {
 		result = r.app.Execute(req.Op)
-	}
-	if r.cfg.Fault == FaultCorruptReply {
-		result = append([]byte("CORRUPTED:"), result...)
 	}
 	reply := &Message{
 		Type:        MsgReply,

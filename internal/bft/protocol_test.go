@@ -132,20 +132,20 @@ func TestRejectsCheckpointWithBadSignature(t *testing.T) {
 	}
 }
 
-// TestWindowBackpressure: the primary must not run more than WindowSize
-// instances ahead of the last stable checkpoint, even under continuous
-// load from a client that never reads replies.
+// TestWindowBackpressure: the primary must not run more than a window
+// (two checkpoint intervals) of instances ahead of the last stable
+// checkpoint, even under continuous load from a client that never reads
+// replies.
 func TestWindowBackpressure(t *testing.T) {
 	// Checkpoints disabled from stabilizing by silencing two replicas:
 	// with 2 of 4 silent there is no ordering quorum at all, so nothing
-	// executes; the primary may propose at most WindowSize instances.
+	// executes; the primary may propose at most a window of instances.
+	// K = 2 puts the window (4) below the pipeline depth, so the window
+	// is what binds.
 	c := newCluster(t, 4, 1, func(cfg *ReplicaConfig) {
-		if cfg.ID >= 2 {
-			cfg.Fault = FaultSilent
-		}
-		cfg.CheckpointInterval = 4
-		cfg.WindowSize = 8
+		cfg.CheckpointInterval = 2
 	})
+	c.mute(2, 3)
 	c.start()
 	defer c.stop()
 
@@ -166,6 +166,9 @@ func TestWindowBackpressure(t *testing.T) {
 		if app.Value() != 0 {
 			t.Errorf("replica %d executed without a quorum", id)
 		}
+	}
+	if st := c.replicas[0].Stats(); st.SeqHead == 0 || st.SeqHead > st.LowWater+4 {
+		t.Errorf("primary proposed up to seq %d over low water %d, want 1..4 (the window)", st.SeqHead, st.LowWater)
 	}
 }
 
@@ -190,7 +193,6 @@ func TestReplicaStatsObservable(t *testing.T) {
 func TestLogBoundedByCheckpoints(t *testing.T) {
 	c := newCluster(t, 4, 1, func(cfg *ReplicaConfig) {
 		cfg.CheckpointInterval = 8
-		cfg.WindowSize = 16
 	})
 	c.start()
 	defer c.stop()

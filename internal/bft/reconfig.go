@@ -2,7 +2,6 @@ package bft
 
 import (
 	"bytes"
-	"encoding/json"
 	"errors"
 	"fmt"
 )
@@ -58,40 +57,35 @@ func (s ReconfigStatus) String() string {
 	}
 }
 
-// ReconfigResult is the structured reply of an ordered reconfiguration.
-// It replaces the free-form "reconfig ok: epoch %d" log string the swap
-// engine used to scrape with fmt.Sscanf (and whose parse error it
-// ignored): the result is now typed at the source, and DecodeReconfigResult
-// rejects malformed replies instead of silently yielding epoch 0.
+// ReconfigResult is the structured reply of an ordered reconfiguration:
+// typed at the source, so the control plane classifies it without
+// scraping text, and DecodeReconfigResult rejects a malformed reply
+// instead of yielding epoch 0.
 type ReconfigResult struct {
 	// Status classifies the outcome.
-	Status ReconfigStatus `json:"status"`
+	Status ReconfigStatus
 	// Epoch is the membership epoch after an applied change (zero
 	// otherwise).
-	Epoch uint64 `json:"epoch,omitempty"`
+	Epoch uint64
 	// Detail carries the human-readable cause for non-applied outcomes.
-	Detail string `json:"detail,omitempty"`
+	Detail string
 }
 
 // reconfigResultPrefix tags reconfiguration replies so a truncated or
 // foreign reply cannot be mistaken for one.
 var reconfigResultPrefix = []byte("\x00BFT-RECONFIG-RESULT\x00")
 
-// Encode serializes the result as the reply payload: a tagged,
-// deterministic JSON document (identical on every correct replica, so
-// reply vote counting matches).
+// Encode serializes the result as the reply payload: prefix status:u8
+// epoch:u64 detail:blob (see codec.go) — identical on every correct
+// replica, so reply vote counting matches.
 func (r ReconfigResult) Encode() []byte {
-	body, err := json.Marshal(r)
-	if err != nil {
-		// A flat struct of scalars cannot fail to marshal; keep the
-		// deterministic fallback anyway.
-		body = []byte(fmt.Sprintf(`{"status":%d}`, ReconfigInvalid))
-	}
-	return append(append([]byte(nil), reconfigResultPrefix...), body...)
+	b := append([]byte(nil), reconfigResultPrefix...)
+	b = append(b, byte(r.Status))
+	b = appendU64(b, r.Epoch)
+	return appendBlob(b, []byte(r.Detail))
 }
 
-// String renders the result for logs, preserving the old human-readable
-// shape.
+// String renders the result for logs.
 func (r ReconfigResult) String() string {
 	if r.Status == ReconfigApplied {
 		return fmt.Sprintf("reconfig ok: epoch %d", r.Epoch)
@@ -99,16 +93,16 @@ func (r ReconfigResult) String() string {
 	return fmt.Sprintf("reconfig %s: %s", r.Status, r.Detail)
 }
 
-// DecodeReconfigResult parses a reconfiguration reply. Unlike the old
-// Sscanf scrape, a malformed reply is an error, never a zero-valued
-// success.
+// DecodeReconfigResult parses a reconfiguration reply. A malformed reply
+// is an error, never a zero-valued success.
 func DecodeReconfigResult(reply []byte) (ReconfigResult, error) {
 	if !bytes.HasPrefix(reply, reconfigResultPrefix) {
-		return ReconfigResult{}, fmt.Errorf("bft: reply %q is not a reconfiguration result", reply)
+		return ReconfigResult{}, fmt.Errorf("bft: reply %.40q is not a reconfiguration result", reply)
 	}
-	var r ReconfigResult
-	if err := json.Unmarshal(reply[len(reconfigResultPrefix):], &r); err != nil {
-		return ReconfigResult{}, fmt.Errorf("bft: malformed reconfiguration result: %w", err)
+	rd := wireReader{buf: reply, off: len(reconfigResultPrefix), ok: true}
+	r := ReconfigResult{Status: ReconfigStatus(rd.u8()), Epoch: rd.u64(), Detail: string(rd.blob())}
+	if !rd.done() {
+		return ReconfigResult{}, fmt.Errorf("bft: malformed reconfiguration result %.40q", reply)
 	}
 	switch r.Status {
 	case ReconfigApplied, ReconfigAlreadyMember, ReconfigNotMember, ReconfigTooSmall, ReconfigInvalid:

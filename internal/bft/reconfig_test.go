@@ -28,15 +28,17 @@ func TestReconfigResultRoundTrip(t *testing.T) {
 }
 
 func TestReconfigResultRejectsMalformed(t *testing.T) {
+	applied := ReconfigResult{Status: ReconfigApplied, Epoch: 3}.Encode()
 	cases := map[string][]byte{
 		"empty":            nil,
 		"legacy ok string": []byte("reconfig ok: epoch 3"),
 		"legacy error":     []byte("reconfig error: bad public key"),
 		"app reply":        []byte("\x05\x00\x00\x00\x00\x00\x00\x00"),
-		"truncated json":   append(append([]byte(nil), reconfigResultPrefix...), []byte(`{"status":1,"ep`)...),
+		"truncated":        applied[:len(applied)-1],
+		"trailing byte":    append(applied, 0),
 		"unknown status":   ReconfigResult{Status: ReconfigStatus(42)}.Encode(),
 		"applied no epoch": ReconfigResult{Status: ReconfigApplied}.Encode(),
-		"not json":         append(append([]byte(nil), reconfigResultPrefix...), []byte("epoch 3")...),
+		"foreign body":     append(append([]byte(nil), reconfigResultPrefix...), []byte("epoch 3")...),
 	}
 	for name, reply := range cases {
 		if rr, err := DecodeReconfigResult(reply); err == nil {

@@ -4,7 +4,6 @@ import (
 	"context"
 	"crypto/ed25519"
 	"fmt"
-	"log"
 	"sync"
 	"time"
 
@@ -12,21 +11,18 @@ import (
 	"lazarus/internal/transport"
 )
 
-// FaultMode injects Byzantine behaviour into a replica, for testing the
-// protocol's fault tolerance.
-type FaultMode int
-
-// Fault modes.
+// The ordering engine's fixed parameters. None has two callers that want
+// different values, so none is a ReplicaConfig field.
 const (
-	// FaultNone is a correct replica.
-	FaultNone FaultMode = iota
-	// FaultSilent stops sending any protocol message (crash-like).
-	FaultSilent
-	// FaultEquivocate makes a Byzantine primary propose different
-	// batches to different replicas.
-	FaultEquivocate
-	// FaultCorruptReply sends corrupted results to clients.
-	FaultCorruptReply
+	// batchSize caps requests per consensus instance.
+	batchSize = 16
+	// pipelineDepth caps consensus instances in flight — proposed but not
+	// yet executed — letting agreement rounds for several batches overlap
+	// instead of running serially.
+	pipelineDepth = 8
+	// verifyWorkers sizes the pool that verifies signatures off the event
+	// loop.
+	verifyWorkers = 4
 )
 
 // ReplicaConfig configures one replica.
@@ -47,43 +43,26 @@ type ReplicaConfig struct {
 	// ControllerKey authenticates reconfiguration operations (the
 	// Lazarus control plane's key).
 	ControllerKey ed25519.PublicKey
-	// BatchSize caps requests per consensus instance (default 16).
-	BatchSize int
 	// BatchDelay is the fallback proposal tick (default 2ms). The
 	// primary proposes eagerly as requests arrive; the tick only sweeps
 	// up requests left pending by a full pipeline or window.
 	BatchDelay time.Duration
-	// PipelineDepth caps consensus instances in flight — proposed but
-	// not yet executed — letting agreement rounds for several batches
-	// overlap instead of running serially (default 8; 1 restores
-	// one-at-a-time ordering).
-	PipelineDepth int
-	// VerifyWorkers sizes the pool that verifies request signatures off
-	// the event loop (default 4).
-	VerifyWorkers int
 	// CheckpointInterval is K, the period of checkpoints (default 128).
+	// The log window is 2K.
 	CheckpointInterval uint64
-	// WindowSize is L, the log window (default 2K).
-	WindowSize uint64
 	// ViewChangeTimeout is the request-progress timer (default 300ms).
 	// With AdaptiveTimeout it is only the pre-sample base; afterwards the
 	// timer tracks measured consensus round trips.
 	ViewChangeTimeout time.Duration
 	// AdaptiveTimeout switches the progress timer from the static
-	// ViewChangeTimeout constant to a measured-RTT base with exponential
-	// backoff on consecutive timeouts and decay on progress (see
-	// timeoutCtl). Off by default: deterministic tests pin exact timer
-	// behaviour, and the perf harness compares both modes.
+	// ViewChangeTimeout constant to a measured-RTT base, clamped to
+	// [ViewChangeTimeout/4, 8×ViewChangeTimeout], with exponential backoff
+	// on consecutive timeouts and decay on progress (see timeoutCtl). Off
+	// by default: deterministic tests pin exact timer behaviour.
 	AdaptiveTimeout bool
-	// TimeoutMin and TimeoutMax clamp the adaptive timer (defaults
-	// ViewChangeTimeout/4 and 8×ViewChangeTimeout). Ignored when
-	// AdaptiveTimeout is off.
-	TimeoutMin, TimeoutMax time.Duration
 	// Joining marks a replica that starts outside the group and must
 	// state-transfer in after a reconfiguration adds it.
 	Joining bool
-	// Fault selects Byzantine behaviour (tests only).
-	Fault FaultMode
 	// Logf receives debug logging (nil = discard).
 	Logf func(format string, args ...any)
 	// Metrics optionally registers the replica's instruments (commit
@@ -108,32 +87,14 @@ func (c *ReplicaConfig) fill() error {
 	case !c.Joining && !c.Membership.Contains(c.ID):
 		return fmt.Errorf("bft: replica %d not in initial membership", c.ID)
 	}
-	if c.BatchSize <= 0 {
-		c.BatchSize = 16
-	}
 	if c.BatchDelay <= 0 {
 		c.BatchDelay = 2 * time.Millisecond
-	}
-	if c.PipelineDepth <= 0 {
-		c.PipelineDepth = 8
-	}
-	if c.VerifyWorkers <= 0 {
-		c.VerifyWorkers = 4
 	}
 	if c.CheckpointInterval == 0 {
 		c.CheckpointInterval = 128
 	}
-	if c.WindowSize == 0 {
-		c.WindowSize = 2 * c.CheckpointInterval
-	}
 	if c.ViewChangeTimeout <= 0 {
 		c.ViewChangeTimeout = 300 * time.Millisecond
-	}
-	if c.TimeoutMin <= 0 {
-		c.TimeoutMin = c.ViewChangeTimeout / 4
-	}
-	if c.TimeoutMax <= 0 {
-		c.TimeoutMax = 8 * c.ViewChangeTimeout
 	}
 	if c.Logf == nil {
 		c.Logf = func(string, ...any) {}
@@ -313,7 +274,7 @@ type ReplicaStats struct {
 	MembershipSize  int
 	PendingRequests int
 	// LowWater and SeqHead bound the proposal window: proposals stop
-	// when SeqHead reaches LowWater+WindowSize, so a stuck LowWater
+	// when SeqHead reaches LowWater plus the window, so a stuck LowWater
 	// (checkpoint that never stabilizes) is a liveness smoking gun.
 	LowWater uint64
 	SeqHead  uint64
@@ -358,7 +319,7 @@ func NewReplica(cfg ReplicaConfig) (*Replica, error) {
 		ins:         newReplicaInstruments(cfg.Metrics),
 		trace:       cfg.Trace,
 	}
-	r.toctl = newTimeoutCtl(cfg.AdaptiveTimeout, cfg.ViewChangeTimeout, cfg.TimeoutMin, cfg.TimeoutMax)
+	r.toctl = newTimeoutCtl(cfg.AdaptiveTimeout, cfg.ViewChangeTimeout)
 	r.vcTimer = time.NewTimer(time.Hour)
 	if !r.vcTimer.Stop() {
 		<-r.vcTimer.C
@@ -393,9 +354,9 @@ func (r *Replica) updateStats(f func(*ReplicaStats)) {
 
 // Start launches the receive pump, the verify pool and the event loop.
 func (r *Replica) Start() {
-	r.verifyJobs = make(chan *Message, 4*r.cfg.VerifyWorkers)
-	r.wg.Add(r.cfg.VerifyWorkers)
-	for i := 0; i < r.cfg.VerifyWorkers; i++ {
+	r.verifyJobs = make(chan *Message, 4*verifyWorkers)
+	r.wg.Add(verifyWorkers)
+	for i := 0; i < verifyWorkers; i++ {
 		go r.verifyWorker()
 	}
 	r.wg.Add(2)
@@ -465,11 +426,6 @@ func (r *Replica) loop() {
 }
 
 func (r *Replica) dispatch(msg *Message) {
-	if r.cfg.Fault == FaultSilent {
-		// A silent replica still consumes messages but never responds;
-		// execution state freezes.
-		return
-	}
 	// Epoch-gap detection: the ordering handlers silently drop messages
 	// from other epochs, so without this a replica that missed a
 	// reconfiguration would never learn it is behind — the group splits
@@ -543,9 +499,8 @@ func (r *Replica) send(to transport.NodeID, msg *Message) {
 }
 
 // broadcast sends to every current member (except self), encoding the
-// message once: per-peer re-encoding was pure waste (the pre-prepare's
-// batch alone could be kilobytes, gob-encoded n-1 times), and no peer
-// mutates the shared payload.
+// message once: per-peer re-encoding is pure waste (the pre-prepare's
+// batch alone can be kilobytes), and no peer mutates the shared payload.
 func (r *Replica) broadcast(msg *Message) {
 	msg.From = r.cfg.ID
 	payload, err := Encode(msg)
@@ -567,9 +522,13 @@ func (r *Replica) primary() bool {
 	return r.membership.Primary(r.view) == r.cfg.ID
 }
 
+// window is L, the log window above the low watermark: two checkpoint
+// intervals.
+func (r *Replica) window() uint64 { return 2 * r.cfg.CheckpointInterval }
+
 // inWindow checks the watermarks.
 func (r *Replica) inWindow(seq uint64) bool {
-	return seq > r.lowWater && seq <= r.lowWater+r.cfg.WindowSize
+	return seq > r.lowWater && seq <= r.lowWater+r.window()
 }
 
 // inst returns (creating if needed) the agreement state for seq.
@@ -625,11 +584,4 @@ func (r *Replica) verifySigned(msg *Message) bool {
 		return false
 	}
 	return msg.VerifySig(pub)
-}
-
-// logf is a helper for tests wanting verbose replicas.
-func StdLogf(prefix string) func(string, ...any) {
-	return func(format string, args ...any) {
-		log.Printf(prefix+format, args...)
-	}
 }

@@ -1,11 +1,8 @@
 package bft
 
 import (
-	"bytes"
 	"crypto/ed25519"
 	"crypto/sha256"
-	"encoding/binary"
-	"encoding/gob"
 	"fmt"
 	"sort"
 
@@ -41,36 +38,65 @@ type clientEntry struct {
 	LastSeq uint64
 }
 
+// Smallest encodings of the envelope's list entries (see wireReader.count).
+const (
+	minMemberWire = 8 + 4
+	minClientWire = 8 + 8
+)
+
+// appendMeta appends the protocol metadata — lastExec ‖ epoch ‖ members ‖
+// client table, every list behind its length — in the codec.go layout.
+// It is the envelope's header and the part of it a checkpoint vote hashes.
+func (s *replicaSnapshot) appendMeta(b []byte) []byte {
+	b = appendU64(b, s.LastExec)
+	b = appendU64(b, s.Epoch)
+	b = appendU32(b, uint32(len(s.Members)))
+	for _, m := range s.Members {
+		b = appendBlob(appendU64(b, uint64(m.ID)), m.Key)
+	}
+	b = appendU32(b, uint32(len(s.Clients)))
+	for _, c := range s.Clients {
+		b = appendU64(appendU64(b, uint64(c.ID)), c.LastSeq)
+	}
+	return b
+}
+
+// encode serializes the envelope: the metadata, then the application
+// state as a blob.
+func (s *replicaSnapshot) encode() []byte {
+	return appendBlob(s.appendMeta(nil), s.AppState)
+}
+
+// decodeSnapshot parses an envelope written by encode.
+func decodeSnapshot(payload []byte) (replicaSnapshot, error) {
+	r := wireReader{buf: payload, ok: true}
+	s := replicaSnapshot{LastExec: r.u64(), Epoch: r.u64()}
+	if n := r.count(minMemberWire); n > 0 {
+		s.Members = make([]memberEntry, n)
+		for i := 0; i < n && r.ok; i++ {
+			s.Members[i] = memberEntry{ID: transport.NodeID(r.u64()), Key: r.blob()}
+		}
+	}
+	if n := r.count(minClientWire); n > 0 {
+		s.Clients = make([]clientEntry, n)
+		for i := 0; i < n && r.ok; i++ {
+			s.Clients[i] = clientEntry{ID: transport.NodeID(r.u64()), LastSeq: r.u64()}
+		}
+	}
+	s.AppState = r.blob()
+	if !r.done() {
+		return replicaSnapshot{}, fmt.Errorf("malformed snapshot envelope (%d bytes)", len(payload))
+	}
+	return s, nil
+}
+
 // stateDigest is what a checkpoint vote attests to:
-// H(app digest ‖ lastExec ‖ epoch ‖ members ‖ client table), every list
-// behind its length. It is computed from the application's digest and the
-// small protocol metadata, never from the serialized state, so taking a
-// checkpoint does not serialize anything; a replica that restores a
-// snapshot recomputes it from what it restored.
+// H(app digest ‖ metadata). It is computed from the application's digest
+// and the small protocol metadata, never from the serialized state, so
+// taking a checkpoint does not serialize anything; a replica that restores
+// a snapshot recomputes it from what it restored.
 func stateDigest(app Digest, meta *replicaSnapshot) Digest {
-	h := sha256.New()
-	var n [8]byte
-	num := func(v uint64) {
-		binary.BigEndian.PutUint64(n[:], v)
-		h.Write(n[:])
-	}
-	h.Write(app[:])
-	num(meta.LastExec)
-	num(meta.Epoch)
-	num(uint64(len(meta.Members)))
-	for _, m := range meta.Members {
-		num(uint64(m.ID))
-		num(uint64(len(m.Key)))
-		h.Write(m.Key)
-	}
-	num(uint64(len(meta.Clients)))
-	for _, c := range meta.Clients {
-		num(uint64(c.ID))
-		num(c.LastSeq)
-	}
-	var out Digest
-	h.Sum(out[:0])
-	return out
+	return sha256.Sum256(meta.appendMeta(app[:]))
 }
 
 // frozenState is the replica as of one sequence number: digest now, bytes
@@ -132,11 +158,8 @@ func (r *Replica) stateReply(f *frozenState) (*Message, error) {
 		}
 		snap := f.meta
 		snap.AppState = appState
-		var buf bytes.Buffer
-		if err := gob.NewEncoder(&buf).Encode(snap); err != nil {
-			return nil, fmt.Errorf("bft: replica %d snapshot encode: %w", r.cfg.ID, err)
-		}
-		f.bytes, f.sum = buf.Bytes(), sha256.Sum256(buf.Bytes())
+		f.bytes = snap.encode()
+		f.sum = sha256.Sum256(f.bytes)
 		r.ins.snapshotsSerialised.Inc()
 	}
 	reply := &Message{
@@ -159,8 +182,8 @@ func (r *Replica) stateReply(f *frozenState) (*Message, error) {
 // whose digest is not the one its vouchers voted leaves the replica as it
 // was.
 func (r *Replica) restoreSnapshot(reply *Message) error {
-	var snap replicaSnapshot
-	if err := gob.NewDecoder(bytes.NewReader(reply.Snapshot)).Decode(&snap); err != nil {
+	snap, err := decodeSnapshot(reply.Snapshot)
+	if err != nil {
 		return fmt.Errorf("bft: replica %d snapshot decode: %w", r.cfg.ID, err)
 	}
 	keys := make(map[transport.NodeID]ed25519.PublicKey, len(snap.Members))

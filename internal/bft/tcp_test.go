@@ -102,6 +102,7 @@ func TestOrderingOverTCP(t *testing.T) {
 		ID:             clientID,
 		Key:            clientPriv,
 		Replicas:       ids,
+		ReplicaKeys:    pubs,
 		F:              membership.F(),
 		Net:            tnet,
 		RequestTimeout: time.Second,

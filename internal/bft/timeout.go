@@ -3,7 +3,7 @@ package bft
 import "time"
 
 // timeoutBackoffCap bounds the exponential backoff shift: 2^6 over the
-// adaptive base already exceeds any sane TimeoutMax, and an unbounded
+// adaptive base already exceeds the 8×base clamp, and an unbounded
 // shift would overflow time.Duration.
 const timeoutBackoffCap = 6
 
@@ -28,8 +28,7 @@ const (
 // timeout, and decays the backoff as execution makes progress again.
 //
 // Disabled (the default), every method is inert and timeout() returns
-// the static base — byte-for-byte the pre-adaptive behaviour, which the
-// perf harness uses as the comparison baseline.
+// the static base.
 type timeoutCtl struct {
 	enabled        bool
 	base, min, max time.Duration
@@ -37,8 +36,9 @@ type timeoutCtl struct {
 	backoff        uint
 }
 
-func newTimeoutCtl(enabled bool, base, min, max time.Duration) timeoutCtl {
-	return timeoutCtl{enabled: enabled, base: base, min: min, max: max}
+// newTimeoutCtl clamps the adaptive timer to [base/4, 8×base].
+func newTimeoutCtl(enabled bool, base time.Duration) timeoutCtl {
+	return timeoutCtl{enabled: enabled, base: base, min: base / 4, max: 8 * base}
 }
 
 // observe feeds one measured consensus round trip (RFC 6298 smoothing:

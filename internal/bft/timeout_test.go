@@ -11,7 +11,10 @@ import (
 // controller is the pre-adaptive replica, returning the configured
 // constant no matter what it observes.
 func TestTimeoutCtlDisabledIsStatic(t *testing.T) {
-	tc := newTimeoutCtl(false, 300*time.Millisecond, 75*time.Millisecond, 2400*time.Millisecond)
+	tc := newTimeoutCtl(false, 300*time.Millisecond)
+	if tc.min != 75*time.Millisecond || tc.max != 2400*time.Millisecond {
+		t.Fatalf("clamp [%v, %v], want [base/4, 8×base]", tc.min, tc.max)
+	}
 	tc.observe(50 * time.Millisecond)
 	tc.onTimeout()
 	tc.onTimeout()
@@ -25,7 +28,8 @@ func TestTimeoutCtlDisabledIsStatic(t *testing.T) {
 }
 
 func TestTimeoutCtlTracksRTT(t *testing.T) {
-	tc := newTimeoutCtl(true, 300*time.Millisecond, 10*time.Millisecond, 5*time.Second)
+	tc := newTimeoutCtl(true, 300*time.Millisecond)
+	tc.min, tc.max = 10*time.Millisecond, 5*time.Second
 	if got := tc.timeout(); got != 300*time.Millisecond {
 		t.Fatalf("unsampled controller returned %v, want the base", got)
 	}
@@ -56,7 +60,8 @@ func TestTimeoutCtlTracksRTT(t *testing.T) {
 }
 
 func TestTimeoutCtlBackoffAndDecay(t *testing.T) {
-	tc := newTimeoutCtl(true, 300*time.Millisecond, 10*time.Millisecond, 60*time.Second)
+	tc := newTimeoutCtl(true, 300*time.Millisecond)
+	tc.min, tc.max = 10*time.Millisecond, 60*time.Second
 	for i := 0; i < 20; i++ {
 		tc.observe(10 * time.Millisecond)
 	}
@@ -83,7 +88,8 @@ func TestTimeoutCtlBackoffAndDecay(t *testing.T) {
 }
 
 func TestTimeoutCtlBackoffCapped(t *testing.T) {
-	tc := newTimeoutCtl(true, 300*time.Millisecond, 10*time.Millisecond, 2*time.Second)
+	tc := newTimeoutCtl(true, 300*time.Millisecond)
+	tc.min, tc.max = 10*time.Millisecond, 2*time.Second
 	for i := 0; i < 20; i++ {
 		tc.observe(50 * time.Millisecond)
 	}

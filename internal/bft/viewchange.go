@@ -38,9 +38,6 @@ func (r *Replica) onProgressTimeout() {
 		r.requestStateTransfer(transferJoin)
 		return
 	}
-	if r.cfg.Fault == FaultSilent {
-		return
-	}
 	// The timer fired unproductively: back the next one off (adaptive
 	// mode) so a network merely slower than the estimate gets a longer
 	// second chance before the next escalation.
@@ -81,8 +78,8 @@ func (r *Replica) onProgressTimeout() {
 	}
 	sort.Slice(stuck, func(i, j int) bool { return stuck[i] < stuck[j] })
 	// Bounded: each entry re-broadcast here costs up to two n-wide
-	// fan-outs, and a deep pipeline stalled by a partition could hold
-	// WindowSize instances. Retransmitting them all would flood the very
+	// fan-outs, and a deep pipeline stalled by a partition could hold a
+	// window of instances. Retransmitting them all would flood the very
 	// link that is struggling; the oldest few are the ones blocking
 	// in-order execution, so they carry all the healing power anyway.
 	if len(stuck) > retransmitInstanceCap {
@@ -292,9 +289,6 @@ func (r *Replica) maybeNewView(newView uint64) {
 		return
 	}
 	byFrom := r.viewChanges[newView]
-	if r.cfg.Fault == FaultSilent {
-		return
-	}
 	// Only view changes from the current epoch count: stale recorded
 	// ones (from before a reconfiguration executed) would make peers
 	// reject the whole NEW-VIEW.
@@ -692,7 +686,7 @@ func (r *Replica) installNewView(newView uint64, prePrepares []Message, stable u
 	// instances are all at or below lastExec). Only ever raising the
 	// counter leaves phantoms — if a previous view change had advanced it
 	// over instances this one just deleted, the primary would count
-	// nonexistent in-flight instances against PipelineDepth and, with the
+	// nonexistent in-flight instances against pipelineDepth and, with the
 	// pipeline "full" of ghosts, never propose again.
 	r.seq = maxSeq
 	if r.seq < r.lastExec {

@@ -116,9 +116,6 @@ type ChaosConfig struct {
 	// Metrics, when set, aggregates the whole run: transport, every
 	// replica, and the controller all report into it.
 	Metrics *metrics.Registry
-	// Trace, when set, receives the run's structured protocol and swap
-	// events.
-	Trace *metrics.Tracer
 	// Logf receives progress logging (nil = discard).
 	Logf func(format string, args ...any)
 }
@@ -362,9 +359,6 @@ func RunChaos(ctx context.Context, cfg ChaosConfig) (*ChaosReport, error) {
 				rc.CheckpointInterval = 8
 				rc.ViewChangeTimeout = 200 * time.Millisecond
 				rc.BatchDelay = time.Millisecond
-				// Chaos runs exercise the pipelined fast path: swap-history
-				// replay must stay deterministic with instances in flight.
-				rc.PipelineDepth = 4
 				// WAN conditions need RTT-tracking timeouts: the 200ms
 				// static timer above is tuned for the in-memory fabric and
 				// fires spuriously under continental latency.
@@ -377,7 +371,6 @@ func RunChaos(ctx context.Context, cfg ChaosConfig) (*ChaosReport, error) {
 			SwapBackoffMax:   200 * time.Millisecond,
 			WAL:              wal,
 			Metrics:          cfg.Metrics,
-			Trace:            cfg.Trace,
 			LTUInjector: func(node transport.NodeID, cmd ltu.Command) error {
 				switch ltuFaultMode(ltuMode.Load()) {
 				case ltuFailing:

@@ -210,11 +210,8 @@ func TestCriticalCVETriggersLiveReplacement(t *testing.T) {
 	// Service state survived the live replacement, and writes still work
 	// against the new membership. The same client continues (client
 	// sequence numbers must not reset) with an updated replica set.
-	var newReplicas []transport.NodeID
-	for _, nodeID := range after.Nodes {
-		newReplicas = append(newReplicas, nodeID)
-	}
-	cl.UpdateReplicas(newReplicas)
+	members := ctrl.Membership()
+	cl.UpdateMembership(members.Replicas, members.Keys)
 	getOp, _ := kvs.EncodeOp(kvs.Op{Kind: kvs.OpGet, Key: "k3"})
 	res, err := cl.Invoke(ctx, getOp)
 	if err != nil {

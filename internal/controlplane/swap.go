@@ -724,10 +724,7 @@ func (op *swapOp) orderAdd(ctx context.Context, att *stageAttempt) error {
 	if err != nil {
 		return err
 	}
-	addOp, err := bft.EncodeReconfigOp(bft.ReconfigOp{Add: true, Replica: op.newID, PubKey: pub})
-	if err != nil {
-		return err
-	}
+	addOp := bft.EncodeReconfigOp(bft.ReconfigOp{Add: true, Replica: op.newID, PubKey: pub})
 	res, err := op.client.Invoke(ctx, addOp)
 	if err != nil {
 		return fmt.Errorf("ordering ADD of node %d: %w", op.newID, err)
@@ -801,10 +798,7 @@ func (op *swapOp) waitCatchUp(ctx context.Context, _ *stageAttempt) error {
 // orderRemove submits the REMOVE of the quarantined replica's node. A
 // retry answered "not a member" means an earlier attempt landed.
 func (op *swapOp) orderRemove(ctx context.Context, _ *stageAttempt) error {
-	rmOp, err := bft.EncodeReconfigOp(bft.ReconfigOp{Add: false, Replica: op.oldID})
-	if err != nil {
-		return err
-	}
+	rmOp := bft.EncodeReconfigOp(bft.ReconfigOp{Add: false, Replica: op.oldID})
 	res, err := op.client.Invoke(ctx, rmOp)
 	if err != nil {
 		return fmt.Errorf("ordering REMOVE of node %d: %w", op.oldID, err)
@@ -960,10 +954,7 @@ func (op *swapOp) compensate(ctx context.Context, rec *SwapRecord) (SwapOutcome,
 	}
 	// The ADD was ordered (or might have been): order a compensating
 	// REMOVE of the joiner, with the same bounded-retry discipline.
-	rmOp, err := bft.EncodeReconfigOp(bft.ReconfigOp{Add: false, Replica: op.newID})
-	if err != nil {
-		return SwapAborted, err
-	}
+	rmOp := bft.EncodeReconfigOp(bft.ReconfigOp{Add: false, Replica: op.newID})
 	var verdict reconfigResult
 	var epoch uint64
 	invoke := func(sctx context.Context, att *stageAttempt) error {

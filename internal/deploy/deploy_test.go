@@ -216,11 +216,12 @@ func TestProvisionedGroupServes(t *testing.T) {
 		}
 	}()
 	client, err := bft.NewClient(bft.ClientConfig{
-		ID:       clientID,
-		Key:      clientPriv,
-		Replicas: m.Replicas,
-		F:        m.F(),
-		Net:      net,
+		ID:          clientID,
+		Key:         clientPriv,
+		Replicas:    m.Replicas,
+		ReplicaKeys: m.Keys,
+		F:           m.F(),
+		Net:         net,
 	})
 	if err != nil {
 		t.Fatal(err)

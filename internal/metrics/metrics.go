@@ -4,8 +4,8 @@
 // paper's evaluation (§6–§7) is built on measuring the system — swap
 // latency breakdowns, risk-scan times, throughput under reconfiguration
 // — and every hot path (BFT ordering, transport, swap engine, risk
-// pipeline) reports into one of these instruments so `lazbench perf`
-// and `lazbench metrics` can emit a machine-readable baseline.
+// pipeline) reports into one of these instruments, and a registry
+// snapshot is what `lazbench chaos -metrics-out` and `benchmark/` read.
 //
 // All instruments are safe for concurrent use and cost one or two
 // atomic operations per update; none allocates on the hot path. A nil
