@@ -200,7 +200,7 @@ func TestViewChangeCatchesUpStraggler(t *testing.T) {
 
 func TestClientSurvivesCorruptReplies(t *testing.T) {
 	c := newCluster(t, 4, 1, nil)
-	atk := c.attack(2, AttackEquivocate) // forges its replies, validly signed
+	atk := c.attack(2, AttackEquivocate) // forges its replies, validly sealed
 	c.start()
 	defer c.stop()
 	cl := c.client(0)

@@ -5,7 +5,9 @@ package bft
 // An Attacker models a *compromised* replica: the adversary holds the
 // replica's real signing key and controls its network layer, so every
 // forged message it emits carries a valid signature from a current
-// group member. Nothing here is detectable by signature checking alone —
+// group member — and every forged reply a valid MAC, since the stolen key
+// and the clients' public keys are all it takes to derive the replica's
+// reply keys. Nothing here is detectable by signature checking alone —
 // that is the point. Safety against these attacks must come from quorum
 // intersection and per-message protocol validation (digest binding,
 // view/epoch freshness, certificate checks, f+1 snapshot vouching), and
@@ -13,11 +15,11 @@ package bft
 //
 // The attacker is installed as a transport.SendInterceptor on the
 // compromised replica's endpoint: it sees every outgoing payload and may
-// pass it through, suppress it, rewrite it (re-signing with the stolen
-// key), or attach extra forged payloads. The replica's own state stays
-// honest — compromise lives entirely in the send path, which keeps the
-// attack surface composable with swaps (a cleaned replica is simply one
-// whose interceptor was removed).
+// pass it through, suppress it, rewrite it (re-signing or re-sealing with
+// the stolen key), or attach extra forged payloads. The replica's own
+// state stays honest — compromise lives entirely in the send path, which
+// keeps the attack surface composable with swaps (a cleaned replica is
+// simply one whose interceptor was removed).
 //
 // Determinism: every random choice draws from the attacker's own seeded
 // rng under its mutex, and nothing here reads the wall clock or spawns
@@ -91,6 +93,8 @@ type Attacker struct {
 	id   transport.NodeID
 	key  ed25519.PrivateKey
 	kind AttackKind
+	// replyKeys are the compromised replica's reply keys, by client.
+	replyKeys map[transport.NodeID]*replyKey
 
 	mu      sync.Mutex
 	rng     *mrand.Rand
@@ -98,10 +102,19 @@ type Attacker struct {
 	stats   AttackerStats
 }
 
-// NewAttacker arms an attacker with a compromised replica's identity and
-// a seed for its (deterministic) behavior.
-func NewAttacker(id transport.NodeID, key ed25519.PrivateKey, kind AttackKind, seed int64) *Attacker {
-	return &Attacker{id: id, key: key, kind: kind, rng: mrand.New(mrand.NewSource(seed))}
+// NewAttacker arms an attacker with a compromised replica's identity, the
+// public keys of the clients it may forge replies to, and a seed for its
+// (deterministic) behavior.
+func NewAttacker(id transport.NodeID, key ed25519.PrivateKey, clientKeys map[transport.NodeID]ed25519.PublicKey,
+	kind AttackKind, seed int64) *Attacker {
+	a := &Attacker{id: id, key: key, kind: kind, rng: mrand.New(mrand.NewSource(seed)),
+		replyKeys: make(map[transport.NodeID]*replyKey, len(clientKeys))}
+	for client, pub := range clientKeys {
+		if k, err := newReplyKey(key, pub, false); err == nil {
+			a.replyKeys[client] = k
+		}
+	}
+	return a
 }
 
 // Kind returns the attack behavior.
@@ -191,12 +204,21 @@ func (a *Attacker) equivocate(to transport.NodeID, msg *Message, payload []byte)
 			return [][]byte{p}
 		}
 	case MsgReply:
-		// Forged execution result, validly signed: a client counting
-		// f+1 matching replies must never accept it.
+		// Forged execution result, sealed with the compromised replica's
+		// key for this client: a client counting f+1 matching replies
+		// must never accept it. A client whose public key the attacker
+		// was not given gets the genuine reply.
+		k, ok := a.replyKeys[to]
+		if !ok {
+			break
+		}
 		forged := *msg
 		forged.Result = append([]byte("forged:"), forged.Result...)
-		a.stats.Equivocated++
-		return a.forge(&forged, payload)
+		k.Seal(&forged)
+		if p, err := Encode(&forged); err == nil {
+			a.stats.Equivocated++
+			return [][]byte{p}
+		}
 	}
 	return [][]byte{payload}
 }

@@ -11,7 +11,7 @@ import (
 func attackerForTest(t *testing.T, kind AttackKind) (*Attacker, ed25519.PublicKey) {
 	t.Helper()
 	pub, priv := keypair(t)
-	return NewAttacker(0, priv, kind, 99), pub
+	return NewAttacker(0, priv, nil, kind, 99), pub
 }
 
 func mustEncode(t testing.TB, m *Message) []byte {
@@ -57,12 +57,64 @@ func TestAttackerEquivocatesByDestination(t *testing.T) {
 	}
 }
 
+// TestAttackerForgesValidlySealedReplies: holding a replica's key and the
+// clients' public keys is holding its reply keys, so the forged result
+// passes the client's MAC check — and only the f+1 rule keeps it out.
+func TestAttackerForgesValidlySealedReplies(t *testing.T) {
+	cid := transport.ClientIDBase
+	cpub, cpriv := keypair(t)
+	pubs, privs := replicaKeys(t, 4)
+	atk := NewAttacker(0, privs[0], map[transport.NodeID]ed25519.PublicKey{cid: cpub}, AttackEquivocate, 99)
+	clientKeys := deriveReplyKeys(cpriv, pubs, nil)
+
+	replies := make(map[transport.NodeID]*Message)
+	for id := transport.NodeID(0); id < 4; id++ {
+		m := &Message{Type: MsgReply, From: id, ReplySeq: 1, ReplyClient: cid, Result: []byte("7")}
+		replicaKey, err := newReplyKey(privs[id], cpub, false)
+		if err != nil {
+			t.Fatal(err)
+		}
+		replicaKey.Seal(m)
+		replies[id] = m
+	}
+	out := atk.Intercept(cid, mustEncode(t, replies[0]))
+	if len(out) != 1 {
+		t.Fatalf("got %d payloads, want 1", len(out))
+	}
+	forged, err := Decode(out[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	if bytes.Equal(forged.Result, replies[0].Result) {
+		t.Fatal("reply result was not forged")
+	}
+	if !clientKeys[0].Verify(forged) {
+		t.Fatal("forged reply fails the client's MAC check — it would be trivially rejected")
+	}
+
+	votes := map[transport.NodeID][]byte{0: forged.Result}
+	for id := transport.NodeID(1); id < 4; id++ {
+		if !clientKeys[id].Verify(replies[id]) {
+			t.Fatalf("genuine reply from %d rejected", id)
+		}
+		votes[id] = replies[id].Result
+		if id == 1 {
+			if res, ok := tally(votes, 2); ok {
+				t.Fatalf("one forged and one genuine vote reached f+1 on %q", res)
+			}
+		}
+	}
+	if res, ok := tally(votes, 2); !ok || !bytes.Equal(res, replies[1].Result) {
+		t.Fatalf("tally = %q, %v; want the genuine result", res, ok)
+	}
+}
+
 // TestAttackerReplayIsSeededDeterministic: identical seeds and inputs
 // yield identical replay schedules, so chaos runs reproduce.
 func TestAttackerReplayIsSeededDeterministic(t *testing.T) {
 	_, priv := keypair(t)
 	run := func() [][]byte {
-		atk := NewAttacker(0, priv, AttackReplay, 7)
+		atk := NewAttacker(0, priv, nil, AttackReplay, 7)
 		var out [][]byte
 		for seq := uint64(1); seq <= 20; seq++ {
 			m := &Message{Type: MsgPrepare, From: 0, View: 0, SeqNo: seq, BatchDigest: Digest{byte(seq)}}

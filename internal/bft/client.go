@@ -34,10 +34,11 @@ type ClientConfig struct {
 	// clients from hammering a group that is merely slow — retransmitting
 	// at full rate into a congested WAN is how load surges wedge it.
 	RetryBackoff, RetryBackoffMax time.Duration
-	// ReplicaKeys maps replicas to their public keys (required). Invoke
-	// discards any reply whose signature does not verify against the
-	// sender's key — membership filtering alone lets anything able to
-	// spoof a member's transport id forge votes.
+	// ReplicaKeys maps replicas to their public keys (required). Each
+	// replica's replies are MAC'd under a key derived from its public key
+	// and Key (replykey.go), and Invoke discards any reply whose MAC does
+	// not verify — membership filtering alone lets anything able to spoof
+	// a member's transport id forge votes.
 	ReplicaKeys map[transport.NodeID]ed25519.PublicKey
 }
 
@@ -50,8 +51,10 @@ type Client struct {
 
 	mu       sync.Mutex
 	replicas []transport.NodeID
-	keys     map[transport.NodeID]ed25519.PublicKey
-	seq      uint64
+	// replyKeys verify each replica's replies. The map is replaced, never
+	// modified, so an Invoke may keep reading the one it started with.
+	replyKeys map[transport.NodeID]*replyKey
+	seq       uint64
 }
 
 // NewClient validates the configuration and connects the endpoint.
@@ -85,17 +88,27 @@ func NewClient(cfg ClientConfig) (*Client, error) {
 		return nil, fmt.Errorf("bft: client %d endpoint: %w", cfg.ID, err)
 	}
 	return &Client{
-		cfg:      cfg,
-		ep:       ep,
-		replicas: append([]transport.NodeID(nil), cfg.Replicas...),
-		keys:     copyKeys(cfg.ReplicaKeys),
+		cfg:       cfg,
+		ep:        ep,
+		replicas:  append([]transport.NodeID(nil), cfg.Replicas...),
+		replyKeys: deriveReplyKeys(cfg.Key, cfg.ReplicaKeys, nil),
 	}, nil
 }
 
-func copyKeys(keys map[transport.NodeID]ed25519.PublicKey) map[transport.NodeID]ed25519.PublicKey {
-	out := make(map[transport.NodeID]ed25519.PublicKey, len(keys))
+// deriveReplyKeys returns the reply key for each replica in keys, reusing
+// the one in prev where the replica's public key is unchanged: a derivation
+// costs tens of microseconds, and callers may update the membership before
+// every Invoke. A replica whose key cannot be converted gets no entry, so
+// its votes never count.
+func deriveReplyKeys(priv ed25519.PrivateKey, keys map[transport.NodeID]ed25519.PublicKey,
+	prev map[transport.NodeID]*replyKey) map[transport.NodeID]*replyKey {
+	out := make(map[transport.NodeID]*replyKey, len(keys))
 	for id, pub := range keys {
-		out[id] = pub
+		if k, ok := prev[id]; ok && bytes.Equal(k.peer, pub) {
+			out[id] = k
+		} else if k, err := newReplyKey(priv, pub, true); err == nil {
+			out[id] = k
+		}
 	}
 	return out
 }
@@ -110,7 +123,7 @@ func (c *Client) UpdateMembership(replicas []transport.NodeID, keys map[transpor
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.replicas = append([]transport.NodeID(nil), replicas...)
-	c.keys = copyKeys(keys)
+	c.replyKeys = deriveReplyKeys(c.cfg.Key, keys, c.replyKeys)
 }
 
 // Replicas returns the client's current replica set.
@@ -130,7 +143,7 @@ func (c *Client) Invoke(ctx context.Context, op []byte) ([]byte, error) {
 	c.seq++
 	seq := c.seq
 	replicas := append([]transport.NodeID(nil), c.replicas...)
-	keys := c.keys
+	keys := c.replyKeys
 	c.mu.Unlock()
 
 	req := Request{Client: c.cfg.ID, Seq: seq, Op: op}
@@ -196,7 +209,7 @@ func (c *Client) Invoke(ctx context.Context, op []byte) ([]byte, error) {
 // collect adds the replies to request seq that arrive within one
 // RequestTimeout to votes, and reports the result f+1 of them agree on.
 func (c *Client) collect(ctx context.Context, seq uint64, member map[transport.NodeID]bool,
-	keys map[transport.NodeID]ed25519.PublicKey, votes map[transport.NodeID][]byte) ([]byte, bool) {
+	keys map[transport.NodeID]*replyKey, votes map[transport.NodeID][]byte) ([]byte, bool) {
 	ctx, cancel := context.WithTimeout(ctx, c.cfg.RequestTimeout)
 	defer cancel()
 	for {
@@ -213,12 +226,12 @@ func (c *Client) collect(ctx context.Context, seq uint64, member map[transport.N
 		}
 		if _, dup := votes[env.From]; dup {
 			// Already hold this replica's verified vote; retransmitted
-			// replies are identical, so skip the signature check.
+			// replies are identical, so skip the MAC check.
 			continue
 		}
-		pub, ok := keys[env.From]
-		if !ok || !reply.VerifySig(pub) {
-			continue // forged or tampered: only signed votes count
+		key, ok := keys[env.From]
+		if !ok || !key.Verify(reply) {
+			continue // forged, tampered or for another client: only sealed votes count
 		}
 		votes[env.From] = reply.Result
 		if result, ok := tally(votes, c.cfg.F+1); ok {

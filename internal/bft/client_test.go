@@ -21,14 +21,25 @@ func replicaKeys(t *testing.T, n int) (map[transport.NodeID]ed25519.PublicKey, m
 	return pubs, privs
 }
 
-// signedReply is what replica from, holding key, would send the first
-// client in answer to its request 1.
-func signedReply(t *testing.T, from transport.NodeID, result string, key ed25519.PrivateKey) []byte {
+// sealReply seals msg as the replica holding key would for the client with
+// public key client.
+func sealReply(t *testing.T, msg *Message, key ed25519.PrivateKey, client ed25519.PublicKey) *Message {
+	t.Helper()
+	k, err := newReplyKey(key, client, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	k.Seal(msg)
+	return msg
+}
+
+// sealedReply is what replica from, holding key, would send the first
+// client, whose public key is client, in answer to its request 1.
+func sealedReply(t *testing.T, from transport.NodeID, result string, key ed25519.PrivateKey, client ed25519.PublicKey) []byte {
 	t.Helper()
 	msg := &Message{Type: MsgReply, From: from, ReplySeq: 1,
 		ReplyClient: transport.ClientIDBase, Result: []byte(result)}
-	msg.Sign(key)
-	return mustEncode(t, msg)
+	return mustEncode(t, sealReply(t, msg, key, client))
 }
 
 // keepSending has ep send payload to the first client every few
@@ -165,7 +176,7 @@ func TestClientIgnoresForgedReplies(t *testing.T) {
 	// f forged replies must not reach the f+1 quorum: with f=1, a single
 	// lying node cannot convince the client.
 	c := newCluster(t, 4, 1, nil)
-	c.attack(1, AttackEquivocate) // forges every reply, validly signed
+	c.attack(1, AttackEquivocate) // forges every reply, validly sealed
 	c.start()
 	defer c.stop()
 	cl := c.client(0)
@@ -181,7 +192,7 @@ func TestClientIgnoresForgedReplies(t *testing.T) {
 func TestClientIgnoresRetiredReplicaVotes(t *testing.T) {
 	// Two nodes OUTSIDE the client's replica-set snapshot (e.g. replicas
 	// retired by a Lazarus reconfiguration, possibly compromised) pump
-	// f+1 matching bogus replies at the client, each signed with the key
+	// f+1 matching bogus replies at the client, each sealed with the key
 	// the node held as a member. Tallying votes from any sender would let
 	// the pair reach the quorum.
 	net := transport.NewMemory(transport.MemoryConfig{})
@@ -199,11 +210,10 @@ func TestClientIgnoresRetiredReplicaVotes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, priv := keypair(t)
+	cpub, priv := keypair(t)
 	// The client still holds the retired pair's public keys (callers may
 	// hand it a key map that is a superset of the membership), so their
-	// signatures verify and only the membership snapshot can reject the
-	// votes.
+	// MACs verify and only the membership snapshot can reject the votes.
 	pubs, _ := replicaKeys(t, 4)
 	retired := map[transport.NodeID]transport.Endpoint{50: retiredA, 51: retiredB}
 	retiredKeys := make(map[transport.NodeID]ed25519.PrivateKey, len(retired))
@@ -228,7 +238,7 @@ func TestClientIgnoresRetiredReplicaVotes(t *testing.T) {
 	stop := make(chan struct{})
 	var wg sync.WaitGroup
 	for from, src := range retired {
-		keepSending(stop, &wg, src, signedReply(t, from, "evil", retiredKeys[from]))
+		keepSending(stop, &wg, src, sealedReply(t, from, "evil", retiredKeys[from], cpub))
 	}
 
 	res, err := cl.Invoke(context.Background(), []byte("op"))
@@ -243,15 +253,54 @@ func TestClientRejectsUnsignedInMemberReplies(t *testing.T) {
 	// In-member spoofing: attackers holding the transport endpoints of
 	// CURRENT members 1 and 2 pump f+1 matching unsigned replies at the
 	// client. The membership filter alone cannot help — the senders are
-	// members — so before reply signing, those two votes reached the f+1
-	// quorum and the client accepted the fabricated result. With
-	// ReplicaKeys set, only properly signed votes count, and the genuine
-	// signed quorum (members 0 and 3) must win instead.
+	// members — so before reply authentication, those two votes reached
+	// the f+1 quorum and the client accepted the fabricated result.
+	rejectsInMemberForgery(t, func(k forgeryKeys, from transport.NodeID, msg *Message) *Message { return msg })
+}
+
+// TestClientRejectsMisauthenticatedReplies: replies whose MAC is genuine
+// but not the one this client shares with the sending replica — or that
+// carry the ed25519 signature replies used to carry — count no more than
+// unsigned ones.
+func TestClientRejectsMisauthenticatedReplies(t *testing.T) {
+	for name, forge := range map[string]func(forgeryKeys, transport.NodeID, *Message) *Message{
+		// A genuine reply to another client, replayed to this one.
+		"sealed for another client": func(k forgeryKeys, from transport.NodeID, msg *Message) *Message {
+			msg.ReplyClient = transport.ClientIDBase + 1
+			return sealReply(t, msg, k.replicas[from], k.other)
+		},
+		// Member i relays member j's genuine reply as its own vote.
+		"sealed by another replica": func(k forgeryKeys, from transport.NodeID, msg *Message) *Message {
+			other := 3 - from // 1 relays 2's reply, 2 relays 1's
+			msg.From = other
+			return sealReply(t, msg, k.replicas[other], k.client)
+		},
+		// No fallback to the old format.
+		"ed25519-signed": func(k forgeryKeys, from transport.NodeID, msg *Message) *Message {
+			msg.Sign(k.replicas[from])
+			return msg
+		},
+	} {
+		t.Run(name, func(t *testing.T) { rejectsInMemberForgery(t, forge) })
+	}
+}
+
+// forgeryKeys is the key material a forger may use.
+type forgeryKeys struct {
+	replicas      map[transport.NodeID]ed25519.PrivateKey
+	client, other ed25519.PublicKey // the client under test and another one
+}
+
+// rejectsInMemberForgery: members 1 and 2 pump f+1 matching "evil" replies
+// made by forge at the client, alone for a while, before members 0 and 3
+// send genuinely sealed "good" ones. Only the genuine quorum may win.
+func rejectsInMemberForgery(t *testing.T, forge func(k forgeryKeys, from transport.NodeID, msg *Message) *Message) {
+	t.Helper()
 	net := transport.NewMemory(transport.MemoryConfig{})
 	defer net.Close()
 	eps := make(map[transport.NodeID]transport.Endpoint)
 	keys := make(map[transport.NodeID]ed25519.PublicKey)
-	privs := make(map[transport.NodeID]ed25519.PrivateKey)
+	k := forgeryKeys{replicas: make(map[transport.NodeID]ed25519.PrivateKey)}
 	for i := 0; i < 4; i++ {
 		id := transport.NodeID(i)
 		ep, err := net.Endpoint(id)
@@ -259,9 +308,11 @@ func TestClientRejectsUnsignedInMemberReplies(t *testing.T) {
 			t.Fatal(err)
 		}
 		eps[id] = ep
-		keys[id], privs[id] = keypair(t)
+		keys[id], k.replicas[id] = keypair(t)
 	}
-	_, cpriv := keypair(t)
+	var cpriv ed25519.PrivateKey
+	k.client, cpriv = keypair(t)
+	k.other, _ = keypair(t)
 	cl, err := NewClient(ClientConfig{
 		ID:             transport.ClientIDBase,
 		Key:            cpriv,
@@ -277,19 +328,9 @@ func TestClientRejectsUnsignedInMemberReplies(t *testing.T) {
 	}
 	defer cl.Close()
 
-	encodeReply := func(from transport.NodeID, result string, sign bool) []byte {
-		msg := &Message{
-			Type: MsgReply, From: from, ReplySeq: 1,
-			ReplyClient: transport.ClientIDBase, Result: []byte(result),
-		}
-		if sign {
-			msg.Sign(privs[from])
-		}
-		payload, err := Encode(msg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return payload
+	reply := func(from transport.NodeID, result string) *Message {
+		return &Message{Type: MsgReply, From: from, ReplySeq: 1,
+			ReplyClient: transport.ClientIDBase, Result: []byte(result)}
 	}
 
 	stop := make(chan struct{})
@@ -316,19 +357,19 @@ func TestClientRejectsUnsignedInMemberReplies(t *testing.T) {
 	// Forged votes flow first and alone for a while: if they count, they
 	// reach f+1 long before a genuine vote shows up.
 	wg.Add(4)
-	go send(1, encodeReply(1, "evil", false), 0)
-	go send(2, encodeReply(2, "evil", false), 0)
-	go send(0, encodeReply(0, "good", true), 100*time.Millisecond)
-	go send(3, encodeReply(3, "good", true), 100*time.Millisecond)
+	go send(1, mustEncode(t, forge(k, 1, reply(1, "evil"))), 0)
+	go send(2, mustEncode(t, forge(k, 2, reply(2, "evil"))), 0)
+	go send(0, mustEncode(t, sealReply(t, reply(0, "good"), k.replicas[0], k.client)), 100*time.Millisecond)
+	go send(3, mustEncode(t, sealReply(t, reply(3, "good"), k.replicas[3], k.client)), 100*time.Millisecond)
 
 	res, err := cl.Invoke(context.Background(), []byte("op"))
 	close(stop)
 	wg.Wait()
 	if err != nil {
-		t.Fatalf("invoke with a genuine signed quorum failed: %v", err)
+		t.Fatalf("invoke with a genuine sealed quorum failed: %v", err)
 	}
 	if string(res) != "good" {
-		t.Fatalf("invoke returned %q; unsigned in-member votes were counted", res)
+		t.Fatalf("invoke returned %q; forged in-member votes were counted", res)
 	}
 }
 
@@ -347,7 +388,7 @@ func TestUpdateMembershipVisible(t *testing.T) {
 		eps[transport.NodeID(i)] = ep
 	}
 	pubs, privs := replicaKeys(t, 5)
-	_, priv := keypair(t)
+	cpub, priv := keypair(t)
 	before := map[transport.NodeID]ed25519.PublicKey{0: pubs[0], 1: pubs[1], 2: pubs[2], 3: pubs[3]}
 	cl, err := NewClient(ClientConfig{
 		ID:             transport.ClientIDBase,
@@ -364,9 +405,16 @@ func TestUpdateMembershipVisible(t *testing.T) {
 	}
 	defer cl.Close()
 	after := map[transport.NodeID]ed25519.PublicKey{1: pubs[1], 2: pubs[2], 3: pubs[3], 4: pubs[4]}
+	old := cl.replyKeys
 	cl.UpdateMembership([]transport.NodeID{1, 2, 3, 4}, after)
 	if got := cl.Replicas(); len(got) != 4 || got[3] != 4 {
 		t.Errorf("Replicas() = %v", got)
+	}
+	// Survivors keep the key derived for them; only the joiner's is new.
+	for id := transport.NodeID(1); id <= 3; id++ {
+		if cl.replyKeys[id] != old[id] {
+			t.Errorf("replica %d's reply key was derived again for an unchanged public key", id)
+		}
 	}
 
 	// The retired replica 0 vouches for one result, survivor 3 and the
@@ -374,7 +422,7 @@ func TestUpdateMembershipVisible(t *testing.T) {
 	stop := make(chan struct{})
 	var wg sync.WaitGroup
 	for from, result := range map[transport.NodeID]string{0: "stale", 3: "current", 4: "current"} {
-		keepSending(stop, &wg, eps[from], signedReply(t, from, result, privs[from]))
+		keepSending(stop, &wg, eps[from], sealedReply(t, from, result, privs[from], cpub))
 	}
 	res, err := cl.Invoke(context.Background(), []byte("op"))
 	close(stop)

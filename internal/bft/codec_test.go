@@ -27,7 +27,7 @@ func hotMessages() []*Message {
 		{Type: MsgPrepare, From: 3, View: 1, SeqNo: 6, BatchDigest: Digest{1}},
 		{Type: MsgCommit, From: 3, View: 1, SeqNo: 5, Epoch: 1, BatchDigest: Digest{4, 5, 6}},
 		{Type: MsgReply, From: 2, View: 1, Epoch: 1, ReplySeq: 42, ReplyEpoch: 1,
-			ReplyClient: transport.ClientIDBase + 3, Result: []byte("ok"), Sig: make([]byte, 64)},
+			ReplyClient: transport.ClientIDBase + 3, Result: []byte("ok"), Sig: make([]byte, 32)},
 		{Type: MsgReply, From: 0},
 	}
 }
@@ -180,7 +180,7 @@ func TestCodecHotSizes(t *testing.T) {
 		{&Message{Type: MsgPrepare, Sig: sig}, 133},
 		{&Message{Type: MsgPrePrepare, Sig: sig, Batch: &Batch{}}, 137},
 		{&Message{Type: MsgRequest, Request: &Request{Sig: sig}}, 121},
-		{&Message{Type: MsgReply, Sig: sig}, 129},
+		{&Message{Type: MsgReply, Sig: sig[:32]}, 97}, // a MAC, not a signature
 	} {
 		if got := len(mustEncode(t, tc.m)); got != tc.want {
 			t.Errorf("%v encodes to %d bytes, want %d", tc.m.Type, got, tc.want)

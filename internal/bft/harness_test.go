@@ -180,7 +180,7 @@ func (c *cluster) mute(ids ...transport.NodeID) {
 
 // attack hands a replica's outgoing traffic to an Attacker holding its key.
 func (c *cluster) attack(id transport.NodeID, kind AttackKind) *Attacker {
-	atk := NewAttacker(id, c.keys[id], kind, 1)
+	atk := NewAttacker(id, c.keys[id], c.clientKeys, kind, 1)
 	c.net.Intercept(id, atk.Intercept)
 	return atk
 }

@@ -195,8 +195,9 @@ type Message struct {
 	SnapSeqNo uint64
 	SnapView  uint64
 
-	// Sig authenticates signed message types (view change, new view,
-	// checkpoint, state reply).
+	// Sig authenticates the message: the sender's signature on the types
+	// that can enter certificates or state transfer, and on a reply the MAC
+	// under its (client, replica) key (replykey.go).
 	Sig []byte
 
 	// authDone/authOK carry request-authentication verdicts computed by
@@ -247,8 +248,8 @@ type PreparedProof struct {
 	Prepares []Message
 }
 
-// signedInput returns the byte string covered by replica signatures. It
-// covers the semantic content of the signed message types.
+// signedInput returns the byte string covered by replica signatures and
+// reply MACs. It covers the semantic content of the authenticated types.
 func (m *Message) signedInput() []byte {
 	var buf bytes.Buffer
 	fmt.Fprintf(&buf, "msg|%d|%d|%d|%d|%d|", m.Type, m.From, m.View, m.SeqNo, m.Epoch)
@@ -276,14 +277,15 @@ func (m *Message) signedInput() []byte {
 		sum := m.snapshotSum()
 		buf.Write(sum[:])
 	}
-	// Reply fields: without these, a signed MsgReply would not bind the
+	// Reply fields: without these, a reply's MAC would not bind the
 	// result, and any member could forge votes for arbitrary results.
 	fmt.Fprintf(&buf, "|r|%d|%d|%d|", m.ReplySeq, m.ReplyEpoch, m.ReplyClient)
 	buf.Write(m.Result)
 	return buf.Bytes()
 }
 
-// Sign signs the message with the replica's key.
+// Sign signs the message with the replica's key. Replies are sealed with a
+// replyKey instead.
 func (m *Message) Sign(key ed25519.PrivateKey) {
 	m.Sig = ed25519.Sign(key, m.signedInput())
 }

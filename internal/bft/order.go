@@ -119,6 +119,25 @@ func (r *Replica) verifyRequest(req *Request) bool {
 	return req.Verify(pub)
 }
 
+// replyKey returns the key that seals replies to a request of client: the
+// one shared with the public key that authenticated the request (see
+// verifyRequest), derived on first use.
+func (r *Replica) replyKey(client transport.NodeID, isReconfig bool) (*replyKey, error) {
+	pub := r.cfg.ClientKeys[client]
+	if isReconfig {
+		pub = r.cfg.ControllerKey
+	}
+	if k, ok := r.replyKeys[string(pub)]; ok {
+		return k, nil
+	}
+	k, err := newReplyKey(r.cfg.Key, pub, false)
+	if err != nil {
+		return nil, err
+	}
+	r.replyKeys[string(pub)] = k
+	return k, nil
+}
+
 // maybePropose is the eager proposal path: it proposes immediately when
 // a batch is full, or when nothing is in flight (so a lone request never
 // waits out a BatchDelay tick). While the pipeline is busy, partial
@@ -549,7 +568,8 @@ func (r *Replica) executeRequest(req *Request) {
 		return
 	}
 	var result []byte
-	if op, isReconfig := decodeReconfigOp(req.Op); isReconfig {
+	op, isReconfig := decodeReconfigOp(req.Op)
+	if isReconfig {
 		result = r.applyReconfig(op)
 	} else {
 		result = r.app.Execute(req.Op)
@@ -562,11 +582,15 @@ func (r *Replica) executeRequest(req *Request) {
 		ReplyClient: req.Client,
 		Result:      result,
 	}
-	// Sign the reply so clients can tell a member's genuine vote from a
-	// vote forged in its name. From must be set first: the signature
-	// covers it, and send() would otherwise stamp it after signing.
+	// Seal the reply so the client can tell this member's genuine vote
+	// from a vote forged in its name. From must be set first: the MAC
+	// covers it, and send() would otherwise stamp it after sealing.
 	reply.From = r.cfg.ID
-	reply.Sign(r.cfg.Key)
+	if key, err := r.replyKey(req.Client, isReconfig); err == nil {
+		key.Seal(reply)
+	} else {
+		r.cfg.Logf("replica %d: reply to %d goes out unsealed: %v", r.cfg.ID, req.Client, err)
+	}
 	rec, ok := r.clients[req.Client]
 	if !ok {
 		rec = &clientRecord{}

@@ -211,6 +211,12 @@ type Replica struct {
 	verified   *verdictCache
 	verifyJobs chan *Message
 
+	// replyKeys seal replies, by the public key that authenticated the
+	// request (a ClientKeys entry or ControllerKey), each derived on its
+	// first reply. Loop-owned; bounded by the configured keys, since only
+	// authenticated requests execute.
+	replyKeys map[string]*replyKey
+
 	// Lifecycle.
 	ctx    context.Context
 	cancel context.CancelFunc
@@ -313,6 +319,7 @@ func NewReplica(cfg ReplicaConfig) (*Replica, error) {
 		epochClaims: make(map[transport.NodeID]uint64),
 		joining:     cfg.Joining,
 		verified:    newVerdictCache(4096),
+		replyKeys:   make(map[string]*replyKey),
 		ctx:         ctx,
 		cancel:      cancel,
 		inbox:       make(chan *Message, 1024),

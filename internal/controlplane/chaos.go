@@ -576,7 +576,7 @@ func RunChaos(ctx context.Context, cfg ChaosConfig) (*ChaosReport, error) {
 							fmt.Sprintf("round %d: no key for attacker %d: %v", round, id, kerr))
 						continue
 					}
-					atk := bft.NewAttacker(id, key, byzKind, byzRng.Int63())
+					atk := bft.NewAttacker(id, key, clientKeys, byzKind, byzRng.Int63())
 					net.Intercept(id, atk.Intercept)
 					attackers = append(attackers, armedAttacker{id, atk})
 					ids = append(ids, id)

@@ -381,6 +381,25 @@ func handle(pub ed25519.PublicKey, msg, sig []byte, r Req) bool {
 	wantFindings(t, got, "unchecked-verify", 10, 11, 12)
 }
 
+// TestUncheckedVerifyMAC: a MAC check is a method named Verify returning
+// bool too, so the rule covers the reply MAC as it is.
+func TestUncheckedVerifyMAC(t *testing.T) {
+	got := runRule(t, ruleUncheckedVerify{}, "lazarus/internal/x", `package x
+
+type Message struct{ Sig []byte }
+
+type replyKey struct{ mac [32]byte }
+
+func (k *replyKey) Verify(m *Message) bool { return len(m.Sig) == len(k.mac) }
+
+func collect(k *replyKey, m *Message) bool {
+	k.Verify(m)
+	return k.Verify(m)
+}
+`)
+	wantFindings(t, got, "unchecked-verify", 10)
+}
+
 func TestBadDirectives(t *testing.T) {
 	got := RunRules([]*Package{testPkg(t, "lazarus/internal/x", `package x
 
