@@ -40,9 +40,11 @@ type AttackKind int
 const (
 	// AttackEquivocate: conflicting proposals and votes. As primary the
 	// replica proposes different batches for the same (view, seq) to
-	// different peers; as backup it splits its prepare/commit digests and
-	// forges its client replies. Honest replicas must never execute
-	// diverging commands, and honest clients must never accept the forged
+	// different peers; as backup it splits its prepare/commit digests,
+	// sends the peers that get its genuine prepare a garbled-signature copy
+	// first, and forges its client replies. Honest replicas must never
+	// execute diverging commands, must not stall on a vote that fails
+	// verification, and honest clients must never accept the forged
 	// replies.
 	AttackEquivocate AttackKind = iota
 	// AttackReplay: the replica records its own signed votes and re-sends
@@ -79,6 +81,7 @@ func (k AttackKind) String() string {
 type AttackerStats struct {
 	Intercepted int // payloads seen
 	Equivocated int // conflicting variants emitted
+	Garbled     int // prepares sent with a broken signature ahead of the genuine one
 	Replayed    int // stale recordings re-sent
 	Corrupted   int // state messages poisoned
 	Censored    int // payloads suppressed
@@ -184,6 +187,18 @@ func (a *Attacker) equivocate(to transport.NodeID, msg *Message, payload []byte)
 		return a.forge(&forged, payload)
 	case MsgPrepare:
 		if to%2 == 0 {
+			// A copy whose signature fails goes first: a replica that
+			// verifies only the votes its quorum needs spends a verification
+			// on it and must fall back to the genuine vote behind it.
+			garbled := *msg
+			garbled.Sig = append([]byte(nil), msg.Sig...)
+			if len(garbled.Sig) > 0 {
+				garbled.Sig[0] ^= 0xff
+			}
+			if p, err := Encode(&garbled); err == nil {
+				a.stats.Garbled++
+				return [][]byte{p, payload}
+			}
 			return [][]byte{payload}
 		}
 		forged := *msg

@@ -57,6 +57,34 @@ func TestAttackerEquivocatesByDestination(t *testing.T) {
 	}
 }
 
+// TestAttackerGarblesPrepareAheadOfGenuine: even-numbered peers get a
+// copy of the prepare whose signature fails, then the genuine vote;
+// odd-numbered peers get the digest-flipped vote alone.
+func TestAttackerGarblesPrepareAheadOfGenuine(t *testing.T) {
+	atk, pub := attackerForTest(t, AttackEquivocate)
+	pm := &Message{Type: MsgPrepare, From: 0, View: 0, SeqNo: 3, BatchDigest: Digest{7}}
+	pm.Sign(atk.key)
+	payload := mustEncode(t, pm)
+
+	even := atk.Intercept(2, payload)
+	if len(even) != 2 || !bytes.Equal(even[1], payload) {
+		t.Fatalf("even-numbered peer got %d payloads, want a garbled copy then the genuine vote", len(even))
+	}
+	garbled, err := Decode(even[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	if garbled.SeqNo != pm.SeqNo || garbled.BatchDigest != pm.BatchDigest || garbled.VerifySig(pub) {
+		t.Fatal("the copy ahead of the genuine vote is not the same vote with a failing signature")
+	}
+	if odd := atk.Intercept(1, payload); len(odd) != 1 {
+		t.Fatalf("odd-numbered peer got %d payloads, want the flipped vote alone", len(odd))
+	}
+	if st := atk.Stats(); st.Garbled != 1 || st.Equivocated != 1 {
+		t.Fatalf("stats %+v, want one garbled and one equivocated send", st)
+	}
+}
+
 // TestAttackerForgesValidlySealedReplies: holding a replica's key and the
 // clients' public keys is holding its reply keys, so the forged result
 // passes the client's MAC check — and only the f+1 rule keeps it out.

@@ -44,6 +44,12 @@ type replicaInstruments struct {
 	verifyOps       *metrics.Counter
 	verifyCacheHits *metrics.Counter
 	verifyOffloaded *metrics.Counter
+	// votesUnverified counts prepares the gate parked or dropped without
+	// verifying them; voteRefills counts parked ones verified later because
+	// an earlier verification failed or came back for another digest. Their
+	// difference is the prepares never verified.
+	votesUnverified *metrics.Counter
+	voteRefills     *metrics.Counter
 
 	// progressTimeouts counts unproductive progress-timer firings;
 	// timeoutBackoffs counts the ones that raised the adaptive backoff
@@ -74,6 +80,8 @@ func newReplicaInstruments(reg *metrics.Registry) replicaInstruments {
 		verifyOps:        reg.Counter("bft.verify_ops"),
 		verifyCacheHits:  reg.Counter("bft.verify_cache_hits"),
 		verifyOffloaded:  reg.Counter("bft.verify_offloaded"),
+		votesUnverified:  reg.Counter("bft.votes_unverified"),
+		voteRefills:      reg.Counter("bft.vote_refills"),
 		progressTimeouts: reg.Counter("bft.progress_timeouts"),
 		timeoutBackoffs:  reg.Counter("bft.timeout_backoffs"),
 		retransmitVotes:  reg.Counter("bft.retransmit_votes"),

@@ -214,6 +214,9 @@ type Message struct {
 	repSigDone bool
 	repSigOK   bool
 	repSigKey  ed25519.PublicKey
+	// voteFlying marks a prepare its instance's gate counts as in flight
+	// at the verify pool (see prepareGate). Local like authDone.
+	voteFlying bool
 
 	// snapSum caches snapshotSum(). A state reply's megabytes are hashed
 	// once per message, not once per use; Snapshot must not change after.

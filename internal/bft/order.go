@@ -82,7 +82,7 @@ func (r *Replica) onRequest(msg *Message) {
 		return
 	}
 	d := req.Digest()
-	if !r.pendingSet[d] {
+	if !r.pendingSet[d] && !r.proposedInView(req.Client, req.Seq) {
 		// Cap the pending queue: every entry here was signed by a
 		// registered client, but a Byzantine (or merely runaway) client
 		// can sign requests faster than a stalled primary orders them,
@@ -104,6 +104,30 @@ func (r *Replica) onRequest(msg *Message) {
 	// The primary proposes eagerly: a ready batch must not wait for the
 	// next BatchDelay tick.
 	r.maybePropose()
+}
+
+// proposedInView reports whether this replica, as primary, already
+// proposed the client's request seq in the current view in an instance
+// that has not executed. propose takes a request out of pendingSet, so
+// without this a client's retransmit of a request in flight is ordered a
+// second time. An instance that a view change or the epoch fence abandons
+// leaves the log, and requeueInstance revives its requests.
+func (r *Replica) proposedInView(client transport.NodeID, seq uint64) bool {
+	if !r.primary() {
+		return false
+	}
+	for s := r.lastExec + 1; s <= r.seq; s++ {
+		in := r.log[s]
+		if in == nil || in.executed || in.prePrepare == nil || in.prePrepare.View != r.view {
+			continue
+		}
+		for i := range in.batch.Requests {
+			if req := &in.batch.Requests[i]; req.Client == client && req.Seq == seq {
+				return true
+			}
+		}
+	}
+	return false
 }
 
 // verifyRequest authenticates a request against the client key registry

@@ -121,7 +121,10 @@ type instance struct {
 	// prepared predicate fired (see preparedCert): a later new-view
 	// re-proposal rebinds prePrepare to a newer view, but the signed
 	// prepares on hand prove preparedness in the view they were cast.
-	cert      *PreparedProof
+	cert *PreparedProof
+	// gate holds back the prepares whose verification cannot change what
+	// this replica does (see verify.go).
+	gate      prepareGate
 	prepared  bool
 	committed bool
 	executed  bool
@@ -465,14 +468,11 @@ func (r *Replica) dispatch(msg *Message) {
 			return // offloaded; re-enters the inbox with verdicts
 		}
 		r.onPrePrepare(msg)
+		// The proposal fixed the digest: votes verified for another no
+		// longer count, and a parked one may be needed in their place.
+		r.refillPrepares(msg.SeqNo)
 	case MsgPrepare:
-		if pub, ok := r.membership.Keys[msg.From]; ok {
-			msg.repSigKey = pub
-		}
-		if !r.ensureAuth(msg) {
-			return // offloaded; re-enters the inbox with verdicts
-		}
-		r.onPrepare(msg)
+		r.dispatchPrepare(msg)
 	case MsgCommit:
 		r.onCommit(msg)
 	case MsgCheckpoint:

@@ -16,6 +16,8 @@ package bft
 // saturated), and workers block only on the inbox, which the loop always
 // drains.
 
+import "lazarus/internal/transport"
+
 // verdictCache remembers digests of requests that verified, bounded by a
 // two-generation rotation: inserts go to the current generation, lookups
 // consult both, and when the current generation fills it becomes the
@@ -256,6 +258,168 @@ func (r *Replica) verifyWorker() {
 				return
 			}
 		}
+	}
+}
+
+// prepareGate is an instance's record of the prepares it sent to be
+// verified and of those it held back, for one (epoch, view). A prepared
+// certificate needs quorum−1 signed prepares from non-primary members, so
+// at n = 4 the primary needs 2 of the 3 it receives and a backup 1 of the
+// 2 besides its own: verifying the rest changes nothing. The gate hands a
+// prepare to the verify pool only while the verified and in-flight supply
+// is short of that need, and parks the others unverified, one per sender.
+// A verification that fails, or that comes back for a digest the
+// pre-prepare then rules out, lowers the supply and the next parked
+// prepare is verified in its place (refillPrepares): a bad vote costs one
+// more verification, never a view change. Parked prepares are never
+// counted. Only onPrepare, after the signature verified, puts a prepare
+// into the tally or a certificate.
+type prepareGate struct {
+	epoch, view uint64
+	flying      int
+	parked      map[transport.NodeID]*Message
+}
+
+// gateOf returns the instance's gate for the current epoch and view.
+// Whatever the gate held for another is stale and goes: counts from an
+// old view say nothing about this one's certificate, and a sender's
+// prepare in a new view is a new vote, not a duplicate of its old one.
+func (r *Replica) gateOf(in *instance) *prepareGate {
+	g := &in.gate
+	if g.epoch != r.membership.Epoch || g.view != r.view {
+		*g = prepareGate{epoch: r.membership.Epoch, view: r.view}
+	}
+	return g
+}
+
+// prepareNeed is how many prepares from other non-primary members this
+// replica's certificate needs: quorum−1, less its own at a backup.
+func (r *Replica) prepareNeed() int {
+	need := r.membership.Quorum() - 1
+	if !r.primary() {
+		need--
+	}
+	return need
+}
+
+// prepareSupply counts the prepares that will count toward the instance's
+// certificate once they land or already do: verified ones from other
+// non-primary members in this view (for the instance's digest, once the
+// pre-prepare fixed it) plus those at the verify pool.
+func (r *Replica) prepareSupply(in *instance) int {
+	n := r.gateOf(in).flying
+	primary := r.membership.Primary(r.view)
+	for from, pm := range in.prepareMsgs {
+		if from == r.cfg.ID || from == primary || pm.View != r.view {
+			continue
+		}
+		if in.prePrepare != nil && pm.BatchDigest != in.digest {
+			continue
+		}
+		n++
+	}
+	return n
+}
+
+// dispatchPrepare routes an inbound prepare. A fresh one is verified,
+// parked or dropped by what its verdict could change; one back from the
+// verify pool lands in onPrepare. Either way the instance's supply may
+// have fallen short since, and parked prepares refill it.
+func (r *Replica) dispatchPrepare(msg *Message) {
+	if msg.authDone {
+		if in := r.log[msg.SeqNo]; msg.voteFlying && in != nil {
+			if g := &in.gate; g.epoch == msg.Epoch && g.view == msg.View && g.flying > 0 {
+				g.flying--
+			}
+		}
+		r.onPrepare(msg)
+		r.refillPrepares(msg.SeqNo)
+		return
+	}
+	// Mirror onPrepare's structural checks: a prepare it would discard
+	// after verification is not worth verifying.
+	if r.joining || !r.fromMember(msg) || msg.Epoch != r.membership.Epoch || !r.inWindow(msg.SeqNo) {
+		r.ins.votesUnverified.Inc()
+		return
+	}
+	msg.repSigKey = r.membership.Keys[msg.From]
+	in := r.log[msg.SeqNo]
+	if in != nil && in.executed {
+		// The catch-up responder answers unless it already holds the
+		// sender's commit for the executed digest.
+		if d, ok := in.commits[msg.From]; ok && d == in.digest {
+			r.ins.votesUnverified.Inc()
+			return
+		}
+		r.verifyPrepare(nil, msg)
+		return
+	}
+	// Only a non-primary member's vote in this view can enter the
+	// certificate (the primary's vote is its pre-prepare, our own is
+	// recorded when cast), and a prepared instance needs no more.
+	if r.inViewChange || msg.View != r.view || msg.From == r.cfg.ID ||
+		msg.From == r.membership.Primary(r.view) || (in != nil && in.prepared) {
+		r.ins.votesUnverified.Inc()
+		return
+	}
+	in = r.inst(msg.SeqNo)
+	if r.prepareSupply(in) >= r.prepareNeed() {
+		g := r.gateOf(in)
+		if g.parked == nil {
+			g.parked = make(map[transport.NodeID]*Message)
+		}
+		g.parked[msg.From] = msg
+		r.ins.votesUnverified.Inc()
+		return
+	}
+	r.verifyPrepare(in, msg)
+	r.refillPrepares(msg.SeqNo)
+}
+
+// verifyPrepare verifies a prepare, at the pool when it has room, and
+// lands it. A nil instance means the verdict is for the catch-up
+// responder, not for a certificate, and the gate does not count it.
+func (r *Replica) verifyPrepare(in *instance, msg *Message) {
+	msg.voteFlying = in != nil
+	if r.ensureAuth(msg) {
+		r.onPrepare(msg)
+		return
+	}
+	// Offloaded: it re-enters the inbox with the verdict.
+	if in != nil {
+		r.gateOf(in).flying++
+	}
+}
+
+// refillPrepares verifies parked prepares, lowest sender first, while the
+// instance's supply is short of its need. Parked prepares of an instance
+// that prepared or executed can no longer matter and are let go.
+func (r *Replica) refillPrepares(seq uint64) {
+	for {
+		in := r.log[seq]
+		if in == nil {
+			return
+		}
+		g := r.gateOf(in)
+		if len(g.parked) == 0 || r.inViewChange {
+			return
+		}
+		if in.prepared || in.executed {
+			g.parked = nil
+			return
+		}
+		if r.prepareSupply(in) >= r.prepareNeed() {
+			return
+		}
+		var next *Message
+		for from, pm := range g.parked {
+			if next == nil || from < next.From {
+				next = pm
+			}
+		}
+		delete(g.parked, next.From)
+		r.ins.voteRefills.Inc()
+		r.verifyPrepare(in, next)
 	}
 }
 

@@ -503,6 +503,7 @@ func RunChaos(ctx context.Context, cfg ChaosConfig) (*ChaosReport, error) {
 			st := aa.atk.Stats()
 			report.ByzStats.Intercepted += st.Intercepted
 			report.ByzStats.Equivocated += st.Equivocated
+			report.ByzStats.Garbled += st.Garbled
 			report.ByzStats.Replayed += st.Replayed
 			report.ByzStats.Corrupted += st.Corrupted
 			report.ByzStats.Censored += st.Censored

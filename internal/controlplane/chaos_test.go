@@ -137,6 +137,9 @@ func TestChaosByzantineRounds(t *testing.T) {
 	if st.Equivocated == 0 {
 		t.Error("no equivocating variants were emitted")
 	}
+	if st.Garbled == 0 {
+		t.Error("no garbled-signature prepares were sent ahead of genuine ones")
+	}
 	if st.Replayed == 0 {
 		t.Error("no stale votes were replayed")
 	}

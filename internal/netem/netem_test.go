@@ -8,7 +8,7 @@ import (
 	"lazarus/internal/transport"
 )
 
-func wrapMemory(t *testing.T, profile string, seed int64) *Network {
+func wrapMemory(t testing.TB, profile string, seed int64) *Network {
 	t.Helper()
 	p, err := ByName(profile)
 	if err != nil {
@@ -20,7 +20,7 @@ func wrapMemory(t *testing.T, profile string, seed int64) *Network {
 	return n
 }
 
-func recvOne(t *testing.T, ep transport.Endpoint, timeout time.Duration) (transport.Envelope, bool) {
+func recvOne(t testing.TB, ep transport.Endpoint, timeout time.Duration) (transport.Envelope, bool) {
 	t.Helper()
 	ctx, cancel := context.WithTimeout(context.Background(), timeout)
 	defer cancel()
@@ -222,4 +222,47 @@ func TestByNameRejectsUnknown(t *testing.T) {
 			t.Fatalf("registered profile %q rejected: %v", name, err)
 		}
 	}
+}
+
+// BenchmarkHopDelay sends one frame at a time over a lan-profile link and
+// reports the delay a hop realizes beside the one the profile configures
+// (base plus mean jitter), and, under "timer", what a bare time.NewTimer
+// of the configured delay realizes in the same process. The delay is a
+// timer per frame, and Go's runtime cannot wake a sleeping process for a
+// timer much finer than its scheduler and netpoller allow, so on an idle
+// machine the realized hop can be several times the configured one.
+func BenchmarkHopDelay(b *testing.B) {
+	p, err := ByName("lan")
+	if err != nil {
+		b.Fatal(err)
+	}
+	class := p.Link(1, 2)
+	configured := class.BaseDelay + class.Jitter/2
+	report := func(b *testing.B, elapsed time.Duration) {
+		b.ReportMetric(float64(elapsed.Microseconds())/float64(b.N), "realized_us/hop")
+		b.ReportMetric(float64(configured.Microseconds()), "configured_us/hop")
+	}
+	b.Run("lan", func(b *testing.B) {
+		n := wrapMemory(b, "lan", 1)
+		a, _ := n.Endpoint(1)
+		dst, _ := n.Endpoint(2)
+		b.ResetTimer()
+		start := time.Now()
+		for i := 0; i < b.N; i++ {
+			if err := a.Send(2, []byte("hop")); err != nil {
+				b.Fatal(err)
+			}
+			if _, ok := recvOne(b, dst, time.Second); !ok {
+				b.Fatal("frame never arrived")
+			}
+		}
+		report(b, time.Since(start))
+	})
+	b.Run("timer", func(b *testing.B) {
+		start := time.Now()
+		for i := 0; i < b.N; i++ {
+			<-time.NewTimer(configured).C
+		}
+		report(b, time.Since(start))
+	})
 }
