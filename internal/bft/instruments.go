@@ -37,13 +37,19 @@ type replicaInstruments struct {
 	transferReason      map[string]*metrics.Counter
 	snapshotsSerialised *metrics.Counter
 
-	// verifyOps counts ed25519 request verifications actually performed;
-	// verifyCacheHits counts verifications skipped via the verdict cache;
-	// verifyOffloaded counts messages handed to the verify pool rather
-	// than verified inline on the event loop.
+	// verifyOps counts ed25519 verifications actually performed: client
+	// signatures on requests, and replica signatures on the pre-prepares
+	// and prepares that went through the dispatch path. verifyCacheHits
+	// counts request verifications skipped via the verdict cache: every
+	// cached request, including the cached part of a batch that is
+	// otherwise verified. verifyOffloaded counts messages handed to the
+	// verify pool rather than verified inline on the event loop.
+	// verifyWaits counts pre-prepares that waited for the verdict on a
+	// request at the pool instead of verifying it again (awaitVerdict).
 	verifyOps       *metrics.Counter
 	verifyCacheHits *metrics.Counter
 	verifyOffloaded *metrics.Counter
+	verifyWaits     *metrics.Counter
 	// votesUnverified counts prepares the gate parked or dropped without
 	// verifying them; voteRefills counts parked ones verified later because
 	// an earlier verification failed or came back for another digest. Their
@@ -80,6 +86,7 @@ func newReplicaInstruments(reg *metrics.Registry) replicaInstruments {
 		verifyOps:        reg.Counter("bft.verify_ops"),
 		verifyCacheHits:  reg.Counter("bft.verify_cache_hits"),
 		verifyOffloaded:  reg.Counter("bft.verify_offloaded"),
+		verifyWaits:      reg.Counter("bft.verify_waits"),
 		votesUnverified:  reg.Counter("bft.votes_unverified"),
 		voteRefills:      reg.Counter("bft.vote_refills"),
 		progressTimeouts: reg.Counter("bft.progress_timeouts"),

@@ -9,7 +9,6 @@
 package bft
 
 import (
-	"bytes"
 	"crypto/ed25519"
 	"crypto/sha256"
 	"fmt"
@@ -94,12 +93,26 @@ type Request struct {
 	digestSet bool
 }
 
-// digestInput returns the byte string covered by the client signature.
+// The authenticated inputs — what a client or replica signature, a reply
+// MAC and a request digest cover — are canonical append encodings built
+// with codec.go's helpers: fixed-width integers, a length-prefixed blob for
+// every variable-length field and a presence byte before every optional
+// one, so no two distinct values share an input. Each starts with a tag
+// naming its kind; both tags are the same length, so neither kind's input
+// is a prefix of the other's. DESIGN.md §8 tabulates the layout.
+const (
+	requestInputTag = "lazarus/req\x00"
+	messageInputTag = "lazarus/msg\x00"
+)
+
+// digestInput returns the byte string covered by the client signature:
+// tag client:u64 seq:u64 op:blob.
 func (r *Request) digestInput() []byte {
-	var buf bytes.Buffer
-	fmt.Fprintf(&buf, "req|%d|%d|", r.Client, r.Seq)
-	buf.Write(r.Op)
-	return buf.Bytes()
+	b := make([]byte, 0, len(requestInputTag)+8+8+4+len(r.Op))
+	b = append(b, requestInputTag...)
+	b = appendU64(b, uint64(r.Client))
+	b = appendU64(b, r.Seq)
+	return appendBlob(b, r.Op)
 }
 
 // Digest hashes the request (excluding the signature). The hash is
@@ -217,6 +230,12 @@ type Message struct {
 	// voteFlying marks a prepare its instance's gate counts as in flight
 	// at the verify pool (see prepareGate). Local like authDone.
 	voteFlying bool
+	// pooled marks a REQUEST handed to the verify pool, whose verdict
+	// pre-prepares carrying the same request may wait for; noWait marks a
+	// pre-prepare that a failed verdict released, which verifies its own
+	// requests instead of waiting again (see awaitVerdict). Local like
+	// authDone.
+	pooled, noWait bool
 
 	// snapSum caches snapshotSum(). A state reply's megabytes are hashed
 	// once per message, not once per use; Snapshot must not change after.
@@ -251,40 +270,73 @@ type PreparedProof struct {
 	Prepares []Message
 }
 
+// signedInputFixed is the size of signedInput without its proofs and
+// result bytes: tag, type and four u64 header fields, two digests, newView
+// and lastStable, the proof count, snapSeq and snapView, the snapshot's
+// presence byte and sum, three reply u64s and the result's length.
+const signedInputFixed = len(messageInputTag) + 5*8 + 2*32 + 2*8 + 4 + 2*8 + 1 + 32 + 3*8 + 4
+
 // signedInput returns the byte string covered by replica signatures and
-// reply MACs. It covers the semantic content of the authenticated types.
+// reply MACs. It covers the semantic content of the authenticated types,
+// every field of every type, in one layout:
+//
+//	tag type:u64 from:u64 view:u64 seq:u64 epoch:u64 batchDigest stateDigest
+//	newView:u64 lastStable:u64 proof* snapSeq:u64 snapView:u64
+//	has:u8 [snapshotSum] replySeq:u64 replyEpoch:u64 replyClient:u64 result:blob
+//
+// where a proof is view:u64 seq:u64 batchDigest has:u8 [from:u64 sig:blob]
+// (from:u64 sig:blob)*, the optional pair its pre-prepare and the list its
+// prepares.
 func (m *Message) signedInput() []byte {
-	var buf bytes.Buffer
-	fmt.Fprintf(&buf, "msg|%d|%d|%d|%d|%d|", m.Type, m.From, m.View, m.SeqNo, m.Epoch)
-	buf.Write(m.BatchDigest[:])
-	buf.Write(m.StateDigest[:])
-	fmt.Fprintf(&buf, "|%d|%d|", m.NewView, m.LastStable)
-	for _, p := range m.Prepared {
-		fmt.Fprintf(&buf, "p|%d|%d|", p.View, p.SeqNo)
-		buf.Write(p.BatchDigest[:])
+	b := make([]byte, 0, signedInputFixed+len(m.Result))
+	b = append(b, messageInputTag...)
+	b = appendU64(b, uint64(m.Type))
+	b = appendU64(b, uint64(m.From))
+	b = appendU64(b, m.View)
+	b = appendU64(b, m.SeqNo)
+	b = appendU64(b, m.Epoch)
+	b = append(b, m.BatchDigest[:]...)
+	b = append(b, m.StateDigest[:]...)
+	b = appendU64(b, m.NewView)
+	b = appendU64(b, m.LastStable)
+	b = appendU32(b, uint32(len(m.Prepared)))
+	for i := range m.Prepared {
+		p := &m.Prepared[i]
+		b = appendU64(b, p.View)
+		b = appendU64(b, p.SeqNo)
+		b = append(b, p.BatchDigest[:]...)
 		// Bind the certificate messages too (their signatures cover their
 		// own semantic content, and the batch is bound via BatchDigest), so
 		// a relayer cannot strip or swap certificates without invalidating
 		// the view-change signature.
 		if p.PrePrepare != nil {
-			fmt.Fprintf(&buf, "pp|%d|", p.PrePrepare.From)
-			buf.Write(p.PrePrepare.Sig)
+			b = append(b, 1)
+			b = appendU64(b, uint64(p.PrePrepare.From))
+			b = appendBlob(b, p.PrePrepare.Sig)
+		} else {
+			b = append(b, 0)
 		}
-		for i := range p.Prepares {
-			fmt.Fprintf(&buf, "pr|%d|", p.Prepares[i].From)
-			buf.Write(p.Prepares[i].Sig)
+		b = appendU32(b, uint32(len(p.Prepares)))
+		for j := range p.Prepares {
+			b = appendU64(b, uint64(p.Prepares[j].From))
+			b = appendBlob(b, p.Prepares[j].Sig)
 		}
 	}
-	fmt.Fprintf(&buf, "|%d|%d|", m.SnapSeqNo, m.SnapView)
+	b = appendU64(b, m.SnapSeqNo)
+	b = appendU64(b, m.SnapView)
 	if len(m.Snapshot) > 0 {
 		sum := m.snapshotSum()
-		buf.Write(sum[:])
+		b = append(b, 1)
+		b = append(b, sum[:]...)
+	} else {
+		b = append(b, 0)
 	}
 	// Reply fields: without these, a reply's MAC would not bind the
 	// result, and any member could forge votes for arbitrary results.
-	fmt.Fprintf(&buf, "|r|%d|%d|%d|", m.ReplySeq, m.ReplyEpoch, m.ReplyClient)
-	buf.Write(m.Result)
-	return buf.Bytes()
+	b = appendU64(b, m.ReplySeq)
+	b = appendU64(b, m.ReplyEpoch)
+	b = appendU64(b, uint64(m.ReplyClient))
+	return appendBlob(b, m.Result)
 }
 
 // Sign signs the message with the replica's key. Replies are sealed with a

@@ -124,10 +124,15 @@ type instance struct {
 	cert *PreparedProof
 	// gate holds back the prepares whose verification cannot change what
 	// this replica does (see verify.go).
-	gate      prepareGate
-	prepared  bool
-	committed bool
-	executed  bool
+	gate prepareGate
+	// prepareViews records, per member, the view of the last prepare of
+	// its that reached this instance, so the catch-up responder can tell a
+	// late sender's first prepare from a stuck one's repeat
+	// (dispatchPrepare).
+	prepareViews map[transport.NodeID]uint64
+	prepared     bool
+	committed    bool
+	executed     bool
 	// startedAt stamps pre-prepare acceptance; execution observes the
 	// difference as this instance's commit latency.
 	startedAt time.Time
@@ -210,9 +215,14 @@ type Replica struct {
 	epochClaims map[transport.NodeID]uint64
 
 	// Request authentication (see verify.go). verified is loop-owned;
-	// verifyJobs feeds the worker pool and is nil until Start.
-	verified   *verdictCache
-	verifyJobs chan *Message
+	// verifyJobs feeds the worker pool and is nil until Start. pooledReqs
+	// counts, by digest, the REQUESTs at the pool, and verdictWaits holds
+	// the pre-prepares waiting for one of their verdicts, by sequence
+	// number (awaitVerdict). Both loop-owned.
+	verified     *verdictCache
+	verifyJobs   chan *Message
+	pooledReqs   map[Digest]int
+	verdictWaits map[uint64]verdictWait
 
 	// replyKeys seal replies, by the public key that authenticated the
 	// request (a ClientKeys entry or ControllerKey), each derived on its
@@ -308,26 +318,28 @@ func NewReplica(cfg ReplicaConfig) (*Replica, error) {
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	r := &Replica{
-		cfg:         cfg,
-		ep:          ep,
-		app:         app,
-		membership:  cfg.Membership.Clone(),
-		log:         make(map[uint64]*instance),
-		clients:     make(map[transport.NodeID]*clientRecord),
-		pendingSet:  make(map[Digest]bool),
-		ckpts:       make(map[uint64]*checkpointState),
-		ckptAhead:   make(map[transport.NodeID]uint64),
-		viewChanges: make(map[uint64]map[transport.NodeID]*Message),
-		stReplies:   make(map[transport.NodeID]*Message),
-		epochClaims: make(map[transport.NodeID]uint64),
-		joining:     cfg.Joining,
-		verified:    newVerdictCache(4096),
-		replyKeys:   make(map[string]*replyKey),
-		ctx:         ctx,
-		cancel:      cancel,
-		inbox:       make(chan *Message, 1024),
-		ins:         newReplicaInstruments(cfg.Metrics),
-		trace:       cfg.Trace,
+		cfg:          cfg,
+		ep:           ep,
+		app:          app,
+		membership:   cfg.Membership.Clone(),
+		log:          make(map[uint64]*instance),
+		clients:      make(map[transport.NodeID]*clientRecord),
+		pendingSet:   make(map[Digest]bool),
+		ckpts:        make(map[uint64]*checkpointState),
+		ckptAhead:    make(map[transport.NodeID]uint64),
+		viewChanges:  make(map[uint64]map[transport.NodeID]*Message),
+		stReplies:    make(map[transport.NodeID]*Message),
+		epochClaims:  make(map[transport.NodeID]uint64),
+		joining:      cfg.Joining,
+		verified:     newVerdictCache(4096),
+		pooledReqs:   make(map[Digest]int),
+		verdictWaits: make(map[uint64]verdictWait),
+		replyKeys:    make(map[string]*replyKey),
+		ctx:          ctx,
+		cancel:       cancel,
+		inbox:        make(chan *Message, 1024),
+		ins:          newReplicaInstruments(cfg.Metrics),
+		trace:        cfg.Trace,
 	}
 	r.toctl = newTimeoutCtl(cfg.AdaptiveTimeout, cfg.ViewChangeTimeout)
 	r.vcTimer = time.NewTimer(time.Hour)
@@ -451,26 +463,16 @@ func (r *Replica) dispatch(msg *Message) {
 	}
 	switch msg.Type {
 	case MsgRequest:
+		landed := msg.pooled
 		if !r.ensureAuth(msg) {
 			return // offloaded; re-enters the inbox with verdicts
 		}
 		r.onRequest(msg)
+		if landed {
+			r.requestLanded(msg)
+		}
 	case MsgPrePrepare:
-		// Cheap structural checks first, so signature work is never
-		// spent on proposals that cannot be accepted anyway.
-		if !r.prePrepareAdmissible(msg) {
-			return
-		}
-		// Capture the claimed sender's key on the loop (membership is
-		// loop-owned) so the pool can verify the replica signature too.
-		msg.repSigKey = r.membership.Keys[msg.From]
-		if !r.ensureAuth(msg) {
-			return // offloaded; re-enters the inbox with verdicts
-		}
-		r.onPrePrepare(msg)
-		// The proposal fixed the digest: votes verified for another no
-		// longer count, and a parked one may be needed in their place.
-		r.refillPrepares(msg.SeqNo)
+		r.dispatchPrePrepare(msg)
 	case MsgPrepare:
 		r.dispatchPrepare(msg)
 	case MsgCommit:
@@ -490,6 +492,26 @@ func (r *Replica) dispatch(msg *Message) {
 	default:
 		r.cfg.Logf("replica %d: unknown message type %v from %d", r.cfg.ID, msg.Type, msg.From)
 	}
+}
+
+// dispatchPrePrepare routes a pre-prepare: inbound, back from the verify
+// pool, or released by the verdict it waited for (requestLanded).
+func (r *Replica) dispatchPrePrepare(msg *Message) {
+	// Cheap structural checks first, so signature work is never spent on
+	// proposals that cannot be accepted anyway.
+	if !r.prePrepareAdmissible(msg) {
+		return
+	}
+	// Capture the claimed sender's key on the loop (membership is
+	// loop-owned) so the pool can verify the replica signature too.
+	msg.repSigKey = r.membership.Keys[msg.From]
+	if !r.ensureAuth(msg) {
+		return // offloaded or waiting; it comes back with verdicts
+	}
+	r.onPrePrepare(msg)
+	// The proposal fixed the digest: votes verified for another no longer
+	// count, and a parked one may be needed in their place.
+	r.refillPrepares(msg.SeqNo)
 }
 
 // send serializes and sends one message.

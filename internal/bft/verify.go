@@ -14,9 +14,20 @@ package bft
 // Deadlock freedom: the loop never blocks feeding the pool (enqueue is
 // non-blocking, falling back to inline verification when the pool is
 // saturated), and workers block only on the inbox, which the loop always
-// drains.
+// drains. A pre-prepare that waits for a REQUEST's verdict (awaitVerdict)
+// waits in a loop-owned table, never on the loop itself.
+//
+// One rule decides what is verified: a signature is verified at most once
+// per replica, and only when its verdict can change what the replica does.
+// The verdict cache and awaitVerdict keep requests to one verification;
+// the prepare gate and the late-prepare rule (dispatchPrepare) skip the
+// votes whose verdict cannot be used.
 
-import "lazarus/internal/transport"
+import (
+	"slices"
+
+	"lazarus/internal/transport"
+)
 
 // verdictCache remembers digests of requests that verified, bounded by a
 // two-generation rotation: inserts go to the current generation, lookups
@@ -87,7 +98,8 @@ func authReq(msg *Message, i int) *Request {
 // ensureAuth resolves every request verdict a message needs before its
 // handler runs. It returns true when the message is ready to dispatch;
 // false means it was handed to the verify pool and will re-enter the
-// inbox with verdicts attached. Runs on the event loop.
+// inbox with verdicts attached, or that it waits on the loop for a verdict
+// already being computed (awaitVerdict). Runs on the event loop.
 func (r *Replica) ensureAuth(msg *Message) bool {
 	if msg.authDone {
 		// The pool (or a previous pass) resolved this message; fold the
@@ -102,26 +114,29 @@ func (r *Replica) ensureAuth(msg *Message) bool {
 		msg.authDone = true
 		return true
 	}
-	// Fast path for request verdicts: when every carried request already
-	// has a cached positive verdict, resolve them here on the loop —
-	// authMessage then skips them, so a message offloaded only for its
-	// replica signature (which is per-message and never cached) still
-	// amortizes its request verification.
-	allCached := true
+	// Resolve here, on the loop, every request the verdict cache vouches
+	// for: authMessage verifies only the others, so a batch that is partly
+	// cached, or a message offloaded only for its replica signature (which
+	// is per-message and never cached), pays for no request twice.
+	var ok []bool
+	hits := 0
 	for i := 0; i < n; i++ {
-		if !r.verified.has(authReq(msg, i).Digest()) {
-			allCached = false
-			break
+		d := authReq(msg, i).Digest()
+		if !r.verified.has(d) {
+			if r.awaitVerdict(msg, d) {
+				return false
+			}
+			continue
 		}
-	}
-	if allCached && n > 0 {
-		msg.authOK = make([]bool, n)
-		for i := range msg.authOK {
-			msg.authOK[i] = true
+		if ok == nil {
+			ok = make([]bool, n)
 		}
-		r.ins.verifyCacheHits.Add(int64(n))
+		ok[i] = true
+		hits++
 	}
-	if allCached && !needRepSig {
+	msg.authOK = ok
+	r.ins.verifyCacheHits.Add(int64(hits))
+	if hits == n && !needRepSig {
 		msg.authDone = true
 		return true
 	}
@@ -129,16 +144,79 @@ func (r *Replica) ensureAuth(msg *Message) bool {
 	// saturated (or not running), verify inline on the loop — correct,
 	// just slower, and it bounds memory instead of queueing unboundedly.
 	if r.verifyJobs != nil {
+		// The worker owns the message once it is sent: everything the loop
+		// records about it is settled before the send.
+		isReq := msg.Type == MsgRequest
+		var d Digest
+		if isReq {
+			d = msg.Request.Digest()
+		}
+		msg.pooled = isReq
 		select {
 		case r.verifyJobs <- msg:
 			r.ins.verifyOffloaded.Inc()
+			if isReq {
+				r.pooledReqs[d]++
+			}
 			return false
 		default:
+			msg.pooled = false
 		}
 	}
 	r.authMessage(msg)
 	r.adoptVerdicts(msg)
 	return true
+}
+
+// awaitVerdict parks an admissible pre-prepare on the loop when request d
+// of its batch is at the verify pool inside a REQUEST: that verdict lands
+// soon, and verifying the same request again meanwhile changes nothing.
+// requestLanded re-dispatches it. Bounded: only digests at the pool can be
+// waited on, by at most one pre-prepare per sequence number in the window.
+// It reports whether the message now waits.
+func (r *Replica) awaitVerdict(msg *Message, d Digest) bool {
+	if msg.Type != MsgPrePrepare || msg.noWait || r.pooledReqs[d] == 0 {
+		return false
+	}
+	if _, taken := r.verdictWaits[msg.SeqNo]; taken || !r.inWindow(msg.SeqNo) {
+		return false
+	}
+	r.verdictWaits[msg.SeqNo] = verdictWait{digest: d, pp: msg}
+	r.ins.verifyWaits.Inc()
+	return true
+}
+
+// verdictWait is a pre-prepare waiting for the verdict on one request.
+type verdictWait struct {
+	digest Digest
+	pp     *Message
+}
+
+// requestLanded runs when a REQUEST the loop handed to the verify pool is
+// back with its verdict, and releases the pre-prepares waiting for it, in
+// sequence order. A positive verdict is in the cache by now; a negative
+// one sends each waiter through its own verification, so a forged copy of
+// a request cannot fail a batch that carries the genuine one.
+func (r *Replica) requestLanded(msg *Message) {
+	d := msg.Request.Digest()
+	if r.pooledReqs[d] <= 1 {
+		delete(r.pooledReqs, d)
+	} else {
+		r.pooledReqs[d]--
+	}
+	var seqs []uint64
+	for seq, w := range r.verdictWaits {
+		if w.digest == d {
+			seqs = append(seqs, seq)
+		}
+	}
+	slices.Sort(seqs)
+	for _, seq := range seqs {
+		pp := r.verdictWaits[seq].pp
+		delete(r.verdictWaits, seq)
+		pp.noWait = !msg.authOK[0]
+		r.dispatchPrePrepare(pp)
+	}
 }
 
 // authMessage computes the signature verdicts for every request the
@@ -147,17 +225,20 @@ func (r *Replica) ensureAuth(msg *Message) bool {
 // immutable replica configuration (client and controller keys).
 func (r *Replica) authMessage(msg *Message) {
 	n := numAuthReqs(msg)
-	// The loop may have pre-resolved the request verdicts from its cache
-	// (ensureAuth's fast path) and offloaded only for the replica
-	// signature; do not re-verify what it already settled.
+	// The loop pre-resolved from its cache the requests it could
+	// (ensureAuth); a true verdict here is one of those, and only the
+	// rest are verified.
 	if msg.authOK == nil {
 		msg.authOK = make([]bool, n)
-		for i := 0; i < n; i++ {
-			req := authReq(msg, i)
-			req.Digest() // warm the digest cache while off the hot loop
-			msg.authOK[i] = r.verifyRequest(req)
-			r.ins.verifyOps.Inc()
+	}
+	for i := 0; i < n; i++ {
+		if msg.authOK[i] {
+			continue
 		}
+		req := authReq(msg, i)
+		req.Digest() // warm the digest cache while off the hot loop
+		msg.authOK[i] = r.verifyRequest(req)
+		r.ins.verifyOps.Inc()
 	}
 	// Replica signature (pre-prepares and prepares): the loop captured
 	// the claimed sender's key in repSigKey before offloading, so this
@@ -292,6 +373,18 @@ func (r *Replica) gateOf(in *instance) *prepareGate {
 	return g
 }
 
+// notePrepare records that from's prepare for view reached the instance —
+// whether it was then verified, parked or dropped — and reports whether
+// one from the same sender and view had reached it before.
+func (in *instance) notePrepare(from transport.NodeID, view uint64) (repeat bool) {
+	last, seen := in.prepareViews[from]
+	if in.prepareViews == nil {
+		in.prepareViews = make(map[transport.NodeID]uint64)
+	}
+	in.prepareViews[from] = view
+	return seen && last == view
+}
+
 // prepareNeed is how many prepares from other non-primary members this
 // replica's certificate needs: quorum−1, less its own at a backup.
 func (r *Replica) prepareNeed() int {
@@ -344,10 +437,15 @@ func (r *Replica) dispatchPrepare(msg *Message) {
 	}
 	msg.repSigKey = r.membership.Keys[msg.From]
 	in := r.log[msg.SeqNo]
+	repeat := in != nil && in.notePrepare(msg.From, msg.View)
 	if in != nil && in.executed {
-		// The catch-up responder answers unless it already holds the
-		// sender's commit for the executed digest.
-		if d, ok := in.commits[msg.From]; ok && d == in.digest {
+		// The catch-up responder answers only a sender that is stuck. One
+		// whose commit for the executed digest is here is not. Nor, yet,
+		// is one casting its first prepare in this replica's view: it is
+		// merely late, and its commit is on the way. If it is stuck after
+		// all, its progress timer re-sends the prepare, and that repeat —
+		// like a prepare from another view — is verified and answered.
+		if d, ok := in.commits[msg.From]; (ok && d == in.digest) || (msg.View == r.view && !repeat) {
 			r.ins.votesUnverified.Inc()
 			return
 		}
@@ -362,7 +460,10 @@ func (r *Replica) dispatchPrepare(msg *Message) {
 		r.ins.votesUnverified.Inc()
 		return
 	}
-	in = r.inst(msg.SeqNo)
+	if in == nil {
+		in = r.inst(msg.SeqNo)
+		in.notePrepare(msg.From, msg.View)
+	}
 	if r.prepareSupply(in) >= r.prepareNeed() {
 		g := r.gateOf(in)
 		if g.parked == nil {

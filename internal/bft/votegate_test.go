@@ -221,14 +221,13 @@ func TestCertificateCarriesExactlyQuorumMinusOneAtFive(t *testing.T) {
 	}
 }
 
-// TestExecutedInstancePrepareVerifiedOnlyWhenAnswered: a prepare for an
-// executed instance matters only to the catch-up responder, which stays
-// silent once it holds the sender's commit for the executed digest.
-func TestExecutedInstancePrepareVerifiedOnlyWhenAnswered(t *testing.T) {
-	c, reg := gateCluster(t, 4)
-	defer c.stop()
+// executedAtBackup has backup 1 execute seq 1 on the primary's proposal and
+// the votes of replicas 2 and 3, handed to the handlers directly so that no
+// prepare of theirs is on record as dispatched, then empties the inboxes of
+// 0 and 2. It returns the backup and the executed digest.
+func executedAtBackup(t *testing.T, c *cluster) (*Replica, Digest) {
+	t.Helper()
 	r := c.replicas[1]
-
 	batch := &Batch{Requests: []Request{signedReq(c, transport.ClientIDBase, 1, "add 3")}}
 	d := batch.Digest()
 	r.onPrePrepare(signedMsg(c, &Message{Type: MsgPrePrepare, From: 0, View: 0, SeqNo: 1, Batch: batch, BatchDigest: d}))
@@ -241,7 +240,33 @@ func TestExecutedInstancePrepareVerifiedOnlyWhenAnswered(t *testing.T) {
 	}
 	drainInbox(t, c, 0)
 	drainInbox(t, c, 2)
+	return r, d
+}
+
+// answeredTypes returns the types of the messages replica from sent.
+func answeredTypes(msgs []*Message, from transport.NodeID) map[MsgType]bool {
+	types := make(map[MsgType]bool)
+	for _, m := range msgs {
+		if m.From == from {
+			types[m.Type] = true
+		}
+	}
+	return types
+}
+
+// TestExecutedInstancePrepareVerifiedOnlyWhenAnswered: a prepare for an
+// executed instance matters only to the catch-up responder, and the
+// responder answers only a sender that is stuck. It stays silent, without
+// verifying, when it holds the sender's commit for the executed digest or
+// when the prepare is the sender's first in the responder's view: that
+// sender is merely late. The sender's repeat — what its progress timer
+// re-sends when it is stuck — is verified and answered.
+func TestExecutedInstancePrepareVerifiedOnlyWhenAnswered(t *testing.T) {
+	c, reg := gateCluster(t, 4)
+	defer c.stop()
+	r, d := executedAtBackup(t, c)
 	verifies := reg.Counter("bft.verify_ops")
+	unverified := reg.Counter("bft.votes_unverified")
 
 	// Sender 2's commit is held: nothing to answer, nothing to verify.
 	before := verifies.Value()
@@ -249,28 +274,164 @@ func TestExecutedInstancePrepareVerifiedOnlyWhenAnswered(t *testing.T) {
 	if got := verifies.Value() - before; got != 0 {
 		t.Errorf("prepare from a sender whose commit is held cost %d verifications, want 0", got)
 	}
-	if got := reg.Counter("bft.votes_unverified").Value(); got != 1 {
+	if got := unverified.Value(); got != 1 {
 		t.Errorf("votes_unverified %d, want 1", got)
 	}
 	if got := drainInbox(t, c, 2); len(got) != 0 {
 		t.Errorf("responder answered a sender whose commit it holds (%d messages)", len(got))
 	}
 
-	// Sender 0's commit is missing: verified, and answered with a
+	// Sender 0's commit is missing, and this is its first prepare in view
+	// 0: it is late, not stuck.
+	before = verifies.Value()
+	r.dispatch(prepareFrom(c, 0, 0, 1, d))
+	if got := verifies.Value() - before; got != 0 {
+		t.Errorf("a late sender's first prepare cost %d verifications, want 0", got)
+	}
+	if got := unverified.Value(); got != 2 {
+		t.Errorf("votes_unverified %d, want 2", got)
+	}
+	if got := drainInbox(t, c, 0); len(got) != 0 {
+		t.Errorf("responder answered a late sender's first prepare (%d messages)", len(got))
+	}
+
+	// Its repeat: verified once, answered with commit, prepare and
 	// certificate.
 	before = verifies.Value()
 	r.dispatch(prepareFrom(c, 0, 0, 1, d))
 	if got := verifies.Value() - before; got != 1 {
-		t.Errorf("prepare from a sender whose commit is missing cost %d verifications, want 1", got)
+		t.Errorf("a stuck sender's repeated prepare cost %d verifications, want 1", got)
 	}
-	answered := false
-	for _, m := range drainInbox(t, c, 0) {
-		if m.Type == MsgCatchUp && m.From == 1 {
-			answered = true
+	got := answeredTypes(drainInbox(t, c, 0), 1)
+	for _, typ := range []MsgType{MsgCommit, MsgPrepare, MsgCatchUp} {
+		if !got[typ] {
+			t.Errorf("responder's answer to a repeated prepare lacks a %v", typ)
 		}
 	}
-	if !answered {
-		t.Error("responder did not answer a sender whose commit it lacks")
+}
+
+// TestExecutedInstanceOlderViewPrepareAnswered: a prepare cast in another
+// view than the responder's comes from a sender still rebuilding the
+// instance, and is answered the first time.
+func TestExecutedInstanceOlderViewPrepareAnswered(t *testing.T) {
+	c, reg := gateCluster(t, 4)
+	defer c.stop()
+	r, d := executedAtBackup(t, c)
+	r.view = 1 // the group moved on; sender 0 still votes in view 0
+	verifies := reg.Counter("bft.verify_ops")
+
+	before := verifies.Value()
+	r.dispatch(prepareFrom(c, 0, 0, 1, d))
+	if got := verifies.Value() - before; got != 1 {
+		t.Errorf("an older view's prepare cost %d verifications, want 1", got)
+	}
+	got := answeredTypes(drainInbox(t, c, 0), 1)
+	for _, typ := range []MsgType{MsgCommit, MsgPrepare, MsgCatchUp} {
+		if !got[typ] {
+			t.Errorf("responder's answer to an older view's prepare lacks a %v", typ)
+		}
+	}
+}
+
+// batchOf builds a batch of n signed requests, one per client sequence
+// number, and the backup-bound pre-prepare that proposes it at seq 1.
+func batchOf(c *cluster, n int) (*Batch, *Message) {
+	batch := &Batch{}
+	for i := 1; i <= n; i++ {
+		batch.Requests = append(batch.Requests, signedReq(c, transport.ClientIDBase, uint64(i), "add 1"))
+	}
+	pp := signedMsg(c, &Message{Type: MsgPrePrepare, From: 0, View: 0, SeqNo: 1, Batch: batch, BatchDigest: batch.Digest()})
+	return batch, pp
+}
+
+// TestPartlyCachedBatchVerifiesOnlyTheRest: a pre-prepare whose batch is
+// partly in the verdict cache verifies only the requests that are not,
+// plus its own signature. It used to verify every request of a batch that
+// was not wholly cached.
+func TestPartlyCachedBatchVerifiesOnlyTheRest(t *testing.T) {
+	c, reg := gateCluster(t, 4)
+	defer c.stop()
+	r := c.replicas[1]
+	batch, pp := batchOf(c, 3)
+	first := batch.Requests[0]
+	r.dispatch(&Message{Type: MsgRequest, From: first.Client, Request: &first})
+	verifies, hits := reg.Counter("bft.verify_ops"), reg.Counter("bft.verify_cache_hits")
+	before, hitsBefore := verifies.Value(), hits.Value()
+
+	r.dispatch(pp)
+	if in := r.log[1]; in == nil || in.prePrepare == nil {
+		t.Fatal("pre-prepare was not accepted")
+	}
+	if got := verifies.Value() - before; got != 3 {
+		t.Errorf("%d verifications, want 3: the 2 uncached requests and the signature", got)
+	}
+	if got := hits.Value() - hitsBefore; got != 1 {
+		t.Errorf("%d cache hits, want 1", got)
+	}
+}
+
+// TestPrePrepareWaitsForRequestAtPool: a backup's pre-prepare arriving
+// while the REQUEST it carries is at the verify pool waits for that
+// verdict instead of verifying the request a second time.
+func TestPrePrepareWaitsForRequestAtPool(t *testing.T) {
+	c, reg := gateCluster(t, 4)
+	defer c.stop()
+	r := c.replicas[1]
+	holdPool(r)
+	batch, pp := batchOf(c, 1)
+	req := batch.Requests[0]
+	verifies := reg.Counter("bft.verify_ops")
+	before := verifies.Value()
+
+	r.dispatch(&Message{Type: MsgRequest, From: req.Client, Request: &req}) // at the pool
+	r.dispatch(pp)
+	if got := reg.Counter("bft.verify_waits").Value(); got != 1 {
+		t.Fatalf("%d pre-prepares waited, want 1", got)
+	}
+	if got := len(r.verifyJobs); got != 1 {
+		t.Fatalf("%d messages at the pool, want only the REQUEST", got)
+	}
+	drainPool(r)
+	if in := r.log[1]; in == nil || in.prePrepare == nil {
+		t.Fatal("pre-prepare was not accepted once the verdict landed")
+	}
+	if got := verifies.Value() - before; got != 2 {
+		t.Errorf("%d verifications, want 2: the request once and the signature", got)
+	}
+	if len(r.pooledReqs) != 0 || len(r.verdictWaits) != 0 {
+		t.Errorf("%d requests still counted at the pool, %d pre-prepares still waiting", len(r.pooledReqs), len(r.verdictWaits))
+	}
+}
+
+// TestForgedRequestAtPoolDoesNotFailGenuinePrePrepare: a copy of a request
+// with a garbled signature at the pool makes the pre-prepare that waited
+// for it verify its own, genuine copy, and the proposal is accepted.
+func TestForgedRequestAtPoolDoesNotFailGenuinePrePrepare(t *testing.T) {
+	c, reg := gateCluster(t, 4)
+	defer c.stop()
+	r := c.replicas[1]
+	holdPool(r)
+	batch, pp := batchOf(c, 1)
+	forged := batch.Requests[0]
+	forged.Sig = append([]byte(nil), forged.Sig...)
+	forged.Sig[0] ^= 0xff
+	verifies := reg.Counter("bft.verify_ops")
+	before := verifies.Value()
+
+	r.dispatch(&Message{Type: MsgRequest, From: forged.Client, Request: &forged}) // at the pool
+	r.dispatch(pp)
+	if got := reg.Counter("bft.verify_waits").Value(); got != 1 {
+		t.Fatalf("%d pre-prepares waited, want 1", got)
+	}
+	drainPool(r)
+	if in := r.log[1]; in == nil || in.prePrepare == nil {
+		t.Fatal("a forged REQUEST at the pool failed the genuine pre-prepare")
+	}
+	if got := verifies.Value() - before; got != 3 {
+		t.Errorf("%d verifications, want 3: the forged copy, the genuine one and the signature", got)
+	}
+	if !r.verified.has(batch.Requests[0].Digest()) {
+		t.Error("the genuine request's verdict did not reach the cache")
 	}
 }
 
