@@ -43,8 +43,6 @@ type Options struct {
 	// Metrics, when set, is shared by the network and every replica, so
 	// one registry aggregates the whole cluster.
 	Metrics *metrics.Registry
-	// Trace, when set, receives every replica's protocol events.
-	Trace *metrics.Tracer
 }
 
 // Cluster is a running in-process BFT deployment.
@@ -156,7 +154,6 @@ func (c *Cluster) AddReplica(id transport.NodeID, joining bool) (*bft.Replica, e
 		AdaptiveTimeout:    c.opts.AdaptiveTimeout,
 		Joining:            joining,
 		Metrics:            c.opts.Metrics,
-		Trace:              c.opts.Trace,
 	})
 	if err != nil {
 		return nil, err

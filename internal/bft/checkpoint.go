@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"sort"
 
-	"lazarus/internal/metrics"
 	"lazarus/internal/transport"
 )
 
@@ -141,10 +140,6 @@ func (r *Replica) checkStable(seq uint64) {
 	cs.stable = true
 	lag := int64(r.lastExec) - int64(seq)
 	r.ins.ckptStabilityLag.Observe(lag)
-	r.trace.Emit(metrics.Event{
-		Type: metrics.EvCheckpointStable, Node: int64(r.cfg.ID),
-		Seq: seq, Epoch: r.membership.Epoch, DurUS: lag,
-	})
 	if cs.snapshot == nil || cs.snapshot.digest != winner {
 		// This replica executed seq and holds a different state from the
 		// one a quorum agreed on (or none): it diverged, and only the

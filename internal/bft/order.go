@@ -3,10 +3,8 @@ package bft
 import (
 	"bytes"
 	"crypto/ed25519"
-	"fmt"
 	"time"
 
-	"lazarus/internal/metrics"
 	"lazarus/internal/transport"
 )
 
@@ -514,10 +512,6 @@ func (r *Replica) executeReady() {
 			// propose→execute is the consensus round trip the timer
 			// waits out. Inert when AdaptiveTimeout is off.
 			r.toctl.observe(time.Duration(durUS) * time.Microsecond)
-			r.trace.Emit(metrics.Event{
-				Type: metrics.EvConsensusExecuted, Node: int64(r.cfg.ID),
-				Seq: next, Epoch: r.membership.Epoch, View: r.view, DurUS: durUS,
-			})
 		}
 		if r.ckptDue || r.lastExec%r.cfg.CheckpointInterval == 0 {
 			// One canonical checkpoint per seq, taken only after the whole
@@ -679,10 +673,6 @@ func (r *Replica) applyReconfig(op ReconfigOp) []byte {
 	r.inViewChange = false
 	r.updateStats(func(s *ReplicaStats) { s.Reconfigs++ })
 	r.ins.reconfigs.Inc()
-	r.trace.Emit(metrics.Event{
-		Type: metrics.EvReconfig, Node: int64(r.cfg.ID),
-		Epoch: next.Epoch, Detail: fmt.Sprintf("members=%v", next.Replicas),
-	})
 	r.cfg.Logf("replica %d: epoch %d membership %v", r.cfg.ID, next.Epoch, next.Replicas)
 
 	// Checkpoint at this seq so peers that missed this instance can fetch

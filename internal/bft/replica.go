@@ -69,9 +69,6 @@ type ReplicaConfig struct {
 	// latency, batch occupancy, per-phase message counts, ...) under
 	// "bft.*". Replicas sharing a registry aggregate.
 	Metrics *metrics.Registry
-	// Trace optionally receives structured protocol events (consensus
-	// lifecycle, view changes, state transfers, checkpoints).
-	Trace *metrics.Tracer
 }
 
 func (c *ReplicaConfig) fill() error {
@@ -241,7 +238,6 @@ type Replica struct {
 	stats     ReplicaStats
 	execTrace []ExecRecord
 	ins       replicaInstruments
-	trace     *metrics.Tracer
 }
 
 // ExecRecord pairs an executed sequence number with the digest of the
@@ -339,7 +335,6 @@ func NewReplica(cfg ReplicaConfig) (*Replica, error) {
 		cancel:       cancel,
 		inbox:        make(chan *Message, 1024),
 		ins:          newReplicaInstruments(cfg.Metrics),
-		trace:        cfg.Trace,
 	}
 	r.toctl = newTimeoutCtl(cfg.AdaptiveTimeout, cfg.ViewChangeTimeout)
 	r.vcTimer = time.NewTimer(time.Hour)

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"sort"
 
-	"lazarus/internal/metrics"
 	"lazarus/internal/transport"
 )
 
@@ -38,10 +37,6 @@ func (r *Replica) requestStateTransfer(reason string) {
 	r.ins.transferReason[reason].Inc()
 	detail := fmt.Sprintf("%s: executed %d, low water %d, known stable %d, epoch probe %d",
 		reason, r.lastExec, r.lowWater, r.stableSeen, r.epochProbe)
-	r.trace.Emit(metrics.Event{
-		Type: metrics.EvStateTransfer, Node: int64(r.cfg.ID),
-		Seq: r.lastExec, Epoch: r.membership.Epoch, Detail: detail,
-	})
 	r.cfg.Logf("replica %d: requesting state (%s) at epoch %d", r.cfg.ID, detail, r.membership.Epoch)
 	r.stReplies = make(map[transport.NodeID]*Message)
 	req := &Message{Type: MsgStateRequest, SeqNo: r.lastExec, Epoch: r.membership.Epoch}
@@ -188,10 +183,6 @@ func (r *Replica) onStateReply(msg *Message) {
 	r.joining = !r.membership.Contains(r.cfg.ID)
 	r.updateStats(func(s *ReplicaStats) { s.StateTransfers++ })
 	r.ins.stateTransfers.Inc()
-	r.trace.Emit(metrics.Event{
-		Type: metrics.EvStateRestore, Node: int64(r.cfg.ID),
-		Seq: r.lastExec, Epoch: r.membership.Epoch,
-	})
 	r.cfg.Logf("replica %d: state transfer to seq %d (epoch %d, joining=%v->%v)",
 		r.cfg.ID, r.lastExec, r.membership.Epoch, wasJoining, r.joining)
 	if r.joining {

@@ -3,7 +3,6 @@ package bft
 import (
 	"sort"
 
-	"lazarus/internal/metrics"
 	"lazarus/internal/transport"
 )
 
@@ -185,10 +184,6 @@ func (r *Replica) startViewChange(newView uint64) {
 	r.broadcast(vc)
 	r.updateStats(func(s *ReplicaStats) { s.ViewChanges++ })
 	r.ins.viewChanges.Inc()
-	r.trace.Emit(metrics.Event{
-		Type: metrics.EvViewChange, Node: int64(r.cfg.ID),
-		View: newView, Epoch: r.membership.Epoch, Seq: r.lowWater,
-	})
 	// If this view change does not complete, escalate to the next view.
 	r.vcArmed = false
 	r.armProgressTimer()
@@ -700,10 +695,6 @@ func (r *Replica) installNewView(newView uint64, prePrepares []Message, stable u
 		r.armProgressTimer()
 	}
 	r.updateStats(func(*ReplicaStats) {})
-	r.trace.Emit(metrics.Event{
-		Type: metrics.EvViewAdopt, Node: int64(r.cfg.ID),
-		View: newView, Epoch: r.membership.Epoch, Seq: r.lastExec,
-	})
 	r.cfg.Logf("replica %d: installed view %d (primary %d)", r.cfg.ID, newView, r.membership.Primary(newView))
 	// If we are the new primary and requests queued up during the view
 	// change, propose now rather than waiting for the batch tick.

@@ -3,17 +3,11 @@ package controlplane
 import (
 	"context"
 	"fmt"
+	"strings"
 	"testing"
 	"time"
 )
 
-// TestChaosRunDeterministic is the in-tree version of `lazbench chaos`: a
-// seeded run of ≥20 monitor rounds under random boot failures, LTU
-// faults, silent replicas and link loss, with two rounds forced to
-// bomb-and-fail-boot so the rollback path provably executes. Throughout,
-// the service must keep exactly n=3f+1 live correct replicas, the
-// membership must mirror the OS→node map, and every failed swap must be
-// compensated (rollback counter increments, no leaked nodes).
 // TestChaosSwapHistoryReplays pins seeded reproducibility end to end:
 // two chaos runs with the same seed must produce identical swap
 // histories. Faults are disabled because their injection points are
@@ -22,6 +16,15 @@ import (
 // divergence means some decision drew from an unseeded source — the
 // exact regression class of the global-rand TCP jitter (lazlint's
 // globalrand rule guards the same invariant statically).
+//
+// The first run is also compared with pinnedSwapHistory, so a change
+// that alters what the controller decides fails here rather than only
+// between two runs of the same build. To regenerate the literal after
+// an intended change of behaviour, run
+//
+//	go test ./internal/controlplane -run '^TestChaosSwapHistoryReplays$' -v
+//
+// and paste the quoted strings from its "pinned:" log lines.
 func TestChaosSwapHistoryReplays(t *testing.T) {
 	if testing.Short() {
 		t.Skip("chaos runs take tens of seconds")
@@ -61,6 +64,12 @@ func TestChaosSwapHistoryReplays(t *testing.T) {
 	if len(first) == 0 {
 		t.Fatal("no swaps recorded: BombProb=1 over 8 rounds should force swaps")
 	}
+	for _, line := range first {
+		t.Logf("pinned: %q,", line)
+	}
+	if got, want := strings.Join(first, "\n"), strings.Join(pinnedSwapHistory, "\n"); got != want {
+		t.Errorf("history differs from the pinned one:\ngot:\n%s\npinned:\n%s", got, want)
+	}
 	if len(first) != len(second) {
 		t.Fatalf("histories differ in length: %d vs %d\nfirst: %v\nsecond: %v",
 			len(first), len(second), first, second)
@@ -71,6 +80,19 @@ func TestChaosSwapHistoryReplays(t *testing.T) {
 				i, first[i], second[i])
 		}
 	}
+}
+
+// pinnedSwapHistory is TestChaosSwapHistoryReplays' swap history (seed 7,
+// 8 rounds, no faults, BombProb 1).
+var pinnedSwapHistory = []string{
+	"WS12->FB11 node 0->4 outcome=success stage=\"boot\" retries=0 err=\"\"",
+	"UB17->UB16 node 2->5 outcome=success stage=\"boot\" retries=0 err=\"\"",
+	"SO11->SO10 node 1->6 outcome=success stage=\"boot\" retries=0 err=\"\"",
+	"UB16->DE8 node 5->7 outcome=success stage=\"boot\" retries=0 err=\"\"",
+	"FB11->FE25 node 4->8 outcome=success stage=\"boot\" retries=0 err=\"\"",
+	"OB61->OB60 node 3->9 outcome=success stage=\"boot\" retries=0 err=\"\"",
+	"SO10->W10 node 6->10 outcome=success stage=\"boot\" retries=0 err=\"\"",
+	"DE8->OS42 node 7->11 outcome=success stage=\"boot\" retries=0 err=\"\"",
 }
 
 // TestChaosByzantineRounds runs every round with f attacker replicas,
@@ -265,6 +287,13 @@ func TestChaosWANScheduleReplays(t *testing.T) {
 	}
 }
 
+// TestChaosRunDeterministic is the in-tree version of `lazbench chaos`: a
+// seeded run of ≥20 monitor rounds under random boot failures, LTU
+// faults, silent replicas and link loss, with two rounds forced to
+// bomb-and-fail-boot so the rollback path provably executes. Throughout,
+// the service must keep exactly n=3f+1 live correct replicas, the
+// membership must mirror the OS→node map, and every failed swap must be
+// compensated (rollback counter increments, no leaked nodes).
 func TestChaosRunDeterministic(t *testing.T) {
 	if testing.Short() {
 		t.Skip("chaos run takes tens of seconds")

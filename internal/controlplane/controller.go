@@ -37,14 +37,6 @@ type Config struct {
 	Universe []catalog.OS
 	// N is the replica-set size (default 4).
 	N int
-	// Threshold is the Algorithm 1 risk threshold; 0 derives it
-	// adaptively from the initial configuration's risk.
-	Threshold float64
-	// ScoreParams tune Equation 1 (zero value = paper defaults).
-	ScoreParams core.ScoreParams
-	// ClusterK and ClusterVocab tune the description clustering
-	// (0 = corpus-scaled defaults).
-	ClusterK, ClusterVocab int
 	// Seed drives the randomized selection.
 	Seed int64
 	// Clock supplies the current time (nil = time.Now); injected so the
@@ -64,8 +56,6 @@ type Config struct {
 	ClientKeys map[transport.NodeID]ed25519.PublicKey
 	// LTUSecret authenticates controller-to-LTU commands.
 	LTUSecret []byte
-	// BootScale scales simulated boot times (0 = instant).
-	BootScale float64
 	// ReplicaTuning adjusts replica protocol knobs.
 	ReplicaTuning func(*bft.ReplicaConfig)
 	// CatchUpTimeout bounds how long a joining replica may take to
@@ -95,9 +85,6 @@ type Config struct {
 	// controller provisions, so one registry aggregates the whole
 	// deployment.
 	Metrics *metrics.Registry
-	// Trace, when set, receives structured swap events and every
-	// provisioned replica's protocol events.
-	Trace *metrics.Tracer
 	// Logf receives controller logging (nil = discard).
 	Logf func(format string, args ...any)
 }
@@ -111,9 +98,6 @@ func (c *Config) fill() error {
 	}
 	if len(c.Universe) < c.N {
 		return fmt.Errorf("controlplane: universe %d smaller than n %d", len(c.Universe), c.N)
-	}
-	if c.ScoreParams == (core.ScoreParams{}) {
-		c.ScoreParams = core.DefaultScoreParams()
 	}
 	if c.Clock == nil {
 		c.Clock = time.Now
@@ -237,7 +221,6 @@ type Controller struct {
 	ctrlPub  ed25519.PublicKey
 	ctrlPriv ed25519.PrivateKey
 	ins      cpInstruments
-	trace    *metrics.Tracer
 
 	// Durability (wal.go / recover.go): every state transition is
 	// appended to wal before its side effect runs. generation counts how
@@ -366,12 +349,11 @@ func New(cfg Config) (*Controller, error) {
 	if err != nil {
 		return nil, fmt.Errorf("controlplane: controller key: %w", err)
 	}
-	// Every provisioned replica reports into the controller's registry
-	// and tracer; the caller's tuning still runs last so it can override.
+	// Every provisioned replica reports into the controller's registry;
+	// the caller's tuning still runs last so it can override.
 	tuning := cfg.ReplicaTuning
 	instrumented := func(rc *bft.ReplicaConfig) {
 		rc.Metrics = cfg.Metrics
-		rc.Trace = cfg.Trace
 		if tuning != nil {
 			tuning(rc)
 		}
@@ -381,7 +363,6 @@ func New(cfg Config) (*Controller, error) {
 		ClientKeys:    cfg.ClientKeys,
 		ControllerKey: pub,
 		App:           cfg.App,
-		BootScale:     cfg.BootScale,
 		ReplicaTuning: instrumented,
 	})
 	if err != nil {
@@ -398,7 +379,6 @@ func New(cfg Config) (*Controller, error) {
 		ctrlPub:  pub,
 		ctrlPriv: priv,
 		ins:      newCPInstruments(cfg.Metrics),
-		trace:    cfg.Trace,
 		wal:      cfg.WAL,
 		nodes:    make(map[transport.NodeID]*nodeSlot),
 		osToNode: make(map[string]transport.NodeID),
@@ -445,25 +425,10 @@ func (c *Controller) RefreshIntel(ctx context.Context, extra ...*osint.Vulnerabi
 	if len(corpus) == 0 {
 		return fmt.Errorf("controlplane: no vulnerability data ingested")
 	}
-	k := c.cfg.ClusterK
-	if k == 0 {
-		k = len(corpus) / 8
-		if k < 8 {
-			k = 8
-		}
-		if k > 192 {
-			k = 192
-		}
-	}
-	if k > len(corpus) {
-		k = len(corpus)
-	}
-	vocab := c.cfg.ClusterVocab
-	if vocab == 0 {
-		vocab = 600
-	}
+	// k scales with the corpus, clamped to [8, 192] and to its size.
+	k := min(max(len(corpus)/8, 8), 192, len(corpus))
 	clusterStart := time.Now()
-	model, err := cluster.BuildModel(corpus, cluster.Config{K: k, MaxVocabulary: vocab, Seed: c.cfg.Seed})
+	model, err := cluster.BuildModel(corpus, cluster.Config{K: k, MaxVocabulary: 600, Seed: c.cfg.Seed})
 	if err != nil {
 		return err
 	}
@@ -477,7 +442,7 @@ func (c *Controller) RefreshIntel(ctx context.Context, extra ...*osint.Vulnerabi
 	intel.SetSimilarityGate(func(a, b string) bool {
 		return model.Cosine(a, b) >= 0.60
 	})
-	engine, err := core.NewRiskEngine(intel, c.cfg.ScoreParams)
+	engine, err := core.NewRiskEngine(intel, core.DefaultScoreParams())
 	if err != nil {
 		return err
 	}
@@ -511,12 +476,9 @@ func (c *Controller) Bootstrap(ctx context.Context) error {
 	if err != nil {
 		return err
 	}
-	threshold := c.cfg.Threshold
-	if threshold <= 0 {
-		// Baseline headroom plus one fresh HIGH exploited shared
-		// weakness (see strategies.Env.Threshold).
-		threshold = risk*1.05 + 8.75
-	}
+	// Baseline headroom plus one fresh HIGH exploited shared weakness
+	// (see strategies.Env.Threshold).
+	threshold := risk*1.05 + 8.75
 	pool := make([]core.Replica, 0, len(universe)-c.cfg.N)
 	for _, r := range universe {
 		if !initial.Contains(r.ID) {
@@ -838,36 +800,5 @@ func (c *Controller) Stop() {
 	}
 	for _, s := range slots {
 		s.node.Retire()
-	}
-}
-
-// RunLoop refreshes intelligence and runs one monitoring round every
-// interval until the context ends (the paper's "e.g., at midnight every
-// day"). Decisions are delivered to onDecision (nil to ignore); errors on
-// individual rounds are logged and do not stop the loop.
-func (c *Controller) RunLoop(ctx context.Context, interval time.Duration, onDecision func(core.Decision)) error {
-	if interval <= 0 {
-		return fmt.Errorf("controlplane: non-positive monitoring interval")
-	}
-	ticker := time.NewTicker(interval)
-	defer ticker.Stop()
-	for {
-		select {
-		case <-ctx.Done():
-			return ctx.Err()
-		case <-ticker.C:
-			if err := c.RefreshIntel(ctx); err != nil {
-				c.cfg.Logf("controlplane: refresh: %v", err)
-				continue
-			}
-			decision, err := c.MonitorRound(ctx)
-			if err != nil {
-				c.cfg.Logf("controlplane: monitoring round: %v", err)
-				continue
-			}
-			if onDecision != nil {
-				onDecision(decision)
-			}
-		}
 	}
 }

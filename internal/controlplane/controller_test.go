@@ -13,7 +13,6 @@ import (
 	"lazarus/internal/apps/kvs"
 	"lazarus/internal/bft"
 	"lazarus/internal/catalog"
-	"lazarus/internal/core"
 	"lazarus/internal/feeds"
 	"lazarus/internal/osint"
 	"lazarus/internal/transport"
@@ -274,41 +273,6 @@ func TestRefreshIntelRequiresData(t *testing.T) {
 	}
 	if err := ctrl.RefreshIntel(context.Background()); err == nil {
 		t.Error("refresh with no data accepted")
-	}
-}
-
-func TestRunLoopTicksAndStops(t *testing.T) {
-	now := day(2018, 1, 15)
-	ctrl, _, _ := testController(t, smallCorpus(t), func() time.Time { return now })
-	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
-	defer cancel()
-	if err := ctrl.Bootstrap(ctx); err != nil {
-		t.Fatal(err)
-	}
-	if err := ctrl.RunLoop(ctx, 0, nil); err == nil {
-		t.Error("non-positive interval accepted")
-	}
-	rounds := 0
-	loopCtx, stop := context.WithCancel(ctx)
-	done := make(chan error, 1)
-	go func() {
-		done <- ctrl.RunLoop(loopCtx, 20*time.Millisecond, func(core.Decision) {
-			rounds++
-			if rounds >= 3 {
-				stop()
-			}
-		})
-	}()
-	select {
-	case err := <-done:
-		if err == nil || loopCtx.Err() == nil {
-			t.Fatalf("loop ended unexpectedly: %v", err)
-		}
-	case <-time.After(30 * time.Second):
-		t.Fatal("loop did not stop")
-	}
-	if rounds < 3 {
-		t.Errorf("only %d rounds ran", rounds)
 	}
 }
 

@@ -251,7 +251,6 @@ func Recover(ctx context.Context, cfg Config, plant Plant) (*Controller, error) 
 		ctrlPub:    st.ctrlKey.Public().(ed25519.PublicKey),
 		ctrlPriv:   st.ctrlKey,
 		ins:        newCPInstruments(cfg.Metrics),
-		trace:      cfg.Trace,
 		wal:        cfg.WAL,
 		generation: st.generation + 1,
 		nodes:      make(map[transport.NodeID]*nodeSlot, len(plant.nodes)),

@@ -28,7 +28,6 @@ import (
 	"lazarus/internal/bft"
 	"lazarus/internal/core"
 	"lazarus/internal/deploy"
-	"lazarus/internal/metrics"
 	"lazarus/internal/transport"
 )
 
@@ -241,11 +240,6 @@ func (c *Controller) recordSwapLocked(rec SwapRecord) {
 		c.ins.swapOutcome[rec.Outcome].Inc()
 	}
 	c.ins.swapTotalUS.Observe(rec.Finished.Sub(rec.Started).Microseconds())
-	c.trace.Emit(metrics.Event{
-		Type:   metrics.EvSwapDone,
-		DurUS:  rec.Finished.Sub(rec.Started).Microseconds(),
-		Detail: fmt.Sprintf("%s->%s %s", rec.Removed, rec.Added, rec.Outcome),
-	})
 }
 
 // SetFaultPolicy installs (or clears, with nil) a deploy-layer failure
@@ -341,7 +335,7 @@ func (c *Controller) runStage(ctx context.Context, rec *SwapRecord, sw stageLog,
 		}
 		last = attemptStage(ctx, timeout, fn)
 		if last == nil {
-			c.finishStage(rec, stage, stageStart, "ok")
+			c.finishStage(stage, stageStart)
 			c.walStageOutcome(sw, true, nil)
 			return nil
 		}
@@ -354,7 +348,7 @@ func (c *Controller) runStage(ctx context.Context, rec *SwapRecord, sw stageLog,
 			break
 		}
 	}
-	c.finishStage(rec, stage, stageStart, "fail")
+	c.finishStage(stage, stageStart)
 	c.walStageOutcome(sw, false, last)
 	return fmt.Errorf("%v: %w", stage, last)
 }
@@ -373,15 +367,9 @@ func (c *Controller) walStageOutcome(sw stageLog, ok bool, cause error) {
 }
 
 // finishStage records one completed stage (all attempts and backoffs
-// included) in the per-stage duration histogram and the event trace.
-func (c *Controller) finishStage(rec *SwapRecord, stage SwapStage, start time.Time, verdict string) {
-	durUS := time.Since(start).Microseconds()
-	c.ins.swapStageUS[stage].Observe(durUS)
-	c.trace.Emit(metrics.Event{
-		Type:   metrics.EvSwapStage,
-		DurUS:  durUS,
-		Detail: fmt.Sprintf("%s->%s %v %s (retries %d)", rec.Removed, rec.Added, stage, verdict, rec.Retries),
-	})
+// included) in the per-stage duration histogram.
+func (c *Controller) finishStage(stage SwapStage, start time.Time) {
+	c.ins.swapStageUS[stage].Observe(time.Since(start).Microseconds())
 }
 
 // stageAttempt coordinates one attemptStage try with the goroutine

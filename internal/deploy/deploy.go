@@ -61,9 +61,6 @@ type BuilderConfig struct {
 	ControllerKey ed25519.PublicKey
 	// App builds the service state machine.
 	App AppFactory
-	// BootScale multiplies catalog boot times (0 = instant boot, for
-	// tests; 1 = realistic).
-	BootScale float64
 	// ReplicaTuning optionally adjusts each replica's protocol knobs.
 	ReplicaTuning func(*bft.ReplicaConfig)
 }
@@ -210,8 +207,8 @@ func (n *Node) Replica() *bft.Replica {
 }
 
 // PowerOn implements ltu.Driver: provision the OS image and start the
-// replica. Boot latency follows the image profile scaled by BootScale.
-// Injected faults (FaultPolicy) and retirement are surfaced as errors so
+// replica. Boot is instant: the image profile's boot time is
+// catalog data for the performance model, not a delay here. Injected faults (FaultPolicy) and retirement are surfaced as errors so
 // the controller's swap engine can retry or compensate.
 func (n *Node) PowerOn(osID string, joining bool) error {
 	os, err := catalog.ByID(osID)
@@ -238,9 +235,6 @@ func (n *Node) PowerOn(osID string, joining bool) error {
 	}
 	if injected != nil {
 		return injected
-	}
-	if n.builder.cfg.BootScale > 0 {
-		time.Sleep(time.Duration(float64(os.VM.BootTime) * n.builder.cfg.BootScale))
 	}
 
 	n.builder.mu.Lock()

@@ -143,34 +143,6 @@ func TestNodePowerOnValidation(t *testing.T) {
 	}
 }
 
-func TestBootScaleDelays(t *testing.T) {
-	net := transport.NewMemory(transport.MemoryConfig{Seed: 1})
-	defer net.Close()
-	ctrlPub, _, _ := ed25519.GenerateKey(rand.Reader)
-	b, err := NewBuilder(BuilderConfig{
-		Net:           net,
-		ControllerKey: ctrlPub,
-		App:           func() bft.Application { return workload.EchoApp{} },
-		BootScale:     0.001, // UB16 boots in 40s -> 40ms
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	m := fourNodeMembership(t, b)
-	node, err := b.NewNode(0, func() *bft.Membership { return m.Clone() })
-	if err != nil {
-		t.Fatal(err)
-	}
-	start := time.Now()
-	if err := node.PowerOn("UB16", false); err != nil {
-		t.Fatal(err)
-	}
-	defer node.PowerOff()
-	if elapsed := time.Since(start); elapsed < 30*time.Millisecond {
-		t.Errorf("boot took %v, want >= 40ms × scale", elapsed)
-	}
-}
-
 // TestProvisionedGroupServes boots a full 4-node group via the deploy
 // layer and runs a request through it.
 func TestProvisionedGroupServes(t *testing.T) {

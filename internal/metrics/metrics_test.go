@@ -4,10 +4,8 @@ import (
 	"bytes"
 	"encoding/json"
 	"math"
-	"strings"
 	"sync"
 	"testing"
-	"time"
 )
 
 func TestCounterGaugeBasics(t *testing.T) {
@@ -244,48 +242,5 @@ func TestRegistryConcurrency(t *testing.T) {
 	}
 	if got := r.Histogram("h").Snapshot().Count; got != 8000 {
 		t.Errorf("histogram count = %d, want 8000", got)
-	}
-}
-
-func TestTracerRingAndJSONL(t *testing.T) {
-	tr := NewTracer(4)
-	base := time.Date(2026, 1, 1, 0, 0, 0, 0, time.UTC)
-	i := 0
-	tr.SetClock(func() time.Time { i++; return base.Add(time.Duration(i) * time.Second) })
-	for n := 0; n < 6; n++ {
-		tr.Emit(Event{Type: EvSwapStage, Seq: uint64(n)})
-	}
-	evs := tr.Events()
-	if len(evs) != 4 {
-		t.Fatalf("retained %d events, want 4", len(evs))
-	}
-	if evs[0].Seq != 2 || evs[3].Seq != 5 {
-		t.Errorf("ring order wrong: first=%d last=%d", evs[0].Seq, evs[3].Seq)
-	}
-	if tr.Dropped() != 2 {
-		t.Errorf("dropped = %d, want 2", tr.Dropped())
-	}
-	var buf bytes.Buffer
-	if err := tr.WriteJSONL(&buf); err != nil {
-		t.Fatal(err)
-	}
-	lines := strings.Split(strings.TrimSpace(buf.String()), "\n")
-	if len(lines) != 4 {
-		t.Fatalf("jsonl lines = %d, want 4", len(lines))
-	}
-	var e Event
-	if err := json.Unmarshal([]byte(lines[0]), &e); err != nil || e.Type != EvSwapStage {
-		t.Errorf("jsonl line does not parse: %v %+v", err, e)
-	}
-}
-
-func TestNilTracerIsSafe(t *testing.T) {
-	var tr *Tracer
-	tr.Emit(Event{Type: "x"})
-	if tr.Events() != nil || tr.Dropped() != 0 {
-		t.Error("nil tracer retained state")
-	}
-	if err := tr.WriteJSONL(&bytes.Buffer{}); err != nil {
-		t.Error(err)
 	}
 }
