@@ -65,7 +65,7 @@ func chaosRun(rounds int, seed int64, metricsOut string, controllerFaults, byzFa
 	fmt.Println()
 	fmt.Printf("rounds          %d (%d with faults, %d bombs, %d round errors)\n",
 		rep.Rounds, rep.FaultRounds, rep.Bombs, rep.RoundErrors)
-	fmt.Printf("swaps           %d attempted: %d succeeded, %d rolled back, %d rolled forward, %d aborted (%d stage retries)\n",
+	fmt.Printf("swaps           %d attempted: %d succeeded, %d rolled back, %d rolled forward, %d left open (%d stage retries)\n",
 		st.Attempts, st.Successes, st.Rollbacks, st.RolledForward, st.RollbackFailures, st.Retries)
 	for stage, n := range st.StageFailures {
 		fmt.Printf("  stage %-10v %d failed attempts\n", stage, n)

@@ -3,6 +3,7 @@ package bft
 import (
 	"bytes"
 	"context"
+	"crypto/ed25519"
 	"fmt"
 	"sync"
 	"testing"
@@ -433,6 +434,55 @@ func TestMembershipHelpers(t *testing.T) {
 	}
 	if m.Digest() == added.Digest() {
 		t.Error("digests collide across memberships")
+	}
+}
+
+// TestPrimaryAcrossMembershipChange pins Primary(v) = Replicas[v mod n]
+// across one swap's ADD and REMOVE. The view does not change with the
+// epoch, so at a fixed view either change can hand the primary role to
+// another replica with no new-view message (ROADMAP item 0(a)). The
+// asserted values are today's; the logged moves are the rows a fix that
+// keeps the primary, or changes the view with it, must change.
+func TestPrimaryAcrossMembershipChange(t *testing.T) {
+	pub, _ := keypair(t)
+	keys := map[transport.NodeID]ed25519.PublicKey{0: pub, 1: pub, 2: pub, 3: pub}
+	before, err := NewMembership([]transport.NodeID{0, 1, 2, 3}, keys)
+	if err != nil {
+		t.Fatal(err)
+	}
+	added, err := before.WithAdded(4, pub)
+	if err != nil {
+		t.Fatal(err)
+	}
+	removed, err := added.WithRemoved(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Primary at each view: before, after the ADD of 4, after the REMOVE of 0.
+	want := [][3]transport.NodeID{
+		{0, 0, 1},
+		{1, 1, 2},
+		{2, 2, 3},
+		{3, 3, 4},
+		{0, 4, 1}, // view 4: the ADD makes the joiner primary
+		{1, 0, 2},
+	}
+	moves := 0
+	for v, w := range want {
+		view := uint64(v)
+		got := [3]transport.NodeID{before.Primary(view), added.Primary(view), removed.Primary(view)}
+		if got != w {
+			t.Errorf("view %d: primaries %v, want %v", view, got, w)
+		}
+		for i, change := range []string{"ADD", "REMOVE"} {
+			if got[i] != got[i+1] {
+				moves++
+				t.Logf("view %d: the %s moves the primary %d -> %d with no view change", view, change, got[i], got[i+1])
+			}
+		}
+	}
+	if moves != 8 {
+		t.Errorf("%d primary moves across the swap, want 8 (2 by the ADD, 6 by the REMOVE)", moves)
 	}
 }
 

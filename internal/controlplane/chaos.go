@@ -883,15 +883,10 @@ func RunChaos(ctx context.Context, cfg ChaosConfig) (*ChaosReport, error) {
 	return report, nil
 }
 
-// checkExecTraces is the Byzantine safety cross-check: it collects every
-// running replica's recent execution trace and verifies that no two
-// replicas executed different command batches at the same sequence
-// number. The attackers only control compromised replicas' *sends*, so
-// every replica's own trace is trustworthy evidence of what it executed.
-// replicaStats snapshots every running replica's protocol position for
-// liveness forensics.
-func replicaStats(c *Controller) map[transport.NodeID]bft.ReplicaStats {
+// liveReplicas collects every running replica of the controller's nodes.
+func liveReplicas(c *Controller) map[transport.NodeID]*bft.Replica {
 	c.mu.Lock()
+	defer c.mu.Unlock()
 	reps := make(map[transport.NodeID]*bft.Replica, len(c.nodes))
 	for id, slot := range c.nodes {
 		if slot == nil || slot.node == nil {
@@ -901,27 +896,26 @@ func replicaStats(c *Controller) map[transport.NodeID]bft.ReplicaStats {
 			reps[id] = r
 		}
 	}
-	c.mu.Unlock()
-	out := make(map[transport.NodeID]bft.ReplicaStats, len(reps))
-	for id, r := range reps {
+	return reps
+}
+
+// replicaStats snapshots every running replica's protocol position for
+// liveness forensics.
+func replicaStats(c *Controller) map[transport.NodeID]bft.ReplicaStats {
+	out := make(map[transport.NodeID]bft.ReplicaStats)
+	for id, r := range liveReplicas(c) {
 		out[id] = r.Stats()
 	}
 	return out
 }
 
+// checkExecTraces is the Byzantine safety cross-check: it collects every
+// running replica's recent execution trace and verifies that no two
+// replicas executed different command batches at the same sequence
+// number. The attackers only control compromised replicas' *sends*, so
+// every replica's own trace is trustworthy evidence of what it executed.
 func checkExecTraces(c *Controller) []string {
-	c.mu.Lock()
-	reps := make(map[transport.NodeID]*bft.Replica, len(c.nodes))
-	for id, slot := range c.nodes {
-		if slot == nil || slot.node == nil {
-			continue
-		}
-		if r := slot.node.Replica(); r != nil {
-			reps[id] = r
-		}
-	}
-	c.mu.Unlock()
-
+	reps := liveReplicas(c)
 	ids := make([]transport.NodeID, 0, len(reps))
 	for id := range reps {
 		ids = append(ids, id)

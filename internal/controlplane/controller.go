@@ -243,14 +243,13 @@ type Controller struct {
 	client     *bft.Client
 	started    bool
 
-	// Swap-engine telemetry (see swap.go): counters plus a bounded ring
+	// Swap-engine telemetry (see swap.go): counters plus a bounded window
 	// of structured swap records.
 	swapMu   sync.Mutex
-	counters swapCounters
+	counters SwapStats
 	swapHist []SwapRecord
-	histNext int
-	histLen  int
 	swapSeq  uint64 // WAL swap-record IDs, monotonic per log
+	open     bool   // a swap is open: the next monitor round resumes it
 }
 
 // CrashPlan decides, after a WAL record has been appended, whether the
@@ -368,6 +367,12 @@ func New(cfg Config) (*Controller, error) {
 	if err != nil {
 		return nil, err
 	}
+	return newController(cfg, builder, priv), nil
+}
+
+// newController assembles a controller around its builder and signing
+// key, which New makes and Recover takes from the plant and the log.
+func newController(cfg Config, builder *deploy.Builder, priv ed25519.PrivateKey) *Controller {
 	src := newCountingSource(cfg.Seed)
 	return &Controller{
 		cfg:      cfg,
@@ -376,13 +381,14 @@ func New(cfg Config) (*Controller, error) {
 		rng:      mrand.New(src),
 		src:      src,
 		builder:  builder,
-		ctrlPub:  pub,
+		ctrlPub:  priv.Public().(ed25519.PublicKey),
 		ctrlPriv: priv,
 		ins:      newCPInstruments(cfg.Metrics),
 		wal:      cfg.WAL,
 		nodes:    make(map[transport.NodeID]*nodeSlot),
 		osToNode: make(map[string]transport.NodeID),
-	}, nil
+		counters: SwapStats{StageFailures: make(map[SwapStage]uint64)},
+	}
 }
 
 // ControllerKey returns the public key whose signature authorizes
@@ -526,21 +532,9 @@ func (c *Controller) Bootstrap(ctx context.Context) error {
 		}
 		c.osToNode[r.ID] = slots[i].node.ID()
 	}
-	client, err := bft.NewClient(bft.ClientConfig{
-		ID:             transport.ClientIDBase + 9999,
-		Key:            c.ctrlPriv,
-		Replicas:       membership.Replicas,
-		ReplicaKeys:    membership.Keys,
-		F:              membership.F(),
-		Net:            c.cfg.Net,
-		RequestTimeout: 800 * time.Millisecond,
-		MaxAttempts:    15,
-	})
-	if err != nil {
+	if err := c.connect(transport.ClientIDBase+9999, membership); err != nil {
 		return err
 	}
-	c.client = client
-	c.started = true
 
 	// Durably record what a successor needs to re-adopt this deployment:
 	// identity first (the WAL's one immutable record), then the group,
@@ -556,6 +550,26 @@ func (c *Controller) Bootstrap(ctx context.Context) error {
 	}
 	c.cfg.Logf("controlplane: bootstrapped CONFIG %v at risk %.1f (threshold %.1f)",
 		initial.IDs(), risk, threshold)
+	return nil
+}
+
+// connect builds the control client that orders reconfigurations
+// through membership m, and marks the controller started.
+func (c *Controller) connect(id transport.NodeID, m *bft.Membership) error {
+	client, err := bft.NewClient(bft.ClientConfig{
+		ID:             id,
+		Key:            c.ctrlPriv,
+		Replicas:       m.Replicas,
+		ReplicaKeys:    m.Keys,
+		F:              m.F(),
+		Net:            c.cfg.Net,
+		RequestTimeout: 800 * time.Millisecond,
+		MaxAttempts:    15,
+	})
+	if err != nil {
+		return err
+	}
+	c.client, c.started = client, true
 	return nil
 }
 
@@ -576,29 +590,16 @@ func (c *Controller) walMembership(m *bft.Membership) error {
 // walCensusLocked snapshots the control plane into the WAL. Caller holds
 // c.mu.
 func (c *Controller) walCensusLocked() error {
-	rec := WALRecord{
-		Kind:     WALCensus,
-		NextNode: c.nextNode,
-		LTUSeq:   c.ltuSeq,
-		OSNodes:  make(map[string]transport.NodeID, len(c.osToNode)),
-	}
-	for osID, node := range c.osToNode {
-		rec.OSNodes[osID] = node
-	}
-	if c.monitor != nil {
-		rec.Config = c.monitor.Config().IDs()
-		for _, r := range c.monitor.Pool() {
-			rec.Pool = append(rec.Pool, r.ID)
-		}
-		for _, r := range c.monitor.Quarantine() {
-			rec.Quarantine = append(rec.Quarantine, r.ID)
-		}
-		rec.Threshold = c.monitor.Threshold()
-	}
-	rec.RandDraws = c.src.draws
-	stats := c.SwapStats()
-	rec.Stats = &stats
-	return c.walAppend(rec)
+	st := c.statusLocked()
+	// The counters only: a successor learns of an open swap from the log.
+	c.swapMu.Lock()
+	stats := c.counters.clone()
+	c.swapMu.Unlock()
+	return c.walAppend(WALRecord{
+		Kind: WALCensus, Config: st.Config, Pool: st.Pool, Quarantine: st.Quarantine,
+		Threshold: st.Threshold, OSNodes: st.Nodes, NextNode: c.nextNode, LTUSeq: c.ltuSeq,
+		RandDraws: c.src.draws, Stats: &stats,
+	})
 }
 
 // walCensus takes c.mu and snapshots; failures are logged, not fatal —
@@ -679,6 +680,12 @@ type Status struct {
 func (c *Controller) Status() Status {
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	return c.statusLocked()
+}
+
+// statusLocked builds the view Status returns and the census records.
+// Caller holds c.mu.
+func (c *Controller) statusLocked() Status {
 	st := Status{Nodes: make(map[string]transport.NodeID)}
 	if c.monitor != nil {
 		st.Config = c.monitor.Config().IDs()
@@ -731,7 +738,9 @@ func (c *Controller) Membership() *bft.Membership {
 // least-vulnerable quarantined replica). When a swap fails and is rolled
 // back, the returned Decision still describes the attempted replacement
 // but the lifecycle sets have been reverted — the error reports the
-// failed stage, and SwapStats/SwapHistory record the attempt.
+// failed stage, and SwapStats/SwapHistory record the attempt. A swap
+// whose compensation failed stays open, and the next round resumes it
+// before Algorithm 1 runs.
 func (c *Controller) MonitorRound(ctx context.Context) (core.Decision, error) {
 	if c.isCrashed() {
 		return core.Decision{}, ErrControllerCrashed
@@ -743,6 +752,9 @@ func (c *Controller) MonitorRound(ctx context.Context) (core.Decision, error) {
 	}
 	monitor := c.monitor
 	c.mu.Unlock()
+	if err := c.resumeOpen(ctx); err != nil {
+		return core.Decision{}, fmt.Errorf("controlplane: resuming the open swap: %w", err)
+	}
 
 	now := c.cfg.Clock()
 	roundStart := time.Now()
@@ -776,12 +788,11 @@ func (c *Controller) MonitorRound(ctx context.Context) (core.Decision, error) {
 		c.walCensus()
 		return decision, nil
 	}
+	// The swap snapshots the census itself, before it closes.
 	if swapErr := c.executeSwap(ctx, decision.Removed, decision.Added); swapErr != nil {
-		c.walCensus()
 		return decision, fmt.Errorf("controlplane: executing swap %s -> %s: %w",
 			decision.Removed.ID, decision.Added.ID, swapErr)
 	}
-	c.walCensus()
 	return decision, nil
 }
 

@@ -4,6 +4,7 @@ import (
 	"context"
 	"crypto/ed25519"
 	"crypto/rand"
+	"fmt"
 	"sort"
 	"testing"
 	"time"
@@ -271,4 +272,100 @@ func TestAttemptStageLiveSettle(t *testing.T) {
 	if !published {
 		t.Fatal("live attempt's publish did not run")
 	}
+}
+
+// TestSettleEpochBoundedInRealTime: settleEpoch's deadline runs on the
+// injected clock, which a test may freeze. With the clock frozen and the
+// members held below the epoch the controller waits for, only the wait's
+// real-time bound (SwapStageTimeout) can end it; without that bound it
+// lasted until the caller's context died.
+func TestSettleEpochBoundedInRealTime(t *testing.T) {
+	now := day(2018, 1, 15)
+	ctrl, _, _ := testController(t, smallCorpus(t), func() time.Time { return now })
+	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
+	defer cancel()
+	if err := ctrl.Bootstrap(ctx); err != nil {
+		t.Fatal(err)
+	}
+	ctrl.cfg.SwapStageTimeout = 200 * time.Millisecond
+	ahead := ctrl.Membership()
+	ahead.Epoch++ // no member will ever reach it
+	ctrl.membership.Store(ahead)
+
+	wait, cancelWait := context.WithTimeout(ctx, 20*time.Second)
+	defer cancelWait()
+	start := time.Now()
+	ctrl.settleEpoch(wait)
+	if took := time.Since(start); took > 5*time.Second {
+		t.Fatalf("settleEpoch waited %v on a frozen clock, want about the %v stage timeout", took, ctrl.cfg.SwapStageTimeout)
+	}
+}
+
+// TestFailedCompensationResumesNextRound: a swap whose compensation
+// fails stays open, leaving the group at n = 3f+2, and the next monitor
+// round resumes it before running Algorithm 1. The joiner cannot catch
+// up (its links are cut), and the controller's client is cut off while
+// the compensating REMOVE runs, so the compensation fails too. Once the
+// client is back, the next round rolls the swap back and completes a
+// fresh replacement.
+func TestFailedCompensationResumesNextRound(t *testing.T) {
+	start := time.Now()
+	base := day(2018, 1, 16)
+	rig := newRestartRig(t, smallCorpus(t), func() time.Time { return base.Add(time.Since(start)) })
+	ctrl := rig.ctrl
+	ctrl.cfg.CatchUpTimeout, ctrl.cfg.SwapStageTimeout = time.Second, time.Second
+	ctrl.cfg.SwapAttempts, ctrl.cfg.SwapBackoff = 2, 10*time.Millisecond
+	ctx, cancel := context.WithTimeout(context.Background(), 120*time.Second)
+	defer cancel()
+	if err := ctrl.Bootstrap(ctx); err != nil {
+		t.Fatal(err)
+	}
+	rig.serviceWrite(ctx, "preload", ctrl.Membership())
+	for id := transport.NodeID(0); id < 4; id++ {
+		rig.net.Cut(4, id) // the first joiner never catches up
+	}
+	if err := ctrl.RefreshIntel(ctx, sharedBomb(t, ctrl, "CVE-2018-99003", base)); err != nil {
+		t.Fatal(err)
+	}
+	controlClient := transport.ClientIDBase + 9999
+	ctrl.ScheduleCrash(func(rec WALRecord) bool {
+		if rec.Kind == WALStageIntent && rec.Compensating {
+			rig.net.Isolate(controlClient)
+		}
+		return false
+	})
+
+	if _, err := ctrl.MonitorRound(ctx); err == nil {
+		t.Fatal("round succeeded although the swap and its compensation failed")
+	}
+	if st := ctrl.SwapStats(); st.Attempts != 1 || st.RollbackFailures != 1 || st.Rollbacks+st.Successes != 0 {
+		t.Errorf("stats with the swap open = %+v, want 1 attempt, 1 rollback failure", st)
+	}
+	if len(ctrl.SwapHistory()) != 0 {
+		t.Errorf("history %+v, want the open swap unrecorded", ctrl.SwapHistory())
+	}
+	if len(checkInvariants(ctrl, 4)) == 0 {
+		t.Error("no invariant flags the open swap")
+	}
+
+	ctrl.ScheduleCrash(nil)
+	rig.net.Rejoin(controlClient)
+	d, err := ctrl.MonitorRound(ctx)
+	if err != nil {
+		t.Fatalf("round after the failed compensation: %v", err)
+	}
+	if !d.Reconfigured {
+		t.Error("the round after the resumed swap did not reconfigure")
+	}
+	for _, v := range checkInvariants(ctrl, 4) {
+		t.Errorf("invariant violation after the resumed round: %s", v)
+	}
+	var outcomes []SwapOutcome
+	for _, rec := range ctrl.SwapHistory() {
+		outcomes = append(outcomes, rec.Outcome)
+	}
+	if fmt.Sprint(outcomes) != fmt.Sprint([]SwapOutcome{SwapRolledBack, SwapSucceeded}) {
+		t.Errorf("history outcomes %v, want the resumed swap rolled back, then a success", outcomes)
+	}
+	rig.serviceWrite(ctx, "after", ctrl.Membership())
 }

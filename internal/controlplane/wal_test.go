@@ -1,7 +1,10 @@
 package controlplane
 
 import (
+	"bytes"
 	"encoding/binary"
+	"encoding/json"
+	"hash/crc32"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -191,4 +194,84 @@ func TestFileWALRejectsCorruptChecksum(t *testing.T) {
 	if len(got) != 1 || got[0].Kind != WALBootstrap {
 		t.Fatalf("after corruption: %+v, want only the first record", got)
 	}
+}
+
+// FuzzFileWAL feeds arbitrary bytes to the log decoder as a WAL file.
+// Opening and replaying must never panic. Opening keeps the longest
+// prefix of whole, checksum-valid frames; replay yields records decoded
+// from those frames only, in order; and reopening the truncated file
+// changes neither the file nor what replay yields.
+func FuzzFileWAL(f *testing.F) {
+	seed := filepath.Join(f.TempDir(), "seed.wal")
+	w, err := OpenFileWAL(seed)
+	if err != nil {
+		f.Fatal(err)
+	}
+	for _, rec := range walTestRecords() {
+		if err := w.Append(rec); err != nil {
+			f.Fatal(err)
+		}
+	}
+	if err := w.Close(); err != nil {
+		f.Fatal(err)
+	}
+	whole, err := os.ReadFile(seed)
+	if err != nil {
+		f.Fatal(err)
+	}
+	corrupt := append([]byte(nil), whole...)
+	corrupt[walHeaderSize+3] ^= 0xff
+	f.Add(whole)
+	f.Add(whole[:len(whole)-3])
+	f.Add(corrupt)
+	f.Add([]byte{})
+
+	f.Fuzz(func(t *testing.T, data []byte) {
+		path := filepath.Join(t.TempDir(), "fuzz.wal")
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		open := func() ([]byte, []WALRecord, error) {
+			w, err := OpenFileWAL(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer w.Close()
+			kept, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var recs []WALRecord
+			err = w.Replay(func(rec WALRecord) error { recs = append(recs, rec); return nil })
+			return kept, recs, err
+		}
+		kept, recs, err := open()
+		if int64(len(kept)) != validWALPrefix(data) || !bytes.Equal(kept, data[:len(kept)]) {
+			t.Fatalf("open kept %d bytes, want the %d-byte valid prefix", len(kept), validWALPrefix(data))
+		}
+		var payloads [][]byte
+		for off := 0; off < len(kept); {
+			n := int(binary.LittleEndian.Uint32(kept[off:]))
+			end := off + walHeaderSize + n
+			if end > len(kept) || crc32.ChecksumIEEE(kept[off+walHeaderSize:end]) != binary.LittleEndian.Uint32(kept[off+4:]) {
+				t.Fatalf("open kept a torn or corrupt frame at offset %d", off)
+			}
+			payloads = append(payloads, kept[off+walHeaderSize:end])
+			off = end
+		}
+		if len(recs) > len(payloads) {
+			t.Fatalf("replay yielded %d records from %d frames", len(recs), len(payloads))
+		}
+		for i, rec := range recs {
+			var want WALRecord
+			if err := json.Unmarshal(payloads[i], &want); err != nil || !reflect.DeepEqual(rec, want) {
+				t.Fatalf("record %d is not frame %d's payload: %+v", i, i, rec)
+			}
+		}
+		again, recs2, err2 := open()
+		if !bytes.Equal(again, kept) || !reflect.DeepEqual(recs2, recs) || (err == nil) != (err2 == nil) {
+			t.Fatalf("reopening changed the log: %d -> %d bytes, %d -> %d records, %v -> %v",
+				len(kept), len(again), len(recs), len(recs2), err, err2)
+		}
+	})
 }
