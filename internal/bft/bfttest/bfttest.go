@@ -10,7 +10,6 @@ import (
 	"time"
 
 	"lazarus/internal/bft"
-	"lazarus/internal/metrics"
 	"lazarus/internal/transport"
 )
 
@@ -30,27 +29,11 @@ type Options struct {
 	BatchDelay time.Duration
 	// ViewChangeTimeout overrides the replica default.
 	ViewChangeTimeout time.Duration
-	// NetConfig shapes the in-memory network.
-	NetConfig transport.MemoryConfig
-	// NetWrap, when set, wraps the in-memory network before replicas and
-	// clients take endpoints from it — e.g. a netem layer imposing WAN
-	// latency, loss and partitions. The wrapper owns shutdown of the
-	// inner network.
-	NetWrap func(*transport.Memory) transport.Network
-	// AdaptiveTimeout switches replicas to RTT-tracking progress
-	// timeouts (see bft.ReplicaConfig.AdaptiveTimeout).
-	AdaptiveTimeout bool
-	// Metrics, when set, is shared by the network and every replica, so
-	// one registry aggregates the whole cluster.
-	Metrics *metrics.Registry
 }
 
 // Cluster is a running in-process BFT deployment.
 type Cluster struct {
-	Net *transport.Memory
-	// Wrapped is the network replicas and clients actually use: the
-	// NetWrap result when set, otherwise Net itself.
-	Wrapped    transport.Network
+	Net        *transport.Memory
 	Membership *bft.Membership
 	Replicas   map[transport.NodeID]*bft.Replica
 	Apps       map[transport.NodeID]bft.Application
@@ -77,11 +60,8 @@ func Launch(appFactory AppFactory, opts Options) (*Cluster, error) {
 	if opts.Clients == 0 {
 		opts.Clients = 4
 	}
-	if opts.NetConfig.Metrics == nil {
-		opts.NetConfig.Metrics = opts.Metrics
-	}
 	c := &Cluster{
-		Net:        transport.NewMemory(opts.NetConfig),
+		Net:        transport.NewMemory(transport.MemoryConfig{}),
 		Replicas:   make(map[transport.NodeID]*bft.Replica),
 		Apps:       make(map[transport.NodeID]bft.Application),
 		opts:       opts,
@@ -90,10 +70,6 @@ func Launch(appFactory AppFactory, opts Options) (*Cluster, error) {
 		pubs:       make(map[transport.NodeID]ed25519.PublicKey),
 		clientKeys: make(map[transport.NodeID]ed25519.PublicKey),
 		clientPriv: make(map[transport.NodeID]ed25519.PrivateKey),
-	}
-	c.Wrapped = c.Net
-	if opts.NetWrap != nil {
-		c.Wrapped = opts.NetWrap(c.Net)
 	}
 	var err error
 	if c.ctrlPub, c.ctrlPriv, err = ed25519.GenerateKey(rand.Reader); err != nil {
@@ -145,15 +121,13 @@ func (c *Cluster) AddReplica(id transport.NodeID, joining bool) (*bft.Replica, e
 		Key:                c.keys[id],
 		Membership:         c.Membership,
 		App:                app,
-		Net:                c.Wrapped,
+		Net:                c.Net,
 		ClientKeys:         c.clientKeys,
 		ControllerKey:      c.ctrlPub,
 		BatchDelay:         c.opts.BatchDelay,
 		CheckpointInterval: c.opts.CheckpointInterval,
 		ViewChangeTimeout:  c.opts.ViewChangeTimeout,
-		AdaptiveTimeout:    c.opts.AdaptiveTimeout,
 		Joining:            joining,
-		Metrics:            c.opts.Metrics,
 	})
 	if err != nil {
 		return nil, err
@@ -184,9 +158,8 @@ func (c *Cluster) Client(i int) (*bft.Client, error) {
 		Replicas:       c.Membership.Replicas,
 		ReplicaKeys:    c.pubs,
 		F:              c.Membership.F(),
-		Net:            c.Wrapped,
+		Net:            c.Net,
 		RequestTimeout: 500 * time.Millisecond,
-		MaxAttempts:    12,
 	})
 }
 
@@ -199,9 +172,8 @@ func (c *Cluster) Controller() (*bft.Client, error) {
 		Replicas:       c.Membership.Replicas,
 		ReplicaKeys:    c.pubs,
 		F:              c.Membership.F(),
-		Net:            c.Wrapped,
+		Net:            c.Net,
 		RequestTimeout: 600 * time.Millisecond,
-		MaxAttempts:    12,
 	})
 }
 
@@ -210,12 +182,10 @@ func (c *Cluster) Controller() (*bft.Client, error) {
 // actually moved traffic, or for spotting silent drops in benchmarks.
 func (c *Cluster) NetStats() transport.Stats { return c.Net.Stats() }
 
-// Stop shuts every replica and the network down. Closing Wrapped
-// closes the inner network too (wrappers own inner shutdown), and when
-// no wrapper is installed Wrapped is the inner network itself.
+// Stop shuts every replica and the network down.
 func (c *Cluster) Stop() {
 	for _, r := range c.Replicas {
 		r.Stop()
 	}
-	c.Wrapped.Close()
+	c.Net.Close()
 }

@@ -87,6 +87,16 @@ type AttackerStats struct {
 	Censored    int // payloads suppressed
 }
 
+// Add folds o's counts into s.
+func (s *AttackerStats) Add(o AttackerStats) {
+	s.Intercepted += o.Intercepted
+	s.Equivocated += o.Equivocated
+	s.Garbled += o.Garbled
+	s.Replayed += o.Replayed
+	s.Corrupted += o.Corrupted
+	s.Censored += o.Censored
+}
+
 // attackerHistoryCap bounds the replay recording.
 const attackerHistoryCap = 128
 

@@ -24,16 +24,16 @@ type ClientConfig struct {
 	// Net provides the endpoint.
 	Net transport.Network
 	// RequestTimeout bounds one invocation attempt before retransmitting
-	// (default 500ms).
+	// (default 500ms). The pause before each retransmission starts at an
+	// eighth of it and doubles up to all of it: backing off keeps an
+	// open-loop surge of timed-out clients from hammering a group that is
+	// merely slow — retransmitting at full rate into a congested WAN is
+	// how load surges wedge it.
 	RequestTimeout time.Duration
-	// MaxAttempts bounds retransmissions before giving up (default 8).
+	// MaxAttempts, when positive, gives up after that many attempts; zero
+	// retransmits until the Invoke context ends, which is the bound every
+	// caller should set.
 	MaxAttempts int
-	// RetryBackoff is the pause before the second attempt, doubling per
-	// attempt up to RetryBackoffMax (defaults RequestTimeout/8 and
-	// RequestTimeout). Backing off keeps an open-loop surge of timed-out
-	// clients from hammering a group that is merely slow — retransmitting
-	// at full rate into a congested WAN is how load surges wedge it.
-	RetryBackoff, RetryBackoffMax time.Duration
 	// ReplicaKeys maps replicas to their public keys (required). Each
 	// replica's replies are MAC'd under a key derived from its public key
 	// and Key (replykey.go), and Invoke discards any reply whose MAC does
@@ -73,15 +73,6 @@ func NewClient(cfg ClientConfig) (*Client, error) {
 	}
 	if cfg.RequestTimeout <= 0 {
 		cfg.RequestTimeout = 500 * time.Millisecond
-	}
-	if cfg.MaxAttempts <= 0 {
-		cfg.MaxAttempts = 8
-	}
-	if cfg.RetryBackoff <= 0 {
-		cfg.RetryBackoff = cfg.RequestTimeout / 8
-	}
-	if cfg.RetryBackoffMax <= 0 {
-		cfg.RetryBackoffMax = cfg.RequestTimeout
 	}
 	ep, err := cfg.Net.Endpoint(cfg.ID)
 	if err != nil {
@@ -137,7 +128,8 @@ func (c *Client) Replicas() []transport.NodeID {
 func (c *Client) Close() error { return c.ep.Close() }
 
 // Invoke submits one operation and blocks until f+1 matching replies
-// arrive or the context/attempt budget is exhausted.
+// arrive or ctx ends (or MaxAttempts, when set, run out). An error for an
+// ended context wraps ctx.Err().
 func (c *Client) Invoke(ctx context.Context, op []byte) ([]byte, error) {
 	c.mu.Lock()
 	c.seq++
@@ -163,24 +155,21 @@ func (c *Client) Invoke(ctx context.Context, op []byte) ([]byte, error) {
 	}
 
 	votes := make(map[transport.NodeID][]byte)
-	backoff := c.cfg.RetryBackoff
-	for attempt := 0; attempt < c.cfg.MaxAttempts; attempt++ {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
+	backoff := c.cfg.RequestTimeout / 8
+	attempt := 0
+	for ; c.cfg.MaxAttempts <= 0 || attempt < c.cfg.MaxAttempts; attempt++ {
 		if attempt > 0 {
-			// Exponential backoff between attempts (see RetryBackoff).
+			// Exponential backoff between attempts (see RequestTimeout).
 			t := time.NewTimer(backoff)
 			select {
 			case <-t.C:
 			case <-ctx.Done():
 				t.Stop()
-				return nil, ctx.Err()
 			}
-			backoff *= 2
-			if backoff > c.cfg.RetryBackoffMax {
-				backoff = c.cfg.RetryBackoffMax
-			}
+			backoff = min(2*backoff, c.cfg.RequestTimeout)
+		}
+		if ctx.Err() != nil {
+			break
 		}
 		// Rotate which replica is contacted first on each attempt. The
 		// request still reaches every replica, but ordering starts at the
@@ -198,12 +187,13 @@ func (c *Client) Invoke(ctx context.Context, op []byte) ([]byte, error) {
 		if result, ok := c.collect(ctx, seq, member, keys, votes); ok {
 			return result, nil
 		}
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
+	}
+	if err := ctx.Err(); err != nil {
+		return nil, fmt.Errorf("bft: client %d: no quorum for request %d after %d attempts: %w",
+			c.cfg.ID, seq, attempt, err)
 	}
 	return nil, fmt.Errorf("bft: client %d: no quorum for request %d after %d attempts",
-		c.cfg.ID, seq, c.cfg.MaxAttempts)
+		c.cfg.ID, seq, attempt)
 }
 
 // collect adds the replies to request seq that arrive within one

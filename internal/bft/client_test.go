@@ -3,6 +3,9 @@ package bft
 import (
 	"context"
 	"crypto/ed25519"
+	"errors"
+	"fmt"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -139,37 +142,90 @@ func TestClientGivesUpWithoutQuorum(t *testing.T) {
 	}
 }
 
+// TestClientHonorsContext pins the one bound on a wait: Invoke gives up
+// when its context ends, with an error that wraps the context's and names
+// the client and the request, and not before — a group that stalls for
+// many request timeouts and then recovers still commits the operation.
 func TestClientHonorsContext(t *testing.T) {
-	net := transport.NewMemory(transport.MemoryConfig{})
-	defer net.Close()
-	for i := 0; i < 4; i++ {
-		if _, err := net.Endpoint(transport.NodeID(i)); err != nil {
+	t.Run("dead service", func(t *testing.T) {
+		net := transport.NewMemory(transport.MemoryConfig{})
+		defer net.Close()
+		for i := 0; i < 4; i++ {
+			if _, err := net.Endpoint(transport.NodeID(i)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		_, priv := keypair(t)
+		pubs, _ := replicaKeys(t, 4)
+		cl, err := NewClient(ClientConfig{
+			ID:          transport.ClientIDBase,
+			Key:         priv,
+			Replicas:    []transport.NodeID{0, 1, 2, 3},
+			ReplicaKeys: pubs,
+			F:           1,
+			Net:         net,
+		})
+		if err != nil {
 			t.Fatal(err)
 		}
-	}
-	_, priv := keypair(t)
-	pubs, _ := replicaKeys(t, 4)
-	cl, err := NewClient(ClientConfig{
-		ID:          transport.ClientIDBase,
-		Key:         priv,
-		Replicas:    []transport.NodeID{0, 1, 2, 3},
-		ReplicaKeys: pubs,
-		F:           1,
-		Net:         net,
+		defer cl.Close()
+		ctx, cancel := context.WithTimeout(context.Background(), 60*time.Millisecond)
+		defer cancel()
+		start := time.Now()
+		_, err = cl.Invoke(ctx, []byte("op"))
+		if err == nil {
+			t.Fatal("invoke with dead service succeeded")
+		}
+		if elapsed := time.Since(start); elapsed > time.Second {
+			t.Errorf("context deadline ignored for %v", elapsed)
+		}
+		if !errors.Is(err, context.DeadlineExceeded) {
+			t.Errorf("error %q does not wrap context.DeadlineExceeded", err)
+		}
+		if want := fmt.Sprintf("client %d: no quorum for request 1", transport.ClientIDBase); !strings.Contains(err.Error(), want) {
+			t.Errorf("error %q does not name the client and request (%q)", err, want)
+		}
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer cl.Close()
-	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Millisecond)
-	defer cancel()
-	start := time.Now()
-	if _, err := cl.Invoke(ctx, []byte("op")); err == nil {
-		t.Fatal("invoke with dead service succeeded")
-	}
-	if elapsed := time.Since(start); elapsed > time.Second {
-		t.Errorf("context deadline ignored for %v", elapsed)
-	}
+
+	t.Run("stall outlasting many attempts", func(t *testing.T) {
+		c := newCluster(t, 4, 1, nil)
+		c.start()
+		defer c.stop()
+		id := transport.ClientIDBase
+		cl, err := NewClient(ClientConfig{
+			ID:             id,
+			Key:            c.clientPriv[id],
+			Replicas:       c.membership.Replicas,
+			ReplicaKeys:    c.pubs,
+			F:              c.membership.F(),
+			Net:            c.net,
+			RequestTimeout: 20 * time.Millisecond,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer cl.Close()
+		// Every replica drops off for about 25 request timeouts: more
+		// attempts, backoff included, than any fixed budget of eight.
+		for _, r := range c.membership.Replicas {
+			c.net.Isolate(r)
+		}
+		time.AfterFunc(500*time.Millisecond, func() {
+			for _, r := range c.membership.Replicas {
+				c.net.Rejoin(r)
+			}
+		})
+		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+		defer cancel()
+		start := time.Now()
+		res, err := cl.Invoke(ctx, []byte("add 5"))
+		if err != nil {
+			t.Fatalf("invoke across a 0.5 s stall with a 5 s deadline: %v (after %v)", err, time.Since(start))
+		}
+		if decodeInt(res) != 5 {
+			t.Fatalf("result %d, want 5", decodeInt(res))
+		}
+	})
 }
 
 func TestClientIgnoresForgedReplies(t *testing.T) {

@@ -210,7 +210,6 @@ func (c *cluster) client(i int) *Client {
 		F:              c.membership.F(),
 		Net:            c.net,
 		RequestTimeout: 400 * time.Millisecond,
-		MaxAttempts:    12,
 	})
 	if err != nil {
 		c.t.Fatal(err)
@@ -231,7 +230,6 @@ func (c *cluster) controller() *Client {
 		F:              c.membership.F(),
 		Net:            c.net,
 		RequestTimeout: 500 * time.Millisecond,
-		MaxAttempts:    12,
 	})
 	if err != nil {
 		c.t.Fatal(err)

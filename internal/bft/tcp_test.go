@@ -106,7 +106,6 @@ func TestOrderingOverTCP(t *testing.T) {
 		F:              membership.F(),
 		Net:            tnet,
 		RequestTimeout: time.Second,
-		MaxAttempts:    10,
 	})
 	if err != nil {
 		t.Fatal(err)

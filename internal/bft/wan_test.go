@@ -114,7 +114,6 @@ func newWANHarness(t *testing.T, kind string) *wanHarness {
 		F:              membership.F(),
 		Net:            wnet,
 		RequestTimeout: 400 * time.Millisecond,
-		MaxAttempts:    12,
 	})
 	if err != nil {
 		t.Fatal(err)

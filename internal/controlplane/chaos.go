@@ -8,13 +8,13 @@
 package controlplane
 
 import (
-	"bytes"
 	"context"
 	"crypto/ed25519"
 	"crypto/rand"
 	"fmt"
 	mrand "math/rand"
 	"sort"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -401,41 +401,24 @@ func RunChaos(ctx context.Context, cfg ChaosConfig) (*ChaosReport, error) {
 		return nil, fmt.Errorf("chaos bootstrap: %w", err)
 	}
 
-	// The controller-down probe client: used only while the control plane
-	// is dead, to prove the execution plane keeps serving on its own.
-	var downCl *bft.Client
-	if cfg.ControllerFaults {
-		downID := transport.ClientIDBase + transport.NodeID(cfg.ClientWorkers+1)
-		downCl, err = ctrl.ServiceClient(downID, clientPrivs[downID])
+	// The probe clients, one per probe path at the ids registered above:
+	// controller-down (the execution plane serves without the control
+	// plane), Byzantine (liveness and reply integrity under attack),
+	// post-heal (every partition episode ends in a commit) and final.
+	var probeCls [4]*bft.Client
+	for i, on := range []bool{cfg.ControllerFaults, cfg.ByzFaults, wanProf != nil, true} {
+		if !on {
+			continue
+		}
+		id := transport.ClientIDBase + transport.NodeID(cfg.ClientWorkers+1+i)
+		cl, err := ctrl.ServiceClient(id, clientPrivs[id])
 		if err != nil {
 			return nil, err
 		}
-		defer downCl.Close()
+		defer cl.Close()
+		probeCls[i] = cl
 	}
-
-	// The Byzantine probe client: proves liveness and reply integrity
-	// while attacker replicas are live.
-	var byzCl *bft.Client
-	if cfg.ByzFaults {
-		byzID := transport.ClientIDBase + transport.NodeID(cfg.ClientWorkers+2)
-		byzCl, err = ctrl.ServiceClient(byzID, clientPrivs[byzID])
-		if err != nil {
-			return nil, err
-		}
-		defer byzCl.Close()
-	}
-
-	// The post-heal probe client: proves every partition episode ends in
-	// recovered commit liveness.
-	var wanCl *bft.Client
-	if wanProf != nil {
-		wanID := transport.ClientIDBase + transport.NodeID(cfg.ClientWorkers+3)
-		wanCl, err = ctrl.ServiceClient(wanID, clientPrivs[wanID])
-		if err != nil {
-			return nil, err
-		}
-		defer wanCl.Close()
-	}
+	downCl, byzCl, wanCl, finalCl := probeCls[0], probeCls[1], probeCls[2], probeCls[3]
 
 	// Client load: closed-loop KVS writers/readers that track the
 	// membership as it changes. Their errors are expected under faults
@@ -500,13 +483,7 @@ func RunChaos(ctx context.Context, cfg ChaosConfig) (*ChaosReport, error) {
 	disarmByz := func() {
 		for _, aa := range attackers {
 			net.Intercept(aa.id, nil)
-			st := aa.atk.Stats()
-			report.ByzStats.Intercepted += st.Intercepted
-			report.ByzStats.Equivocated += st.Equivocated
-			report.ByzStats.Garbled += st.Garbled
-			report.ByzStats.Replayed += st.Replayed
-			report.ByzStats.Corrupted += st.Corrupted
-			report.ByzStats.Censored += st.Censored
+			report.ByzStats.Add(aa.atk.Stats())
 		}
 		attackers = nil
 	}
@@ -525,6 +502,24 @@ func RunChaos(ctx context.Context, cfg ChaosConfig) (*ChaosReport, error) {
 		}
 	}
 
+	// The silent member and the cut link of the current round (-1: none).
+	var isolated, cutA, cutB transport.NodeID = -1, -1, -1
+	// clearFaults lifts every fault the round installed: attackers, the
+	// boot and LTU policies on c, the silent member and the cut link.
+	clearFaults := func(c *Controller) {
+		disarmByz()
+		c.SetFaultPolicy(nil)
+		ltuMode.Store(int32(ltuHealthy))
+		if isolated >= 0 {
+			net.Rejoin(isolated)
+			isolated = -1
+		}
+		if cutA >= 0 {
+			net.Heal(cutA, cutB)
+			cutA, cutB = -1, -1
+		}
+	}
+
 	for round := 0; round < cfg.Rounds; round++ {
 		if ctx.Err() != nil {
 			break
@@ -534,8 +529,6 @@ func RunChaos(ctx context.Context, cfg ChaosConfig) (*ChaosReport, error) {
 
 		// 1. Install this round's faults (last round's were cleared).
 		faulty := false
-		var isolated transport.NodeID = -1
-		var cutA, cutB transport.NodeID = -1, -1
 		bomb := rng.Float64() < cfg.BombProb
 		switch {
 		case forced[round]:
@@ -627,20 +620,11 @@ func RunChaos(ctx context.Context, cfg ChaosConfig) (*ChaosReport, error) {
 			case <-time.After(hold):
 			}
 			wnet.Revert(ep)
-			if wanCl != nil {
-				if m := cur.Membership(); m != nil {
-					wanCl.UpdateMembership(m.Replicas, m.Keys)
-				}
-				report.WANProbes++
-				op, _ := kvs.EncodeOp(kvs.Op{Kind: kvs.OpPut, Key: fmt.Sprintf("wan-r%d", round), Value: []byte("healed")})
-				ictx, cancel := context.WithTimeout(ctx, 10*time.Second)
-				_, perr := wanCl.Invoke(ictx, op)
-				cancel()
-				if perr != nil {
-					report.WANProbeErrs++
-					report.Violations = append(report.Violations,
-						fmt.Sprintf("round %d: no commit after healing %s: %v", round, ep.Desc, perr))
-				}
+			report.WANProbes++
+			if _, perr := probe(ctx, cur, wanCl, 10*time.Second, putOp(fmt.Sprintf("wan-r%d", round), "healed")); perr != nil {
+				report.WANProbeErrs++
+				report.Violations = append(report.Violations,
+					fmt.Sprintf("round %d: no commit after healing %s: %v", round, ep.Desc, perr))
 			}
 		}
 		if faulty {
@@ -698,43 +682,25 @@ func RunChaos(ctx context.Context, cfg ChaosConfig) (*ChaosReport, error) {
 			// order requests through the dead controller's last membership
 			// view. Individual probes may lose to the round's network
 			// faults; all of them failing is a violation.
-			if downCl != nil {
-				if m := cur.Membership(); m != nil {
-					downCl.UpdateMembership(m.Replicas, m.Keys)
+			served := 0
+			var perr error
+			for p := 0; p < 2; p++ {
+				report.DownProbes++
+				if _, perr = probe(ctx, cur, downCl, 3*time.Second, putOp(fmt.Sprintf("down-r%d-p%d", round, p), "ok")); perr != nil {
+					report.DownProbeErrs++
+				} else {
+					served++
 				}
-				served := 0
-				for p := 0; p < 2; p++ {
-					report.DownProbes++
-					op, _ := kvs.EncodeOp(kvs.Op{Kind: kvs.OpPut, Key: fmt.Sprintf("down-r%d-p%d", round, p), Value: []byte("ok")})
-					ictx, cancel := context.WithTimeout(ctx, 3*time.Second)
-					_, perr := downCl.Invoke(ictx, op)
-					cancel()
-					if perr != nil {
-						report.DownProbeErrs++
-					} else {
-						served++
-					}
-				}
-				if served == 0 {
-					report.Violations = append(report.Violations,
-						fmt.Sprintf("round %d: service unavailable while controller down", round))
-				}
+			}
+			if served == 0 {
+				report.Violations = append(report.Violations,
+					fmt.Sprintf("round %d: service unavailable while controller down: %v", round, perr))
 			}
 
 			// Clear the injected faults before recovery, like a restart
 			// that outlives the transient failure, then bring up the
 			// successor from the shared WAL and the surviving plant.
-			disarmByz()
-			cur.SetFaultPolicy(nil)
-			ltuMode.Store(int32(ltuHealthy))
-			if isolated >= 0 {
-				net.Rejoin(isolated)
-				isolated = -1
-			}
-			if cutA >= 0 {
-				net.Heal(cutA, cutB)
-				cutA, cutB = -1, -1
-			}
+			clearFaults(cur)
 			next, rerr := Recover(ctx, mkConfig(append([]*osint.Vulnerability(nil), published...)), cur.Plant())
 			if rerr != nil {
 				report.Violations = append(report.Violations, fmt.Sprintf("round %d: recover: %v", round, rerr))
@@ -760,10 +726,7 @@ func RunChaos(ctx context.Context, cfg ChaosConfig) (*ChaosReport, error) {
 		// demoted by view change — and the probe client must read back
 		// the true value, never a forged reply (it needs f+1 matching
 		// replies, and only the f attackers lie).
-		if len(attackers) > 0 && byzCl != nil {
-			if m := cur.Membership(); m != nil {
-				byzCl.UpdateMembership(m.Replicas, m.Keys)
-			}
+		if len(attackers) > 0 {
 			report.ByzProbes++
 			// Demoting a censoring primary takes several progress-timer
 			// firings; under WAN conditions those timers run at RTT-scaled,
@@ -773,33 +736,15 @@ func RunChaos(ctx context.Context, cfg ChaosConfig) (*ChaosReport, error) {
 				probeTimeout = 20 * time.Second
 			}
 			key := fmt.Sprintf("byz-r%d", round)
-			val := []byte(fmt.Sprintf("v%d", round))
-			want := append([]byte("VAL"), val...)
-			putOp, _ := kvs.EncodeOp(kvs.Op{Kind: kvs.OpPut, Key: key, Value: val})
+			val := fmt.Sprintf("v%d", round)
 			getOp, _ := kvs.EncodeOp(kvs.Op{Kind: kvs.OpGet, Key: key})
-			ictx, cancel := context.WithTimeout(ctx, probeTimeout)
-			_, perr := byzCl.Invoke(ictx, putOp)
-			cancel()
-			var res []byte
-			if perr == nil {
-				ictx, cancel = context.WithTimeout(ctx, probeTimeout)
-				res, perr = byzCl.Invoke(ictx, getOp)
-				cancel()
-			}
-			switch {
+			res, perr := probe(ctx, cur, byzCl, probeTimeout, putOp(key, val), getOp)
+			switch want := "VAL" + val; {
 			case perr != nil:
 				report.ByzProbeErrs++
 				report.Violations = append(report.Violations,
 					fmt.Sprintf("round %d: no progress under %s attack: %v", round, byzKind, perr))
-				// Forensics: a stalled probe means some replica is holding
-				// the quorum hostage — dump where each one stands.
-				for id, st := range replicaStats(cur) {
-					cfg.Logf("chaos: round %d: replica %d: epoch %d view %d lastExec %d low %d head %d log %d ckpts %d pending %d vcs %d xfers %d",
-						round, id, st.CurrentEpoch, st.CurrentView, st.LastExecuted,
-						st.LowWater, st.SeqHead, st.LogInstances, st.CheckpointStates,
-						st.PendingRequests, st.ViewChanges, st.StateTransfers)
-				}
-			case !bytes.Equal(res, want):
+			case string(res) != want:
 				report.ByzProbeErrs++
 				report.Violations = append(report.Violations,
 					fmt.Sprintf("round %d: %s attack forged a reply: got %q want %q", round, byzKind, res, want))
@@ -811,15 +756,7 @@ func RunChaos(ctx context.Context, cfg ChaosConfig) (*ChaosReport, error) {
 		// trace: no two replicas may have executed different commands at
 		// the same sequence number, no matter what the attackers sent.
 		byzRound := len(attackers) > 0
-		disarmByz()
-		cur.SetFaultPolicy(nil)
-		ltuMode.Store(int32(ltuHealthy))
-		if isolated >= 0 {
-			net.Rejoin(isolated)
-		}
-		if cutA >= 0 {
-			net.Heal(cutA, cutB)
-		}
+		clearFaults(cur)
 		if byzRound {
 			for _, v := range checkExecTraces(cur) {
 				report.Violations = append(report.Violations, fmt.Sprintf("round %d: %s", round, v))
@@ -846,17 +783,8 @@ func RunChaos(ctx context.Context, cfg ChaosConfig) (*ChaosReport, error) {
 
 	// Closing liveness probe: the service must still order requests
 	// through the final membership.
-	probeID := transport.ClientIDBase + transport.NodeID(probes)
-	if cl, err := ctrlP.Load().ServiceClient(probeID, clientPrivs[probeID]); err == nil {
-		pctx, cancel := context.WithTimeout(ctx, 15*time.Second)
-		op, _ := kvs.EncodeOp(kvs.Op{Kind: kvs.OpPut, Key: "chaos-final", Value: []byte("ok")})
-		if _, err := cl.Invoke(pctx, op); err != nil {
-			report.Violations = append(report.Violations, fmt.Sprintf("final liveness probe: %v", err))
-		}
-		cancel()
-		cl.Close()
-	} else {
-		report.Violations = append(report.Violations, fmt.Sprintf("final probe client: %v", err))
+	if _, err := probe(ctx, ctrlP.Load(), finalCl, 15*time.Second, putOp("chaos-final", "ok")); err != nil {
+		report.Violations = append(report.Violations, fmt.Sprintf("final liveness probe: %v", err))
 	}
 
 	fin := ctrlP.Load()
@@ -883,30 +811,68 @@ func RunChaos(ctx context.Context, cfg ChaosConfig) (*ChaosReport, error) {
 	return report, nil
 }
 
-// liveReplicas collects every running replica of the controller's nodes.
-func liveReplicas(c *Controller) map[transport.NodeID]*bft.Replica {
+// liveReplicas collects every running replica of the controller's nodes,
+// with their ids in ascending order.
+func liveReplicas(c *Controller) ([]transport.NodeID, map[transport.NodeID]*bft.Replica) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	reps := make(map[transport.NodeID]*bft.Replica, len(c.nodes))
+	ids := make([]transport.NodeID, 0, len(c.nodes))
 	for id, slot := range c.nodes {
 		if slot == nil || slot.node == nil {
 			continue
 		}
 		if r := slot.node.Replica(); r != nil {
 			reps[id] = r
+			ids = append(ids, id)
 		}
 	}
-	return reps
+	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
+	return ids, reps
 }
 
-// replicaStats snapshots every running replica's protocol position for
-// liveness forensics.
-func replicaStats(c *Controller) map[transport.NodeID]bft.ReplicaStats {
-	out := make(map[transport.NodeID]bft.ReplicaStats)
-	for id, r := range liveReplicas(c) {
-		out[id] = r.Stats()
+// probe points cl at c's current membership and runs ops through it in
+// order, each under timeout: the deadline the harness declares for this
+// probe is the only bound on its wait. It returns the last op's result.
+// A failed probe's error says where every live replica stood, so the
+// report of a stall names the replica holding it up.
+func probe(ctx context.Context, c *Controller, cl *bft.Client, timeout time.Duration, ops ...[]byte) ([]byte, error) {
+	if m := c.Membership(); m != nil {
+		cl.UpdateMembership(m.Replicas, m.Keys)
 	}
-	return out
+	var res []byte
+	for _, op := range ops {
+		ictx, cancel := context.WithTimeout(ctx, timeout)
+		var err error
+		res, err = cl.Invoke(ictx, op)
+		cancel()
+		if err != nil {
+			return nil, fmt.Errorf("%w; positions: %s", err, positions(c))
+		}
+	}
+	return res, nil
+}
+
+// putOp encodes a KVS put of value under key.
+func putOp(key, value string) []byte {
+	op, _ := kvs.EncodeOp(kvs.Op{Kind: kvs.OpPut, Key: key, Value: []byte(value)})
+	return op
+}
+
+// positions reports every running replica's protocol position, by id.
+func positions(c *Controller) string {
+	ids, reps := liveReplicas(c)
+	var b strings.Builder
+	for i, id := range ids {
+		st := reps[id].Stats()
+		if i > 0 {
+			b.WriteString("; ")
+		}
+		fmt.Fprintf(&b, "replica %d epoch %d view %d lastExec %d low %d pending %d vcs %d xfers %d",
+			id, st.CurrentEpoch, st.CurrentView, st.LastExecuted, st.LowWater,
+			st.PendingRequests, st.ViewChanges, st.StateTransfers)
+	}
+	return b.String()
 }
 
 // checkExecTraces is the Byzantine safety cross-check: it collects every
@@ -915,13 +881,7 @@ func replicaStats(c *Controller) map[transport.NodeID]bft.ReplicaStats {
 // number. The attackers only control compromised replicas' *sends*, so
 // every replica's own trace is trustworthy evidence of what it executed.
 func checkExecTraces(c *Controller) []string {
-	reps := liveReplicas(c)
-	ids := make([]transport.NodeID, 0, len(reps))
-	for id := range reps {
-		ids = append(ids, id)
-	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-
+	ids, reps := liveReplicas(c)
 	var v []string
 	nullDigest := (&bft.Batch{}).Digest()
 	kind := func(d bft.Digest) string {

@@ -2,11 +2,60 @@ package controlplane
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"strings"
 	"testing"
 	"time"
+
+	"lazarus/internal/transport"
 )
+
+// TestProbeReportsPositions pins the chaos probe's failure report: a probe
+// that cannot commit gives up at its own deadline, and its error names
+// every member with the epoch, view and last executed sequence it stands
+// at, so a stalled run says which replica held it up.
+func TestProbeReportsPositions(t *testing.T) {
+	now := day(2018, 1, 15)
+	ctrl, net, clientPriv := testController(t, smallCorpus(t), func() time.Time { return now })
+	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
+	defer cancel()
+	if err := ctrl.Bootstrap(ctx); err != nil {
+		t.Fatal(err)
+	}
+	cl, err := ctrl.ServiceClient(transport.ClientIDBase+1, clientPriv)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl.Close()
+	if _, err := probe(ctx, ctrl, cl, 15*time.Second, putOp("before", "ok")); err != nil {
+		t.Fatalf("probe of a healthy group: %v", err)
+	}
+
+	members := ctrl.Status().Members
+	for _, id := range members {
+		net.Isolate(id)
+	}
+	start := time.Now()
+	_, err = probe(ctx, ctrl, cl, 300*time.Millisecond, putOp("stalled", "ok"))
+	if err == nil {
+		t.Fatal("probe committed with every member isolated")
+	}
+	if elapsed := time.Since(start); elapsed > 5*time.Second {
+		t.Errorf("probe took %v to give up, deadline 300ms", elapsed)
+	}
+	if !errors.Is(err, context.DeadlineExceeded) {
+		t.Errorf("probe error %q does not wrap context.DeadlineExceeded", err)
+	}
+	_, reps := liveReplicas(ctrl)
+	for _, id := range members {
+		st := reps[id].Stats()
+		want := fmt.Sprintf("replica %d epoch %d view %d lastExec %d ", id, st.CurrentEpoch, st.CurrentView, st.LastExecuted)
+		if !strings.Contains(err.Error(), want) {
+			t.Errorf("probe error does not place member %d (%q):\n%v", id, want, err)
+		}
+	}
+}
 
 // TestChaosSwapHistoryReplays pins seeded reproducibility end to end:
 // two chaos runs with the same seed must produce identical swap

@@ -564,7 +564,6 @@ func (c *Controller) connect(id transport.NodeID, m *bft.Membership) error {
 		F:              m.F(),
 		Net:            c.cfg.Net,
 		RequestTimeout: 800 * time.Millisecond,
-		MaxAttempts:    15,
 	})
 	if err != nil {
 		return err

@@ -98,7 +98,6 @@ func (r *restartRig) serviceWrite(ctx context.Context, tag string, m *bft.Member
 			F:              m.F(),
 			Net:            r.net,
 			RequestTimeout: 2 * time.Second,
-			MaxAttempts:    10,
 		})
 		if err != nil {
 			r.t.Fatal(err)

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"math/rand"
 	"sync"
-	"time"
 
 	"lazarus/internal/metrics"
 )
@@ -15,12 +14,9 @@ type MemoryConfig struct {
 	// QueueDepth is each endpoint's inbox capacity (default 4096).
 	// Sends to a full inbox are dropped, as a real lossy network would.
 	QueueDepth int
-	// BaseDelay and Jitter shape per-message latency; zero means
-	// immediate delivery.
-	BaseDelay, Jitter time.Duration
 	// DropRate is the probability in [0,1) that a message is lost.
 	DropRate float64
-	// Seed drives the loss/jitter randomness.
+	// Seed drives the loss randomness.
 	Seed int64
 	// Metrics optionally registers the network's counters under
 	// "transport.memory.*"; nil keeps them Stats()-only.
@@ -28,8 +24,8 @@ type MemoryConfig struct {
 }
 
 // Memory is an in-process switchboard connecting endpoints by NodeID, with
-// programmable latency, loss, per-link cuts and partitions. It is the
-// deterministic substrate for protocol tests.
+// programmable loss, per-link cuts and partitions. It is the deterministic
+// substrate for protocol tests; latency comes from wrapping it in netem.
 type Memory struct {
 	cfg   MemoryConfig
 	stats counters
@@ -40,7 +36,6 @@ type Memory struct {
 	interceptors map[NodeID]SendInterceptor
 	rng          *rand.Rand
 	closed       bool
-	wg           sync.WaitGroup
 }
 
 // NewMemory builds an in-memory network.
@@ -147,7 +142,7 @@ func link(a, b NodeID) [2]NodeID {
 	return [2]NodeID{a, b}
 }
 
-// Close implements Network; it waits for in-flight delayed deliveries.
+// Close implements Network.
 func (m *Memory) Close() error {
 	m.mu.Lock()
 	if m.closed {
@@ -163,7 +158,6 @@ func (m *Memory) Close() error {
 	for _, ep := range eps {
 		ep.shut()
 	}
-	m.wg.Wait()
 	return nil
 }
 
@@ -172,7 +166,7 @@ func (ep *memEndpoint) ID() NodeID { return ep.id }
 
 // Send implements Endpoint. If a SendInterceptor is installed for this
 // sender, the payload is rewritten (outside the network lock) before
-// normal cut/loss/delay handling applies to each resulting payload.
+// normal cut/loss handling applies to each resulting payload.
 func (ep *memEndpoint) Send(to NodeID, payload []byte) error {
 	m := ep.net
 	m.mu.Lock()
@@ -215,21 +209,6 @@ func (ep *memEndpoint) sendOne(to NodeID, payload []byte) error {
 		return fmt.Errorf("transport: unknown destination %d", to)
 	}
 	drop := m.cfg.DropRate > 0 && m.rng.Float64() < m.cfg.DropRate
-	var delay time.Duration
-	if m.cfg.BaseDelay > 0 || m.cfg.Jitter > 0 {
-		delay = m.cfg.BaseDelay
-		if m.cfg.Jitter > 0 {
-			delay += time.Duration(m.rng.Int63n(int64(m.cfg.Jitter)))
-		}
-	}
-	delayed := !drop && delay > 0
-	if delayed {
-		// The Add must happen under m.mu, while closed is known false:
-		// Close marks the network closed under the same lock before
-		// calling Wait, so this Add is ordered before the Wait and can
-		// never race with it.
-		m.wg.Add(1)
-	}
 	m.mu.Unlock()
 	if drop {
 		st.dropsLossy.Add(1)
@@ -238,30 +217,14 @@ func (ep *memEndpoint) sendOne(to NodeID, payload []byte) error {
 	env := Envelope{From: ep.id, To: to, Payload: append([]byte(nil), payload...)}
 	st.framesSent.Add(1)
 	st.bytesSent.Add(int64(len(payload)))
-	deliver := func() {
-		select {
-		case dst.inbox <- env:
-			st.framesRecv.Add(1)
-			st.bytesRecv.Add(int64(len(env.Payload)))
-		case <-dst.closed:
-		default: // inbox full: lossy network drops
-			st.dropsInboxFull.Add(1)
-		}
+	select {
+	case dst.inbox <- env:
+		st.framesRecv.Add(1)
+		st.bytesRecv.Add(int64(len(env.Payload)))
+	case <-dst.closed:
+	default: // inbox full: lossy network drops
+		st.dropsInboxFull.Add(1)
 	}
-	if !delayed {
-		deliver()
-		return nil
-	}
-	go func() {
-		defer m.wg.Done()
-		timer := time.NewTimer(delay)
-		defer timer.Stop()
-		select {
-		case <-timer.C:
-			deliver()
-		case <-dst.closed:
-		}
-	}()
 	return nil
 }
 

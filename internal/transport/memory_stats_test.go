@@ -1,50 +1,6 @@
 package transport
 
-import (
-	"sync"
-	"testing"
-	"time"
-)
-
-// TestMemoryCloseDuringDelayedSends hammers delayed Sends concurrently
-// with Close. The old code called wg.Add for the delivery goroutine
-// after releasing the network mutex, racing with Close's wg.Wait — a
-// WaitGroup Add-after-Wait misuse that panics (and trips the race
-// detector) under teardown.
-func TestMemoryCloseDuringDelayedSends(t *testing.T) {
-	for round := 0; round < 25; round++ {
-		net := NewMemory(MemoryConfig{BaseDelay: time.Millisecond})
-		a, err := net.Endpoint(1)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, err := net.Endpoint(2); err != nil {
-			t.Fatal(err)
-		}
-		stop := make(chan struct{})
-		var wg sync.WaitGroup
-		for g := 0; g < 4; g++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for {
-					select {
-					case <-stop:
-						return
-					default:
-					}
-					if err := a.Send(2, []byte("x")); err != nil {
-						return // network closed under us: expected
-					}
-				}
-			}()
-		}
-		time.Sleep(time.Millisecond)
-		net.Close()
-		close(stop)
-		wg.Wait()
-	}
-}
+import "testing"
 
 // TestMemoryStats exercises every memory-side counter: delivered frames,
 // link-cut and injected-loss drops, and inbox-overflow drops.

@@ -1,5 +1,5 @@
 // Package transport carries messages between BFT nodes. It offers an
-// in-memory switchboard with programmable latency, loss and partitions
+// in-memory switchboard with programmable loss and partitions
 // (for deterministic protocol tests) and a TCP transport with
 // authenticated, length-prefixed frames (for multi-process deployments).
 // Both present the same interface to the BFT layer.

@@ -100,22 +100,6 @@ func TestMemoryIsolateRejoin(t *testing.T) {
 	}
 }
 
-func TestMemoryDelayDelivers(t *testing.T) {
-	net := NewMemory(MemoryConfig{BaseDelay: 10 * time.Millisecond, Jitter: 5 * time.Millisecond, Seed: 1})
-	defer net.Close()
-	a, _ := net.Endpoint(1)
-	b, _ := net.Endpoint(2)
-	start := time.Now()
-	a.Send(2, []byte("slow"))
-	env := recvOne(t, b, time.Second)
-	if elapsed := time.Since(start); elapsed < 10*time.Millisecond {
-		t.Errorf("delivered in %v, want >= 10ms", elapsed)
-	}
-	if string(env.Payload) != "slow" {
-		t.Errorf("payload = %q", env.Payload)
-	}
-}
-
 func TestMemoryDropRate(t *testing.T) {
 	net := NewMemory(MemoryConfig{DropRate: 0.5, Seed: 42})
 	defer net.Close()
