@@ -29,8 +29,8 @@ import (
 // the execution plane runs under that netem condition profile — latency,
 // loss, reordering, bandwidth caps — with scheduled partition episodes
 // (symmetric, asymmetric, isolating) that must each end in a post-heal
-// commit; the replicas switch to adaptive progress timeouts to survive
-// the conditions.
+// commit; the replicas' progress timer is then 1.2s rather than 200ms,
+// several geo3 round trips.
 func chaosRun(rounds int, seed int64, metricsOut string, controllerFaults, byzFaults bool, walPath, wanProfile string) error {
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Minute)
 	defer cancel()

@@ -13,7 +13,6 @@
 //	lazbench fig10           application throughput (KVS, SieveQ, Fabric)
 //	lazbench ablation        risk-metric ablations + threshold sweep
 //	lazbench leader          leader-placement analysis (paper §9)
-//	lazbench net             real-transport micro-run + frame/drop counters
 //	lazbench chaos [-rounds N] [-metrics-out F] [-controller-faults] [-byz-faults] [-wal F] [-wan P]
 //	                         control-plane chaos run: swaps under faults;
 //	                         -controller-faults also kills and WAL-recovers the
@@ -58,7 +57,7 @@ func run(args []string) error {
 	metricsOut := fs.String("metrics-out", "", "chaos: write the metrics registry snapshot as JSON to this file")
 	if len(args) == 0 {
 		fs.Usage()
-		return fmt.Errorf("missing subcommand (table1|fig2|fig3|fig5|fig6|table2|fig7|fig8|fig9|fig10|ablation|leader|net|chaos|all)")
+		return fmt.Errorf("missing subcommand (table1|fig2|fig3|fig5|fig6|table2|fig7|fig8|fig9|fig10|ablation|leader|chaos|all)")
 	}
 	sub := args[0]
 	if err := fs.Parse(args[1:]); err != nil {
@@ -77,13 +76,12 @@ func run(args []string) error {
 		"fig10":    func(int, int64) error { return fig10() },
 		"ablation": func(r int, s int64) error { return ablation(r, s) },
 		"leader":   func(int, int64) error { return leaderPlacement() },
-		"net":      func(int, int64) error { return netStats() },
 		"chaos": func(_ int, s int64) error {
 			return chaosRun(*rounds, s, *metricsOut, *ctrlFaults, *byzFaults, *walPath, *wan)
 		},
 	}
 	if sub == "all" {
-		for _, name := range []string{"table1", "fig2", "fig3", "table2", "fig7", "fig8", "fig9", "fig10", "net", "fig5", "fig6"} {
+		for _, name := range []string{"table1", "fig2", "fig3", "table2", "fig7", "fig8", "fig9", "fig10", "fig5", "fig6"} {
 			if err := cmds[name](*runs, *seed); err != nil {
 				return fmt.Errorf("%s: %w", name, err)
 			}

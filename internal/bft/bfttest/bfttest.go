@@ -177,11 +177,6 @@ func (c *Cluster) Controller() (*bft.Client, error) {
 	})
 }
 
-// NetStats returns the cluster network's transport counters (frames,
-// bytes and per-cause drops) — useful for asserting that a scenario
-// actually moved traffic, or for spotting silent drops in benchmarks.
-func (c *Cluster) NetStats() transport.Stats { return c.Net.Stats() }
-
 // Stop shuts every replica and the network down.
 func (c *Cluster) Stop() {
 	for _, r := range c.Replicas {

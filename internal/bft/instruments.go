@@ -8,8 +8,8 @@ import (
 
 // replicaInstruments bundles the registry-backed instruments a replica
 // updates on its hot paths. All replicas sharing a registry share these
-// instruments, giving a cluster-level view; per-replica attribution goes
-// through the event trace (Event.Node). Built from a nil registry the
+// instruments, giving a cluster-level view; per-replica figures come from
+// Replica.Stats or a registry per replica. Built from a nil registry the
 // instruments still work, they are just unregistered.
 type replicaInstruments struct {
 	// commitLatencyUS measures propose→execute per consensus instance.
@@ -58,12 +58,10 @@ type replicaInstruments struct {
 	voteRefills     *metrics.Counter
 
 	// progressTimeouts counts unproductive progress-timer firings;
-	// timeoutBackoffs counts the ones that raised the adaptive backoff
-	// level; retransmitVotes counts stuck instances whose votes the
-	// timeout re-broadcast; requestForwards counts pending requests
-	// re-forwarded to the primary.
+	// retransmitVotes counts stuck instances whose votes the timeout
+	// re-broadcast; requestForwards counts pending requests re-forwarded
+	// to the primary.
 	progressTimeouts *metrics.Counter
-	timeoutBackoffs  *metrics.Counter
 	retransmitVotes  *metrics.Counter
 	requestForwards  *metrics.Counter
 
@@ -90,7 +88,6 @@ func newReplicaInstruments(reg *metrics.Registry) replicaInstruments {
 		votesUnverified:  reg.Counter("bft.votes_unverified"),
 		voteRefills:      reg.Counter("bft.vote_refills"),
 		progressTimeouts: reg.Counter("bft.progress_timeouts"),
-		timeoutBackoffs:  reg.Counter("bft.timeout_backoffs"),
 		retransmitVotes:  reg.Counter("bft.retransmit_votes"),
 		requestForwards:  reg.Counter("bft.request_forwards"),
 

@@ -506,12 +506,7 @@ func (r *Replica) executeReady() {
 		r.updateStats(func(s *ReplicaStats) { s.Executed++ })
 		r.ins.executedBatches.Inc()
 		if !in.startedAt.IsZero() {
-			durUS := time.Since(in.startedAt).Microseconds() //lazlint:allow wallclock(commit-latency metric and, under AdaptiveTimeout, the progress timer's RTT sample below; never hashed, voted on or executed)
-			r.ins.commitLatencyUS.Observe(durUS)
-			// The same measurement feeds the adaptive progress timer:
-			// propose→execute is the consensus round trip the timer
-			// waits out. Inert when AdaptiveTimeout is off.
-			r.toctl.observe(time.Duration(durUS) * time.Microsecond)
+			r.ins.commitLatencyUS.Observe(time.Since(in.startedAt).Microseconds()) //lazlint:allow wallclock(commit-latency metric only; never hashed, voted on, executed or fed to a timer)
 		}
 		if r.ckptDue || r.lastExec%r.cfg.CheckpointInterval == 0 {
 			// One canonical checkpoint per seq, taken only after the whole
@@ -523,10 +518,7 @@ func (r *Replica) executeReady() {
 	// Progress was made: disarm, and if work remains start a fresh
 	// timeout (PBFT resets the progress timer whenever execution
 	// advances; without the reset, sustained load turns the timer into
-	// a spurious view-change generator). Execution also decays one
-	// timeout-backoff level: the suspicion behind the last unproductive
-	// timeout is being disproven.
-	r.toctl.progress()
+	// a spurious view-change generator).
 	r.disarmProgressTimer()
 	if len(r.pending) > 0 {
 		r.armProgressTimer()

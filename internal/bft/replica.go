@@ -50,16 +50,11 @@ type ReplicaConfig struct {
 	// CheckpointInterval is K, the period of checkpoints (default 128).
 	// The log window is 2K.
 	CheckpointInterval uint64
-	// ViewChangeTimeout is the request-progress timer (default 300ms).
-	// With AdaptiveTimeout it is only the pre-sample base; afterwards the
-	// timer tracks measured consensus round trips.
+	// ViewChangeTimeout is the request-progress timer (default 300ms):
+	// every arming of the timer waits exactly this long. Set it for the
+	// network the group runs on; a WAN deployment needs several of its
+	// round trips (the geo3 tests and chaos runs use 1.2s).
 	ViewChangeTimeout time.Duration
-	// AdaptiveTimeout switches the progress timer from the static
-	// ViewChangeTimeout constant to a measured-RTT base, clamped to
-	// [ViewChangeTimeout/4, 8×ViewChangeTimeout], with exponential backoff
-	// on consecutive timeouts and decay on progress (see timeoutCtl). Off
-	// by default: deterministic tests pin exact timer behaviour.
-	AdaptiveTimeout bool
 	// Joining marks a replica that starts outside the group and must
 	// state-transfer in after a reconfiguration adds it.
 	Joining bool
@@ -200,8 +195,6 @@ type Replica struct {
 	vcTarget     uint64 // highest view this replica volunteered for
 	vcTimer      *time.Timer
 	vcArmed      bool
-	// toctl drives the progress-timer duration (static or adaptive).
-	toctl timeoutCtl
 
 	// State transfer state.
 	stReplies  map[transport.NodeID]*Message
@@ -336,7 +329,6 @@ func NewReplica(cfg ReplicaConfig) (*Replica, error) {
 		inbox:        make(chan *Message, 1024),
 		ins:          newReplicaInstruments(cfg.Metrics),
 	}
-	r.toctl = newTimeoutCtl(cfg.AdaptiveTimeout, cfg.ViewChangeTimeout)
 	r.vcTimer = time.NewTimer(time.Hour)
 	if !r.vcTimer.Stop() {
 		<-r.vcTimer.C

@@ -6,14 +6,24 @@ import (
 	"lazarus/internal/transport"
 )
 
-// armProgressTimer (re)arms the request-progress timer. When it fires
-// before pending work executes, the replica suspects the primary and
-// starts a view change (PBFT's liveness mechanism).
+// retransmitInstanceCap and retransmitRequestCap bound what one progress
+// timeout re-sends: the oldest stuck instances' votes and the oldest
+// pending requests (forwarded to the primary). Oldest-first, because
+// in-order execution means only the head of the line blocks progress.
+const (
+	retransmitInstanceCap = 8
+	retransmitRequestCap  = 16
+)
+
+// armProgressTimer (re)arms the request-progress timer for
+// ViewChangeTimeout. When it fires before pending work executes, the
+// replica suspects the primary and starts a view change (PBFT's liveness
+// mechanism).
 func (r *Replica) armProgressTimer() {
 	if r.vcArmed {
 		return
 	}
-	r.vcTimer.Reset(r.toctl.timeout())
+	r.vcTimer.Reset(r.cfg.ViewChangeTimeout)
 	r.vcArmed = true
 }
 
@@ -37,13 +47,7 @@ func (r *Replica) onProgressTimeout() {
 		r.requestStateTransfer(transferJoin)
 		return
 	}
-	// The timer fired unproductively: back the next one off (adaptive
-	// mode) so a network merely slower than the estimate gets a longer
-	// second chance before the next escalation.
 	r.ins.progressTimeouts.Inc()
-	if r.toctl.onTimeout() {
-		r.ins.timeoutBackoffs.Inc()
-	}
 	if r.epochProbe > r.membership.Epoch {
 		// A member advertised a higher epoch and our state transfer has
 		// not completed: keep retrying it alongside the view change.

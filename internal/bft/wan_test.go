@@ -21,9 +21,11 @@ type wanHarness struct {
 }
 
 // newWANHarness builds and starts the cluster over the given inner
-// transport kind ("memory" or "tcp"), wrapped in a lan-profile netem
-// layer (fast links — the partition machinery is what is under test).
-func newWANHarness(t *testing.T, kind string) *wanHarness {
+// transport kind ("memory" or "tcp"), wrapped in a netem layer with the
+// named profile: "lan" for fast links, where the partition machinery is
+// what is under test, or a WAN profile to run the static progress timer
+// at that latency.
+func newWANHarness(t *testing.T, kind, profile string) *wanHarness {
 	t.Helper()
 	const n = 4
 	clientID := transport.ClientIDBase
@@ -57,11 +59,11 @@ func newWANHarness(t *testing.T, kind string) *wanHarness {
 	default:
 		t.Fatalf("unknown transport kind %q", kind)
 	}
-	lan, err := netem.ByName("lan")
+	prof, err := netem.ByName(profile)
 	if err != nil {
 		t.Fatal(err)
 	}
-	wnet := netem.Wrap(inner, netem.Config{Profile: lan, Seed: 1})
+	wnet := netem.Wrap(inner, netem.Config{Profile: prof, Seed: 1})
 
 	pubs := make(map[transport.NodeID]ed25519.PublicKey, n)
 	privs := make(map[transport.NodeID]ed25519.PrivateKey, n)
@@ -137,6 +139,9 @@ func (h *wanHarness) maxView() uint64 {
 // transports: each must stall commit progress while open (the quorum,
 // or the path to the primary, is broken and the progress timer has not
 // yet fired) and recover within a bounded number of views after heal.
+// One more row isolates the primary under geo3 (cross-region links of
+// 8–22 ms ±3 ms each way with 1% loss), at the same static 1.2s timer the
+// WAN chaos run gives its replicas.
 func TestPartitionHealingMatrix(t *testing.T) {
 	kinds := []struct {
 		name  string
@@ -153,10 +158,18 @@ func TestPartitionHealingMatrix(t *testing.T) {
 			return netem.IsolateNode(m, p)
 		}},
 	}
-	for _, tr := range []string{"memory", "tcp"} {
+	networks := []struct{ name, tr, profile, only string }{
+		{"memory", "memory", "lan", ""},
+		{"tcp", "tcp", "lan", ""},
+		{"memory-geo3", "memory", "geo3", "primary-isolated"},
+	}
+	for _, nw := range networks {
 		for _, kind := range kinds {
-			t.Run(tr+"/"+kind.name, func(t *testing.T) {
-				h := newWANHarness(t, tr)
+			if nw.only != "" && kind.name != nw.only {
+				continue
+			}
+			t.Run(nw.name+"/"+kind.name, func(t *testing.T) {
+				h := newWANHarness(t, nw.tr, nw.profile)
 
 				// Warm-up: the cluster commits on the conditioned network.
 				if got := decodeInt(invoke(t, h.cl, "add 1")); got != 1 {

@@ -105,14 +105,12 @@ type ChaosConfig struct {
 	// symmetric splits, asymmetric mutes and node isolations cycling per
 	// the profile's PartitionProb. Partition dice roll on their own rng
 	// stream ("wan\0"), so enabling WAN conditions does not perturb the
-	// fault or swap-decision schedule of the same seed. WAN runs switch
-	// the replicas to adaptive progress timeouts; every partitioned round
-	// must reach a post-heal commit or it is a Violation.
+	// fault or swap-decision schedule of the same seed. WAN runs set the
+	// replicas' progress timer to 1.2s (200ms in memory) and widen the
+	// swap-stage and catch-up deadlines (see RunChaos); every partitioned
+	// round must reach a post-heal commit or it is a Violation.
 	WANProfile string
 
-	// CatchUpTimeout and SwapStageTimeout override the controller's
-	// defaults (chaos wants short ones; defaults 2.5s and 2s).
-	CatchUpTimeout, SwapStageTimeout time.Duration
 	// Metrics, when set, aggregates the whole run: transport, every
 	// replica, and the controller all report into it.
 	Metrics *metrics.Registry
@@ -145,26 +143,6 @@ func (c *ChaosConfig) fill() {
 	def(&c.BombProb, 0.6)
 	def(&c.ControllerKillProb, 0.35)
 	def(&c.ByzProb, 0.5)
-	// Swap stages drive consensus operations whose latency scales with
-	// the network: the LAN-tuned 2s stage deadline aborts healthy swaps
-	// under continental RTTs (and a timing-dependent abort makes the swap
-	// history diverge between identically-seeded runs), so WAN runs get
-	// defaults with real headroom. The margin is deliberately generous —
-	// a swap landing right after a censoring-primary round waits out the
-	// backed-off view-change demotion before its reconfig can commit, and
-	// a shared CI box stretches every one of those latencies further.
-	if c.CatchUpTimeout <= 0 {
-		c.CatchUpTimeout = 2500 * time.Millisecond
-		if c.WANProfile != "" {
-			c.CatchUpTimeout = 20 * time.Second
-		}
-	}
-	if c.SwapStageTimeout <= 0 {
-		c.SwapStageTimeout = 2 * time.Second
-		if c.WANProfile != "" {
-			c.SwapStageTimeout = 15 * time.Second
-		}
-	}
 	if c.Logf == nil {
 		c.Logf = func(string, ...any) {}
 	}
@@ -274,6 +252,21 @@ func RunChaos(ctx context.Context, cfg ChaosConfig) (*ChaosReport, error) {
 			return nil, err
 		}
 	}
+	// The replicas' progress timer and the swap deadlines follow the
+	// network the run builds. In memory they are LAN-tuned. Under a netem
+	// profile a consensus round trip costs continental latency, so the
+	// progress timer waits 1.2s (several geo3 round trips, as the bft WAN
+	// tests run) and swap stages get real headroom: the LAN-tuned 2s stage
+	// deadline aborts healthy swaps under continental RTTs, and a
+	// timing-dependent abort makes the swap history diverge between
+	// identically-seeded runs. The margin is deliberately generous — a
+	// swap landing right after a censoring-primary round waits out the
+	// view changes that demote it before its reconfig can commit, and a
+	// shared CI box stretches every one of those latencies further.
+	progressTimeout, stageTimeout, catchUpTimeout := 200*time.Millisecond, 2*time.Second, 2500*time.Millisecond
+	if wanProf != nil {
+		progressTimeout, stageTimeout, catchUpTimeout = 1200*time.Millisecond, 15*time.Second, 20*time.Second
+	}
 
 	ds, err := feeds.GenerateDataset(feeds.GenConfig{
 		Seed:  cfg.Seed,
@@ -357,15 +350,11 @@ func RunChaos(ctx context.Context, cfg ChaosConfig) (*ChaosReport, error) {
 			LTUSecret:    []byte("chaos-ltu-secret"),
 			ReplicaTuning: func(rc *bft.ReplicaConfig) {
 				rc.CheckpointInterval = 8
-				rc.ViewChangeTimeout = 200 * time.Millisecond
+				rc.ViewChangeTimeout = progressTimeout
 				rc.BatchDelay = time.Millisecond
-				// WAN conditions need RTT-tracking timeouts: the 200ms
-				// static timer above is tuned for the in-memory fabric and
-				// fires spuriously under continental latency.
-				rc.AdaptiveTimeout = wanProf != nil
 			},
-			CatchUpTimeout:   cfg.CatchUpTimeout,
-			SwapStageTimeout: cfg.SwapStageTimeout,
+			CatchUpTimeout:   catchUpTimeout,
+			SwapStageTimeout: stageTimeout,
 			SwapAttempts:     2,
 			SwapBackoff:      25 * time.Millisecond,
 			SwapBackoffMax:   200 * time.Millisecond,
@@ -376,7 +365,7 @@ func RunChaos(ctx context.Context, cfg ChaosConfig) (*ChaosReport, error) {
 				case ltuFailing:
 					return fmt.Errorf("chaos: injected LTU fault on node %d", node)
 				case ltuStalling:
-					time.Sleep(cfg.SwapStageTimeout + 250*time.Millisecond)
+					time.Sleep(stageTimeout + 250*time.Millisecond)
 					return fmt.Errorf("chaos: stalled LTU on node %d", node)
 				default:
 					return nil
@@ -539,7 +528,7 @@ func RunChaos(ctx context.Context, cfg ChaosConfig) (*ChaosReport, error) {
 			cur.SetFaultPolicy(&deploy.FaultPolicy{FailPowerOnOS: allImages})
 			faulty = true
 		case rng.Float64() < cfg.BootStallProb:
-			cur.SetFaultPolicy(&deploy.FaultPolicy{StallBoot: cfg.SwapStageTimeout + 300*time.Millisecond})
+			cur.SetFaultPolicy(&deploy.FaultPolicy{StallBoot: stageTimeout + 300*time.Millisecond})
 			faulty = true
 		}
 		if !faulty && rng.Float64() < cfg.LTUFailProb {
@@ -729,8 +718,8 @@ func RunChaos(ctx context.Context, cfg ChaosConfig) (*ChaosReport, error) {
 		if len(attackers) > 0 {
 			report.ByzProbes++
 			// Demoting a censoring primary takes several progress-timer
-			// firings; under WAN conditions those timers run at RTT-scaled,
-			// backed-off values, so the probe deadline scales with them.
+			// firings; under a WAN profile each one waits the 1.2s timer,
+			// so the probe deadline scales with them.
 			probeTimeout := 5 * time.Second
 			if wanProf != nil {
 				probeTimeout = 20 * time.Second

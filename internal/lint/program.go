@@ -45,7 +45,7 @@ type CallSite struct {
 	Callee *types.Func
 	Call   *ast.CallExpr
 	// RecvRooted reports whether the call's receiver expression is
-	// derived from the caller's own receiver (r.inst(..), r.toctl.observe).
+	// derived from the caller's own receiver (r.inst(..), r.ins.viewChanges.Inc).
 	RecvRooted bool
 }
 

@@ -115,10 +115,6 @@ func Wrap(inner transport.Network, cfg Config) *Network {
 	return n
 }
 
-// Inner returns the wrapped network, for fault injection that must reach
-// the underlying transport (interceptors, crash-style link cuts).
-func (n *Network) Inner() transport.Network { return n.inner }
-
 // Profile returns the active link-condition profile.
 func (n *Network) Profile() *Profile { return n.profile }
 
@@ -192,13 +188,6 @@ func (n *Network) Revert(p *Partition) {
 	for _, e := range p.Edges {
 		delete(n.blocked, e)
 	}
-	n.mu.Unlock()
-}
-
-// HealAll removes every partition edge.
-func (n *Network) HealAll() {
-	n.mu.Lock()
-	n.blocked = make(map[[2]transport.NodeID]bool)
 	n.mu.Unlock()
 }
 
