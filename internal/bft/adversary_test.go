@@ -130,6 +130,25 @@ func TestViewChangeRejectsStaleEpoch(t *testing.T) {
 	}
 }
 
+// TestViewChangeJoinsOthersHigherView: a replica already volunteering for
+// a low view — it lagged, or its timer fired just before the others'
+// votes arrived — joins the view f+1 others volunteered for, instead of
+// escalating one view per timeout while the group waits for its vote.
+func TestViewChangeJoinsOthersHigherView(t *testing.T) {
+	c := newCluster(t, 4, 1, nil)
+	defer c.stop()
+	r := c.replicas[3]
+	r.startViewChange(1)
+	for _, from := range []transport.NodeID{1, 2} {
+		vc := &Message{Type: MsgViewChange, From: from, NewView: 6, Epoch: r.membership.Epoch}
+		vc.Sign(c.keys[from])
+		r.onViewChange(vc)
+	}
+	if r.vcTarget != 6 || r.viewChanges[6][r.cfg.ID] == nil {
+		t.Fatalf("volunteering for view %d, want view 6, which two others volunteered for", r.vcTarget)
+	}
+}
+
 // TestNewViewRejectsStaleEpoch: a NEW-VIEW replayed from before a
 // reconfiguration must not install a view.
 func TestNewViewRejectsStaleEpoch(t *testing.T) {

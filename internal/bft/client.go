@@ -35,10 +35,12 @@ type ClientConfig struct {
 	// caller should set.
 	MaxAttempts int
 	// ReplicaKeys maps replicas to their public keys (required). Each
-	// replica's replies are MAC'd under a key derived from its public key
-	// and Key (replykey.go), and Invoke discards any reply whose MAC does
-	// not verify — membership filtering alone lets anything able to spoof
-	// a member's transport id forge votes.
+	// replica shares a key with the client, derived from its public key
+	// and Key (replykey.go). Invoke MACs the copy of a request it sends a
+	// replica under that key, and discards any reply whose MAC does not
+	// verify — membership filtering alone lets anything able to spoof a
+	// member's transport id forge votes. A replica with no entry gets its
+	// copy without a MAC, and checks the signature instead.
 	ReplicaKeys map[transport.NodeID]ed25519.PublicKey
 }
 
@@ -140,10 +142,20 @@ func (c *Client) Invoke(ctx context.Context, op []byte) ([]byte, error) {
 
 	req := Request{Client: c.cfg.ID, Seq: seq, Op: op}
 	req.Sign(c.cfg.Key)
-	msg := &Message{Type: MsgRequest, From: c.cfg.ID, Request: &req}
-	payload, err := Encode(msg)
-	if err != nil {
-		return nil, err
+	// One payload per replica: each copy carries, besides the signature,
+	// the request's MAC under that replica's key, which is what a backup
+	// checks (verify.go).
+	payloads := make(map[transport.NodeID][]byte, len(replicas))
+	for _, id := range replicas {
+		msg := &Message{Type: MsgRequest, From: c.cfg.ID, Request: &req}
+		if key, ok := keys[id]; ok {
+			key.Seal(msg)
+		}
+		payload, err := Encode(msg)
+		if err != nil {
+			return nil, err
+		}
+		payloads[id] = payload
 	}
 
 	// Only replicas in this invocation's snapshot may vote: a retired
@@ -179,7 +191,7 @@ func (c *Client) Invoke(ctx context.Context, op []byte) ([]byte, error) {
 		// progress timer, not just ours, drives the view change.
 		for i := range replicas {
 			id := replicas[(i+attempt)%len(replicas)]
-			if err := c.ep.Send(id, payload); err != nil {
+			if err := c.ep.Send(id, payloads[id]); err != nil {
 				// Dead replicas are expected during reconfiguration.
 				continue
 			}

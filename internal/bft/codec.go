@@ -111,6 +111,7 @@ func appendMessage(b []byte, m *Message, err *error) []byte {
 	switch {
 	case m.Type == MsgRequest && m.Request != nil:
 		b = appendRequest(b, m.Request)
+		b = appendBlob(b, m.Sig)
 	case m.Type == MsgPrePrepare && m.Batch != nil:
 		b = append(b, m.BatchDigest[:]...)
 		b = appendBlob(b, m.Sig)
@@ -332,6 +333,7 @@ func (r *wireReader) message(m *Message, depth int) {
 	case MsgRequest:
 		m.Request = &Request{}
 		r.request(m.Request)
+		m.Sig = r.blob()
 	case MsgPrePrepare:
 		m.BatchDigest = r.digest()
 		m.Sig = r.blob()

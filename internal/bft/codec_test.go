@@ -18,7 +18,7 @@ func hotMessages() []*Message {
 	}
 	empty := Request{Client: transport.ClientIDBase, Seq: 1}
 	return []*Message{
-		{Type: MsgRequest, From: transport.ClientIDBase + 3, Request: &req},
+		{Type: MsgRequest, From: transport.ClientIDBase + 3, Request: &req, Sig: make([]byte, 32)},
 		{Type: MsgRequest, From: transport.ClientIDBase, Request: &empty},
 		{Type: MsgPrePrepare, From: 0, View: 3, SeqNo: 17, Epoch: 2,
 			Batch: &Batch{Requests: []Request{req, empty}}, BatchDigest: Digest{9, 9}, Sig: make([]byte, 64)},
@@ -179,8 +179,8 @@ func TestCodecHotSizes(t *testing.T) {
 		{&Message{Type: MsgCommit}, 65},
 		{&Message{Type: MsgPrepare, Sig: sig}, 133},
 		{&Message{Type: MsgPrePrepare, Sig: sig, Batch: &Batch{}}, 137},
-		{&Message{Type: MsgRequest, Request: &Request{Sig: sig}}, 121},
-		{&Message{Type: MsgReply, Sig: sig[:32]}, 97}, // a MAC, not a signature
+		{&Message{Type: MsgRequest, Request: &Request{Sig: sig}, Sig: sig[:32]}, 157}, // signed and MAC'd
+		{&Message{Type: MsgReply, Sig: sig[:32]}, 97},                                 // a MAC, not a signature
 	} {
 		if got := len(mustEncode(t, tc.m)); got != tc.want {
 			t.Errorf("%v encodes to %d bytes, want %d", tc.m.Type, got, tc.want)

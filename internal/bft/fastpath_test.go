@@ -301,6 +301,9 @@ func TestVerifyPoolConvergesAndCachesVerdicts(t *testing.T) {
 	if hits := reg.Counter("bft.verify_cache_hits").Value(); hits == 0 {
 		t.Error("verdict cache never hit: batched requests are re-verified from scratch")
 	}
+	if macs := reg.Counter("bft.request_macs").Value(); macs == 0 {
+		t.Error("no backup accepted a request on its MAC: the clients' MACs do not verify")
+	}
 	if off := reg.Counter("bft.verify_offloaded").Value(); off == 0 {
 		t.Error("no message was ever offloaded to the verify pool")
 	}

@@ -40,14 +40,16 @@ type replicaInstruments struct {
 	// verifyOps counts ed25519 verifications actually performed: client
 	// signatures on requests, and replica signatures on the pre-prepares
 	// and prepares that went through the dispatch path. verifyCacheHits
-	// counts request verifications skipped via the verdict cache: every
-	// cached request, including the cached part of a batch that is
-	// otherwise verified. verifyOffloaded counts messages handed to the
-	// verify pool rather than verified inline on the event loop.
-	// verifyWaits counts pre-prepares that waited for the verdict on a
-	// request at the pool instead of verifying it again (awaitVerdict).
+	// counts requests the verdict cache resolved: every cached request,
+	// including the cached part of a batch that is otherwise verified.
+	// requestMACs counts REQUESTs a backup accepted on its MAC; they are
+	// neither verifications nor cache hits. verifyOffloaded counts messages
+	// handed to the verify pool rather than verified inline on the event
+	// loop. verifyWaits counts pre-prepares that waited for the verdict on
+	// a request at the pool instead of verifying it again (awaitVerdict).
 	verifyOps       *metrics.Counter
 	verifyCacheHits *metrics.Counter
+	requestMACs     *metrics.Counter
 	verifyOffloaded *metrics.Counter
 	verifyWaits     *metrics.Counter
 	// votesUnverified counts prepares the gate parked or dropped without
@@ -83,6 +85,7 @@ func newReplicaInstruments(reg *metrics.Registry) replicaInstruments {
 		reconfigs:        reg.Counter("bft.reconfigs"),
 		verifyOps:        reg.Counter("bft.verify_ops"),
 		verifyCacheHits:  reg.Counter("bft.verify_cache_hits"),
+		requestMACs:      reg.Counter("bft.request_macs"),
 		verifyOffloaded:  reg.Counter("bft.verify_offloaded"),
 		verifyWaits:      reg.Counter("bft.verify_waits"),
 		votesUnverified:  reg.Counter("bft.votes_unverified"),

@@ -93,11 +93,11 @@ type Request struct {
 	digestSet bool
 }
 
-// The authenticated inputs — what a client or replica signature, a reply
-// MAC and a request digest cover — are canonical append encodings built
-// with codec.go's helpers: fixed-width integers, a length-prefixed blob for
-// every variable-length field and a presence byte before every optional
-// one, so no two distinct values share an input. Each starts with a tag
+// The authenticated inputs — what a client or replica signature, a
+// request or reply MAC and a request digest cover — are canonical append
+// encodings built with codec.go's helpers: fixed-width integers, a
+// length-prefixed blob for every variable-length field and a presence byte
+// before every optional one, so no two distinct values share an input. Each starts with a tag
 // naming its kind; both tags are the same length, so neither kind's input
 // is a prefix of the other's. DESIGN.md §8 tabulates the layout.
 const (
@@ -105,8 +105,8 @@ const (
 	messageInputTag = "lazarus/msg\x00"
 )
 
-// digestInput returns the byte string covered by the client signature:
-// tag client:u64 seq:u64 op:blob.
+// digestInput returns the byte string covered by the client signature
+// and the request's MACs: tag client:u64 seq:u64 op:blob.
 func (r *Request) digestInput() []byte {
 	b := make([]byte, 0, len(requestInputTag)+8+8+4+len(r.Op))
 	b = append(b, requestInputTag...)
@@ -209,16 +209,17 @@ type Message struct {
 	SnapView  uint64
 
 	// Sig authenticates the message: the sender's signature on the types
-	// that can enter certificates or state transfer, and on a reply the MAC
-	// under its (client, replica) key (replykey.go).
+	// that can enter certificates or state transfer, and on a reply or a
+	// request the MAC under the (client, replica) key of its sender and
+	// recipient (replykey.go).
 	Sig []byte
 
-	// authDone/authOK carry request-authentication verdicts computed by
-	// the verify pool (see verify.go): authOK[i] is the verdict for the
-	// i'th request the message carries. They never cross the wire —
-	// verdicts are local trust, not wire state.
+	// authDone/auth carry request-authentication verdicts computed on the
+	// loop or by the verify pool (see verify.go): auth[i] says how the
+	// i'th request the message carries authenticated, if it did. They
+	// never cross the wire — verdicts are local trust, not wire state.
 	authDone bool
-	authOK   []bool
+	auth     []verdict
 
 	// repSigDone/repSigOK carry the replica-signature verdict for
 	// pre-prepares and prepares, computed against repSigKey (captured on

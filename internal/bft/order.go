@@ -57,10 +57,11 @@ func decodeReconfigOp(payload []byte) (ReconfigOp, bool) {
 }
 
 // onRequest handles a client request: authenticate, deduplicate, queue
-// (primary) and arm the progress timer (all replicas). Authentication
-// comes first — serving the reply cache to unauthenticated senders would
-// let anyone who can name a client id trigger reply traffic toward it
-// (traffic amplification aimed at the client).
+// (all replicas; the primary proposes from its queue) and arm the progress
+// timer. Authentication comes first — serving the reply cache to
+// unauthenticated senders would let anyone who can name a client id
+// trigger reply traffic toward it (traffic amplification aimed at the
+// client).
 func (r *Replica) onRequest(msg *Message) {
 	if msg.Request == nil {
 		return
@@ -200,9 +201,11 @@ func (r *Replica) propose(force bool) {
 		// Eager calls propose partial batches only when nothing is in
 		// flight; the tick sweeps the rest.
 		(force || len(r.pending) >= batchSize || r.seq == r.lastExec) {
-		n := min(len(r.pending), batchSize)
-		batch := &Batch{Requests: append([]Request(nil), r.pending[:n]...)}
-		r.pending = r.pending[n:]
+		batch := &Batch{Requests: r.takeSigned(batchSize)}
+		n := len(batch.Requests)
+		if n == 0 {
+			break // nothing signed yet: the pool's verdicts re-enter onRequest
+		}
 		for i := range batch.Requests {
 			delete(r.pendingSet, batch.Requests[i].Digest())
 		}
@@ -226,6 +229,31 @@ func (r *Replica) propose(force bool) {
 		r.broadcast(pp)
 		r.acceptPrePrepare(pp) // the primary pre-prepares locally
 	}
+}
+
+// takeSigned takes up to n requests off the front of the pending queue
+// whose own signatures this replica verified, the only ones a primary
+// proposes. The others — accepted on a MAC while this replica was a
+// backup, or requeued from a batch it never checked — stay queued, in
+// order, and go to the verify pool (upgradeUnsigned).
+func (r *Replica) takeSigned(n int) []Request {
+	var out, unsigned []Request
+	i := 0
+	for ; i < len(r.pending) && len(out) < n; i++ {
+		req := &r.pending[i]
+		if r.verified.signed(req) {
+			out = append(out, *req)
+		} else {
+			r.upgradeUnsigned(req)
+			unsigned = append(unsigned, *req)
+		}
+	}
+	if unsigned == nil {
+		r.pending = r.pending[i:]
+	} else {
+		r.pending = append(unsigned, r.pending[i:]...)
+	}
+	return out
 }
 
 // acceptPrePrepare validates and registers a proposal, then sends
@@ -301,9 +329,10 @@ func (r *Replica) onPrePrepare(msg *Message) {
 		return
 	}
 	// Authenticate every request in the batch: a Byzantine primary must
-	// not inject operations no client signed. The verify pool normally
-	// resolved these before dispatch (verdicts ride on the message); the
-	// cached fallback covers direct calls and evicted verdicts.
+	// not inject operations no client sent. Either grade will do — this
+	// replica's MAC proves the client sent it as well as a signature does.
+	// The dispatch path resolved these before the handler ran (verdicts
+	// ride on the message); requestOK resolves direct calls inline.
 	for i := range msg.Batch.Requests {
 		if !r.requestOK(msg, i) {
 			r.cfg.Logf("replica %d: batch at seq %d carries unauthenticated request", r.cfg.ID, msg.SeqNo)

@@ -1,14 +1,17 @@
 package bft
 
-// Reply authentication. A reply needs no transferability — only the client
-// it answers must tell whether it came from the replica it names — so it
-// carries an HMAC-SHA256 instead of an ed25519 signature, under a key that
-// only that client and that replica can compute. The key comes from the
+// Reply and request MACs. A reply needs no transferability — only the
+// client it answers must tell whether it came from the replica it names —
+// so it carries an HMAC-SHA256 instead of an ed25519 signature, under a key
+// that only that client and that replica can compute. The client seals the
+// copy of each request it sends a replica under the same key, next to its
+// signature (verify.go says who checks which). The key comes from the
 // ed25519 identities both already hold: each side turns its own seed into
 // an X25519 scalar and the other's public key into an X25519 point (what
 // libsodium's crypto_sign_ed25519_{sk,pk}_to_curve25519 do), runs ECDH, and
 // hashes the shared secret under a domain tag with both public keys.
-// DESIGN.md §10 says why everything else stays signed.
+// DESIGN.md §10 says why requests keep their signature and why
+// everything else stays signed.
 
 import (
 	"crypto/ecdh"
@@ -27,7 +30,8 @@ const replyKeyTag = "lazarus/bft reply MAC v1\x00"
 // fieldP is 2^255 - 19, the field both forms of the curve are defined over.
 var fieldP = new(big.Int).Sub(new(big.Int).Lsh(big.NewInt(1), 255), big.NewInt(19))
 
-// replyKey MACs the replies one replica sends one client.
+// replyKey MACs the replies one replica sends one client, and the requests
+// that client sends that replica.
 type replyKey struct {
 	mac [sha256.Size]byte
 	// peer is the other side's ed25519 public key: a holder handed a new
@@ -104,7 +108,10 @@ func montgomeryU(pub ed25519.PublicKey) ([]byte, error) {
 	return u, nil
 }
 
-// Seal sets m.Sig to the MAC of what a replica signature would cover.
+// Seal sets m.Sig to the MAC of what a signature on m would cover: the
+// client's on a request (digestInput), a replica's on anything else
+// (signedInput). The two inputs start with different tags, so neither MAC
+// passes for the other.
 func (k *replyKey) Seal(m *Message) { m.Sig = k.sum(m) }
 
 // Verify reports whether m.Sig is the MAC Seal sets.
@@ -112,6 +119,10 @@ func (k *replyKey) Verify(m *Message) bool { return hmac.Equal(m.Sig, k.sum(m)) 
 
 func (k *replyKey) sum(m *Message) []byte {
 	h := hmac.New(sha256.New, k.mac[:])
-	h.Write(m.signedInput())
+	if m.Type == MsgRequest && m.Request != nil {
+		h.Write(m.Request.digestInput())
+	} else {
+		h.Write(m.signedInput())
+	}
 	return h.Sum(nil)
 }

@@ -1,10 +1,19 @@
 package bft
 
-// This file implements the asynchronous request-authentication path: a
-// bounded worker pool verifies ed25519 request signatures off the event
-// loop, and a digest-keyed verdict cache amortizes verification across
-// the places the same request is seen (client submission, the batched
-// pre-prepare carrying it, re-proposals after view changes).
+// This file implements request authentication and the asynchronous
+// verification path. A request authenticates at a replica on one of two
+// grades: MAC'd, when the HMAC its client sealed under the key the two
+// share (replykey.go) verifies, or signed, when its client's ed25519
+// signature verifies. A backup accepts a client's REQUEST on its MAC,
+// inline on the loop, and a request inside a pre-prepare on either grade;
+// the primary proposes only requests whose own signature it verified, so a
+// correct primary never proposes what a correct backup must reject.
+// DESIGN.md §10 says why that is enough.
+//
+// Signatures are verified by a bounded worker pool off the event loop, and
+// a digest-keyed verdict cache amortizes authentication across the places
+// the same request is seen (client submission, the batched pre-prepare
+// carrying it).
 //
 // Protocol state stays single-threaded: workers only compute signature
 // verdicts on messages the loop has handed off (channel handoff orders
@@ -24,50 +33,82 @@ package bft
 // votes whose verdict cannot be used.
 
 import (
+	"bytes"
+	"crypto/sha256"
 	"slices"
 
 	"lazarus/internal/transport"
 )
 
-// verdictCache remembers digests of requests that verified, bounded by a
-// two-generation rotation: inserts go to the current generation, lookups
-// consult both, and when the current generation fills it becomes the
-// previous one (dropping the old previous wholesale). Eviction therefore
-// never depends on map iteration order. Only positive verdicts are
-// cached: a digest covers the request minus its signature, so caching a
-// failure would let an attacker poison a digest by sending a garbage-
-// signature copy ahead of the genuine one.
+// verdict records how one request a message carries authenticated.
+type verdict uint8
+
+const (
+	unauthenticated verdict = iota // not resolved yet, or its signature failed
+	fromCache                      // the verdict cache vouched for it
+	byMAC                          // this replica's MAC on it verified
+	bySignature                    // its client signature verified
+)
+
+// verdictCache remembers the requests that authenticated, by digest,
+// bounded by a two-generation rotation: inserts go to the current
+// generation, lookups consult both, and when the current generation fills
+// it becomes the previous one (dropping the old previous wholesale).
+// Eviction therefore never depends on map iteration order. An entry holds
+// its grade: the signature that verified, or nil for a request only MAC'd
+// to this replica. A digest covers the request minus its signature, so
+// the signature is what says that this copy, and not merely some copy,
+// was signed. Only positive verdicts are cached: caching a failure would
+// let an attacker poison a digest by sending a garbage-signature copy
+// ahead of the genuine one.
 type verdictCache struct {
-	cur, prev map[Digest]struct{}
+	cur, prev map[Digest][]byte
 	cap       int
 }
 
 func newVerdictCache(capacity int) *verdictCache {
 	return &verdictCache{
-		cur: make(map[Digest]struct{}, capacity),
+		cur: make(map[Digest][]byte, capacity),
 		cap: capacity,
 	}
 }
 
-func (c *verdictCache) has(d Digest) bool {
-	if _, ok := c.cur[d]; ok {
-		return true
+func (c *verdictCache) get(d Digest) ([]byte, bool) {
+	if sig, ok := c.cur[d]; ok {
+		return sig, true
 	}
-	_, ok := c.prev[d]
+	sig, ok := c.prev[d]
+	return sig, ok
+}
+
+// has reports whether the request with digest d authenticated, on either
+// grade.
+func (c *verdictCache) has(d Digest) bool {
+	_, ok := c.get(d)
 	return ok
 }
 
-func (c *verdictCache) add(d Digest) {
-	if _, ok := c.cur[d]; ok {
+// signed reports whether req's own signature verified.
+func (c *verdictCache) signed(req *Request) bool {
+	sig, ok := c.get(req.Digest())
+	return ok && sig != nil && bytes.Equal(sig, req.Sig)
+}
+
+// add records that the request with digest d authenticated: by the
+// signature sig, or by its MAC when sig is nil. A MAC adds nothing to a
+// known verdict; a signature replaces it, so the copy verified last is the
+// one signed.
+func (c *verdictCache) add(d Digest, sig []byte) {
+	if sig == nil && c.has(d) {
 		return
 	}
 	// Rotate the generations before inserting so the size bound
 	// dominates every insert: cur never exceeds cap entries.
-	if len(c.cur) >= c.cap {
+	if _, ok := c.cur[d]; !ok && len(c.cur) >= c.cap {
 		c.prev = c.cur
-		c.cur = make(map[Digest]struct{}, c.cap)
+		c.cur = make(map[Digest][]byte, c.cap)
 	}
-	c.cur[d] = struct{}{}
+	c.cur[d] = sig
 }
 
 // numAuthReqs returns how many client requests the message carries that
@@ -108,36 +149,10 @@ func (r *Replica) ensureAuth(msg *Message) bool {
 		r.adoptVerdicts(msg)
 		return true
 	}
-	n := numAuthReqs(msg)
-	needRepSig := msg.repSigKey != nil && !msg.repSigDone
-	if n == 0 && !needRepSig {
-		msg.authDone = true
-		return true
+	if !r.resolveWithoutSignatures(msg, true) {
+		return false
 	}
-	// Resolve here, on the loop, every request the verdict cache vouches
-	// for: authMessage verifies only the others, so a batch that is partly
-	// cached, or a message offloaded only for its replica signature (which
-	// is per-message and never cached), pays for no request twice.
-	var ok []bool
-	hits := 0
-	for i := 0; i < n; i++ {
-		d := authReq(msg, i).Digest()
-		if !r.verified.has(d) {
-			if r.awaitVerdict(msg, d) {
-				return false
-			}
-			continue
-		}
-		if ok == nil {
-			ok = make([]bool, n)
-		}
-		ok[i] = true
-		hits++
-	}
-	msg.authOK = ok
-	r.ins.verifyCacheHits.Add(int64(hits))
-	if hits == n && !needRepSig {
-		msg.authDone = true
+	if msg.authDone {
 		return true
 	}
 	// Slow path: hand the whole message to the pool. If the pool is
@@ -168,6 +183,72 @@ func (r *Replica) ensureAuth(msg *Message) bool {
 	return true
 }
 
+// resolveWithoutSignatures resolves, on the loop, every request of the
+// message the verdict cache or its MAC vouches for, so that authMessage
+// verifies only the others: a batch that is partly cached, or a message
+// offloaded only for its replica signature (which is per-message and
+// never cached), pays for no request twice. What vouches depends on where
+// the request is: a REQUEST at the primary needs its own signature, one at
+// a backup is accepted on this replica's MAC, and a request in a
+// pre-prepare on either grade. It marks the message done when nothing is
+// left to verify. With wait set, a pre-prepare may park on a request at
+// the pool instead (awaitVerdict), and false reports that it did.
+func (r *Replica) resolveWithoutSignatures(msg *Message, wait bool) bool {
+	n := numAuthReqs(msg)
+	var auth []verdict
+	resolved := 0
+	for i := 0; i < n; i++ {
+		req := authReq(msg, i)
+		v := unauthenticated
+		switch {
+		case msg.Type == MsgRequest && r.primary():
+			if r.verified.signed(req) {
+				v = fromCache
+			}
+		case r.verified.has(req.Digest()):
+			v = fromCache
+		case msg.Type == MsgRequest && r.requestMACOK(msg):
+			v = byMAC
+		}
+		if v == unauthenticated {
+			if wait && r.awaitVerdict(msg, req.Digest()) {
+				return false
+			}
+			continue
+		}
+		if auth == nil {
+			auth = make([]verdict, n)
+		}
+		auth[i] = v
+		resolved++
+	}
+	msg.auth = auth
+	for _, v := range auth {
+		switch v {
+		case fromCache:
+			r.ins.verifyCacheHits.Inc()
+		case byMAC:
+			r.ins.requestMACs.Inc()
+		}
+	}
+	if resolved == n && (msg.repSigKey == nil || msg.repSigDone) {
+		msg.authDone = true
+		r.adoptVerdicts(msg)
+	}
+	return true
+}
+
+// requestMACOK reports whether a REQUEST carries this replica's MAC from
+// the client it names, under the key that seals the replies to it.
+func (r *Replica) requestMACOK(msg *Message) bool {
+	if len(msg.Sig) != sha256.Size {
+		return false // a forwarded copy, or a client that did not seal
+	}
+	_, isReconfig := decodeReconfigOp(msg.Request.Op)
+	key, err := r.replyKey(msg.Request.Client, isReconfig)
+	return err == nil && key.Verify(msg)
+}
+
 // awaitVerdict parks an admissible pre-prepare on the loop when request d
 // of its batch is at the verify pool inside a REQUEST: that verdict lands
 // soon, and verifying the same request again meanwhile changes nothing.
@@ -196,13 +277,17 @@ type verdictWait struct {
 // back with its verdict, and releases the pre-prepares waiting for it, in
 // sequence order. A positive verdict is in the cache by now; a negative
 // one sends each waiter through its own verification, so a forged copy of
-// a request cannot fail a batch that carries the genuine one.
+// a request cannot fail a batch that carries the genuine one, and drops
+// the pending copy with the same signature (upgradeUnsigned sent it).
 func (r *Replica) requestLanded(msg *Message) {
 	d := msg.Request.Digest()
 	if r.pooledReqs[d] <= 1 {
 		delete(r.pooledReqs, d)
 	} else {
 		r.pooledReqs[d]--
+	}
+	if msg.auth[0] == unauthenticated {
+		r.dropPending(msg.Request)
 	}
 	var seqs []uint64
 	for seq, w := range r.verdictWaits {
@@ -214,7 +299,7 @@ func (r *Replica) requestLanded(msg *Message) {
 	for _, seq := range seqs {
 		pp := r.verdictWaits[seq].pp
 		delete(r.verdictWaits, seq)
-		pp.noWait = !msg.authOK[0]
+		pp.noWait = msg.auth[0] == unauthenticated
 		r.dispatchPrePrepare(pp)
 	}
 }
@@ -225,19 +310,20 @@ func (r *Replica) requestLanded(msg *Message) {
 // immutable replica configuration (client and controller keys).
 func (r *Replica) authMessage(msg *Message) {
 	n := numAuthReqs(msg)
-	// The loop pre-resolved from its cache the requests it could
-	// (ensureAuth); a true verdict here is one of those, and only the
-	// rest are verified.
-	if msg.authOK == nil {
-		msg.authOK = make([]bool, n)
+	// The loop resolved what it could without a signature
+	// (resolveWithoutSignatures); only the rest are verified.
+	if msg.auth == nil {
+		msg.auth = make([]verdict, n)
 	}
 	for i := 0; i < n; i++ {
-		if msg.authOK[i] {
+		if msg.auth[i] != unauthenticated {
 			continue
 		}
 		req := authReq(msg, i)
 		req.Digest() // warm the digest cache while off the hot loop
-		msg.authOK[i] = r.verifyRequest(req)
+		if r.verifyRequest(req) {
+			msg.auth[i] = bySignature
+		}
 		r.ins.verifyOps.Inc()
 	}
 	// Replica signature (pre-prepares and prepares): the loop captured
@@ -264,63 +350,98 @@ func (r *Replica) replicaSigOK(msg *Message) bool {
 	return msg.repSigOK
 }
 
-// adoptVerdicts folds a resolved message's positive verdicts into the
-// loop-owned cache. Runs on the event loop only.
+// adoptVerdicts folds the verdicts a message's requests earned here — a
+// MAC or a signature — into the loop-owned cache. Runs on the event loop
+// only.
 func (r *Replica) adoptVerdicts(msg *Message) {
-	if len(msg.authOK) == 0 {
-		return
-	}
-	n := numAuthReqs(msg)
-	for i := 0; i < n && i < len(msg.authOK); i++ {
-		if msg.authOK[i] {
-			r.verified.add(authReq(msg, i).Digest())
+	for i, v := range msg.auth {
+		switch req := authReq(msg, i); v {
+		case byMAC:
+			r.verified.add(req.Digest(), nil)
+		case bySignature:
+			r.verified.add(req.Digest(), req.Sig)
 		}
 	}
 }
 
 // requestOK reports whether request i of the message authenticated. The
-// dispatch path resolved verdicts up front (pool or cache); direct calls
-// — re-proposals installed by a new view, white-box tests — fall back to
-// the cached synchronous check.
+// dispatch path resolved verdicts up front (ensureAuth); a direct call — a
+// white-box test, say — resolves them here, inline.
 func (r *Replica) requestOK(msg *Message, i int) bool {
-	if msg.authDone {
-		return i < len(msg.authOK) && msg.authOK[i]
-	}
-	if i >= numAuthReqs(msg) {
-		return false
-	}
-	return r.verifyRequestCached(authReq(msg, i))
-}
-
-// verifyRequestCached is the synchronous cached verification used off
-// the dispatch path. Event loop only.
-func (r *Replica) verifyRequestCached(req *Request) bool {
-	if r.verified.has(req.Digest()) {
-		r.ins.verifyCacheHits.Inc()
-		return true
-	}
-	r.ins.verifyOps.Inc()
-	if !r.verifyRequest(req) {
-		return false
-	}
-	r.verified.add(req.Digest())
-	return true
-}
-
-// verifyBatchCached authenticates every request of a batch through the
-// verdict cache. Used for re-proposals carried by view changes, where the
-// batch normally verified already under the old view and the whole scan
-// collapses to cache hits.
-func (r *Replica) verifyBatchCached(batch *Batch) bool {
-	if batch == nil {
-		return true
-	}
-	for i := range batch.Requests {
-		if !r.verifyRequestCached(&batch.Requests[i]) {
-			return false
+	if !msg.authDone {
+		r.resolveWithoutSignatures(msg, false)
+		if !msg.authDone {
+			r.authMessage(msg)
+			r.adoptVerdicts(msg)
 		}
 	}
-	return true
+	return i < len(msg.auth) && msg.auth[i] != unauthenticated
+}
+
+// upgradeUnsigned hands a pending request whose own signature this
+// primary has not verified to the verify pool, unless a copy of it is
+// there already. Its verdict re-enters through onRequest, which leaves it
+// signed and proposable or drops it. A saturated pool is tried again at
+// the next proposal: the check never runs inline, because proposing is
+// reachable from handlers that must not verify (onCommit).
+func (r *Replica) upgradeUnsigned(req *Request) {
+	d := req.Digest()
+	if r.verifyJobs == nil || r.pooledReqs[d] > 0 {
+		return
+	}
+	cp := *req
+	msg := &Message{Type: MsgRequest, From: r.cfg.ID, Request: &cp, pooled: true}
+	select {
+	case r.verifyJobs <- msg:
+		r.ins.verifyOffloaded.Inc()
+		r.pooledReqs[d]++
+	default:
+	}
+}
+
+// dropPending removes the pending copy of req if it carries req's
+// signature: that signature just failed, so no correct primary proposes
+// the copy. A copy with another signature stays — a forged copy must not
+// evict the genuine one.
+func (r *Replica) dropPending(req *Request) {
+	d := req.Digest()
+	if !r.pendingSet[d] {
+		return
+	}
+	for i := range r.pending {
+		if p := &r.pending[i]; p.Digest() == d && bytes.Equal(p.Sig, req.Sig) {
+			delete(r.pendingSet, d)
+			r.compactPending()
+			return
+		}
+	}
+}
+
+// dropUnsigned verifies the signature of every pending request this
+// replica accepted without one — on its MAC, or from a certified batch a
+// view change abandoned — and drops those that fail. A correct primary
+// never proposes them, so waiting for them must not cost it its view. It
+// reports whether it dropped any. Each signature verified here is cached,
+// so a request pays for it once.
+func (r *Replica) dropUnsigned() bool {
+	dropped := false
+	for i := range r.pending {
+		req := &r.pending[i]
+		if r.verified.signed(req) {
+			continue
+		}
+		r.ins.verifyOps.Inc()
+		if r.verifyRequest(req) {
+			r.verified.add(req.Digest(), req.Sig)
+			continue
+		}
+		delete(r.pendingSet, req.Digest())
+		dropped = true
+	}
+	if dropped {
+		r.compactPending()
+	}
+	return dropped
 }
 
 // verifyWorker is one verification worker: it takes messages the loop

@@ -108,6 +108,17 @@ func (r *Replica) onProgressTimeout() {
 			r.broadcast(&cm)
 		}
 	}
+	// A request accepted on a MAC alone is owed only if its signature
+	// verifies, since a correct primary proposes nothing else: check those
+	// before blaming the primary, and drop the ones that fail. If they were
+	// all that was owed, the primary is not at fault — otherwise a client
+	// with valid MACs and a bad signature could depose a correct primary.
+	if r.dropUnsigned() {
+		r.updateStats(func(*ReplicaStats) {})
+		if len(r.pending) == 0 && len(stuck) == 0 && !r.inViewChange {
+			return
+		}
+	}
 	// Re-forward the oldest pending (never-ordered) requests to the
 	// current primary. A request a backup holds can sit unordered for
 	// benign reasons on a lossy network — the client's frame to the
@@ -115,7 +126,8 @@ func (r *Replica) onProgressTimeout() {
 	// the only retransmission path is the client's own retry, which on a
 	// WAN round trip costs far more than a replica-to-primary hop.
 	// Requests self-authenticate (client-signed), so the primary treats a
-	// forwarded copy exactly like a direct submission. Bounded like the
+	// forwarded copy, which carries no MAC, exactly like a direct
+	// submission: it checks the signature either way. Bounded like the
 	// vote retransmission, and pointless when we are the primary.
 	if primary := r.membership.Primary(r.view); primary != r.cfg.ID {
 		n := len(r.pending)
@@ -254,29 +266,35 @@ func (r *Replica) onViewChange(msg *Message) {
 	}
 	r.recordViewChange(msg)
 	// Liveness boost (PBFT §4.5.2): if f+1 replicas already moved to a
-	// higher view, join the smallest of them even without a timeout.
-	if !r.inViewChange {
-		distinct := make(map[transport.NodeID]uint64)
-		for nv, byFrom := range r.viewChanges {
-			if nv <= r.view {
-				continue
-			}
-			for from := range byFrom {
-				if cur, ok := distinct[from]; !ok || nv < cur {
-					distinct[from] = nv
-				}
+	// higher view, join the smallest of them even without a timeout. A
+	// replica already changing views joins one above its own target: one
+	// that volunteered low — it lagged, or its timer fired just before the
+	// others' votes arrived — would otherwise escalate one view per
+	// timeout, and the group could not form a quorum until it caught up.
+	floor := r.view
+	if r.inViewChange {
+		floor = max(floor, r.vcTarget)
+	}
+	distinct := make(map[transport.NodeID]uint64)
+	for nv, byFrom := range r.viewChanges {
+		if nv <= floor {
+			continue
+		}
+		for from := range byFrom {
+			if cur, ok := distinct[from]; !ok || nv < cur {
+				distinct[from] = nv
 			}
 		}
-		if len(distinct) > r.membership.F() {
-			smallest := uint64(0)
-			for _, nv := range distinct {
-				if smallest == 0 || nv < smallest {
-					smallest = nv
-				}
+	}
+	if len(distinct) > r.membership.F() {
+		smallest := uint64(0)
+		for _, nv := range distinct {
+			if smallest == 0 || nv < smallest {
+				smallest = nv
 			}
-			r.startViewChange(smallest)
-			return
 		}
+		r.startViewChange(smallest)
+		return
 	}
 	r.maybeNewView(msg.NewView)
 }
@@ -504,12 +522,9 @@ func (r *Replica) onCatchUp(msg *Message) {
 			}
 		}
 	}
+	// The certificate is all the batch needs: of the quorum that prepared
+	// it, at least f+1 correct members authenticated every request.
 	if !validPreparedProof(&p, r.membership) {
-		return
-	}
-	// Authenticate the re-learned requests; in the honest case this is
-	// all verdict-cache hits.
-	if !r.verifyBatchCached(p.Batch) {
 		return
 	}
 	in = r.inst(msg.SeqNo)
@@ -591,13 +606,13 @@ func (r *Replica) onNewView(msg *Message) {
 		if got.From != msg.From || !got.VerifySig(ppub) {
 			return
 		}
-		// Authenticate the re-proposed requests. In the honest case every
-		// request already verified under the old view and this collapses to
-		// verdict-cache hits; it only costs signature checks when the view
-		// change carries batches we never saw.
-		if !r.verifyBatchCached(msg.PrePrepares[i].Batch) {
-			return
-		}
+		// The re-proposed requests are not checked again. A batch is
+		// either null or backed by a valid prepared certificate, and of
+		// the quorum that prepared it at least f+1 correct members
+		// authenticated every request, on a MAC or a signature. Checking
+		// signatures here would add nothing, and would let a client and a
+		// primary that collude — valid MACs, a bad signature — block every
+		// later view at the replicas that never saw the MACs.
 	}
 	r.installNewView(msg.NewView, msg.PrePrepares, maxStable(msg.NewViewMsgs))
 }
