@@ -86,6 +86,6 @@ func run() error {
 
 	// Every reply above was vouched for by f+1 replicas; a single
 	// Byzantine replica cannot forge a result.
-	fmt.Println("done: all results carried an f+1 quorum of matching replies")
+	fmt.Println("done: every write carried f+1 matching replies, every read a quorum")
 	return nil
 }

@@ -79,7 +79,40 @@ func New() *Store {
 	return s
 }
 
-var _ bft.Checkpointer = (*Store)(nil)
+var (
+	_ bft.Checkpointer = (*Store)(nil)
+	_ bft.Querier      = (*Store)(nil)
+)
+
+// ReadOnly implements bft.Querier: GET and SIZE change nothing, so
+// replicas answer them without ordering them.
+func (s *Store) ReadOnly(payload []byte) bool {
+	return len(payload) > 0 && (OpKind(payload[0]) == OpGet || OpKind(payload[0]) == OpSize)
+}
+
+// Query implements bft.Querier: it answers a GET or SIZE as Execute
+// would, under the read lock.
+func (s *Store) Query(payload []byte) []byte {
+	op, err := DecodeOp(payload)
+	if err != nil {
+		return []byte("ERR " + err.Error())
+	}
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	return s.read(op)
+}
+
+// read answers a GET or SIZE; the caller holds the lock.
+func (s *Store) read(op Op) []byte {
+	if op.Kind == OpSize {
+		return []byte(fmt.Sprintf("SIZE %d", len(s.data)))
+	}
+	v, ok := s.data[op.Key]
+	if !ok {
+		return []byte("NIL")
+	}
+	return append([]byte("VAL"), v...)
+}
 
 // Execute implements bft.Application.
 func (s *Store) Execute(payload []byte) []byte {
@@ -99,12 +132,8 @@ func (s *Store) Execute(payload []byte) []byte {
 		s.data[op.Key] = value
 		s.idx.put(op.Key, value)
 		return []byte("OK")
-	case OpGet:
-		v, ok := s.data[op.Key]
-		if !ok {
-			return []byte("NIL")
-		}
-		return append([]byte("VAL"), v...)
+	case OpGet, OpSize:
+		return s.read(op)
 	case OpDelete:
 		old, had := s.data[op.Key]
 		if !had {
@@ -114,8 +143,6 @@ func (s *Store) Execute(payload []byte) []byte {
 		delete(s.data, op.Key)
 		s.idx.remove(op.Key)
 		return []byte("OK")
-	case OpSize:
-		return []byte(fmt.Sprintf("SIZE %d", len(s.data)))
 	default:
 		return []byte(fmt.Sprintf("ERR unknown op %d", op.Kind))
 	}

@@ -56,6 +56,35 @@ func TestExecuteSemantics(t *testing.T) {
 	}
 }
 
+// TestQueryAnswersAsExecute: GET and SIZE, and only they, are read-only,
+// and Query answers them as Execute would without changing the state.
+func TestQueryAnswersAsExecute(t *testing.T) {
+	s := New()
+	enc := func(kind OpKind, k, v string) []byte {
+		op, _ := EncodeOp(Op{Kind: kind, Key: k, Value: []byte(v)})
+		return op
+	}
+	s.Execute(enc(OpPut, "a", "1"))
+	reads := [][]byte{enc(OpGet, "a", ""), enc(OpGet, "missing", ""), enc(OpSize, "", ""), {byte(OpGet), 0xff}}
+	for _, op := range reads {
+		if !s.ReadOnly(op) {
+			t.Errorf("%x is not read-only", op)
+		}
+		before, _ := s.Snapshot()
+		if q, e := s.Query(op), s.Execute(op); !bytes.Equal(q, e) {
+			t.Errorf("%x: Query %q, Execute %q", op, q, e)
+		}
+		if after, _ := s.Snapshot(); !bytes.Equal(before, after) {
+			t.Errorf("%x changed the state", op)
+		}
+	}
+	for _, op := range [][]byte{enc(OpPut, "a", "2"), enc(OpDelete, "a", ""), {99}, nil} {
+		if s.ReadOnly(op) {
+			t.Errorf("%x is read-only", op)
+		}
+	}
+}
+
 func TestSnapshotRestoreRoundTrip(t *testing.T) {
 	s := New()
 	for i := 0; i < 50; i++ {

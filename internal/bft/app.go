@@ -50,6 +50,21 @@ type StateHandle interface {
 	Release()
 }
 
+// Querier is an Application that can answer some operations without
+// ordering them. A replica answers a read-only request from its current
+// state once it has executed everything it voted to commit, and the client
+// accepts the answer only from a quorum of matching replies (read.go). An
+// Application that is not a Querier has every operation ordered.
+type Querier interface {
+	Application
+	// ReadOnly reports whether op leaves every state unchanged. It must
+	// depend on op alone, so that every replica classifies it alike.
+	ReadOnly(op []byte) bool
+	// Query returns what Execute(op) would return on the current state,
+	// without changing it. It is called only with ops ReadOnly accepts.
+	Query(op []byte) []byte
+}
+
 // snapshotCheckpointer makes any Application a Checkpointer the direct
 // way: serialize everything and hash it.
 type snapshotCheckpointer struct{ Application }
@@ -118,7 +133,10 @@ func (m *Membership) F() int { return (m.N() - 1) / 3 }
 // batch committed through one 3-of-5 quorum while a view change
 // assembled from a disjoint-but-one 3-of-5 quorum saw no prepared
 // certificate for it and nulled out an executed sequence number.
-func (m *Membership) Quorum() int { return (m.N() + m.F() + 2) / 2 }
+func (m *Membership) Quorum() int { return quorumSize(m.N(), m.F()) }
+
+// quorumSize is ⌈(n+f+1)/2⌉, the Byzantine quorum of n replicas.
+func quorumSize(n, f int) int { return (n + f + 2) / 2 }
 
 // Contains reports whether the id is a member.
 func (m *Membership) Contains(id transport.NodeID) bool {

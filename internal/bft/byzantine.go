@@ -50,6 +50,9 @@ const (
 	// AttackReplay: the replica records its own signed votes and re-sends
 	// them later, when their views, sequence numbers and epochs are
 	// stale. Freshness checks must keep the replays out of every tally.
+	// Given a frozen state (FreezeReads), it also answers reads from that
+	// state instead of the live one: the client's read quorum must keep
+	// the stale answers out.
 	AttackReplay
 	// AttackCorruptState: the replica vouches corrupted state — snapshot
 	// bytes truncated or garbled (but validly signed), checkpoint digests
@@ -85,6 +88,7 @@ type AttackerStats struct {
 	Replayed    int // stale recordings re-sent
 	Corrupted   int // state messages poisoned
 	Censored    int // payloads suppressed
+	StaleReads  int // reads answered from the frozen state
 }
 
 // Add folds o's counts into s.
@@ -95,6 +99,7 @@ func (s *AttackerStats) Add(o AttackerStats) {
 	s.Replayed += o.Replayed
 	s.Corrupted += o.Corrupted
 	s.Censored += o.Censored
+	s.StaleReads += o.StaleReads
 }
 
 // attackerHistoryCap bounds the replay recording.
@@ -113,6 +118,17 @@ type Attacker struct {
 	rng     *mrand.Rand
 	history [][]byte
 	stats   AttackerStats
+	// frozen answers reads in place of the replica's live state, and
+	// asked holds each client's latest read the replica was sent, which
+	// the replica's answer does not name (AttackReplay only).
+	frozen Querier
+	asked  map[transport.NodeID]askedRead
+}
+
+// askedRead is one client's read as the compromised replica received it.
+type askedRead struct {
+	seq uint64
+	op  []byte
 }
 
 // NewAttacker arms an attacker with a compromised replica's identity, the
@@ -128,6 +144,36 @@ func NewAttacker(id transport.NodeID, key ed25519.PrivateKey, clientKeys map[tra
 		}
 	}
 	return a
+}
+
+// FreezeReads hands the attacker a state to answer reads from: the
+// caller's copy of the replica's state when the attack was armed. Install
+// Observe on the replica's inbound traffic too, so the attacker learns
+// what each read asked. Only AttackReplay uses it.
+func (a *Attacker) FreezeReads(q Querier) {
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	a.frozen = q
+	if a.asked == nil {
+		a.asked = make(map[transport.NodeID]askedRead, len(a.replyKeys))
+	}
+}
+
+// Observe implements transport.RecvObserver: it notes the reads sent to
+// the compromised replica, for a frozen state to answer.
+func (a *Attacker) Observe(from transport.NodeID, payload []byte) {
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	if a.frozen == nil {
+		return
+	}
+	msg, err := Decode(payload)
+	if err != nil || msg.Type != MsgRequest || msg.Request.Order || msg.Request.Client != from {
+		return
+	}
+	if _, ok := a.replyKeys[from]; ok && a.frozen.ReadOnly(msg.Request.Op) {
+		a.asked[from] = askedRead{seq: msg.Request.Seq, op: msg.Request.Op}
+	}
 }
 
 // Kind returns the attack behavior.
@@ -228,11 +274,11 @@ func (a *Attacker) equivocate(to transport.NodeID, msg *Message, payload []byte)
 			a.stats.Equivocated++
 			return [][]byte{p}
 		}
-	case MsgReply:
+	case MsgReply, MsgReadReply:
 		// Forged execution result, sealed with the compromised replica's
-		// key for this client: a client counting f+1 matching replies
-		// must never accept it. A client whose public key the attacker
-		// was not given gets the genuine reply.
+		// key for this client: a client counting f+1 matching replies (a
+		// quorum for a read) must never accept it. A client whose public
+		// key the attacker was not given gets the genuine reply.
 		k, ok := a.replyKeys[to]
 		if !ok {
 			break
@@ -249,7 +295,7 @@ func (a *Attacker) equivocate(to transport.NodeID, msg *Message, payload []byte)
 }
 
 func (a *Attacker) replay(msg *Message, payload []byte) [][]byte {
-	out := [][]byte{payload}
+	out := [][]byte{a.staleRead(msg, payload)}
 	switch msg.Type {
 	case MsgPrepare, MsgCommit, MsgCheckpoint, MsgViewChange:
 		if len(a.history) < attackerHistoryCap {
@@ -264,6 +310,27 @@ func (a *Attacker) replay(msg *Message, payload []byte) [][]byte {
 		out = append(out, a.history[a.rng.Intn(len(a.history))])
 	}
 	return out
+}
+
+// staleRead rewrites a read reply to answer from the frozen state, sealed
+// like the genuine one, or returns the payload as it is.
+func (a *Attacker) staleRead(msg *Message, payload []byte) []byte {
+	if msg.Type != MsgReadReply || a.frozen == nil {
+		return payload
+	}
+	read, ok := a.asked[msg.ReplyClient]
+	if !ok || read.seq != msg.ReplySeq {
+		return payload
+	}
+	forged := *msg
+	forged.Result = a.frozen.Query(read.op)
+	a.replyKeys[msg.ReplyClient].Seal(&forged)
+	p, err := Encode(&forged)
+	if err != nil {
+		return payload
+	}
+	a.stats.StaleReads++
+	return p
 }
 
 func (a *Attacker) corruptState(msg *Message, payload []byte) [][]byte {
@@ -294,7 +361,7 @@ func (a *Attacker) corruptState(msg *Message, payload []byte) [][]byte {
 
 func (a *Attacker) censor(msg *Message, payload []byte) [][]byte {
 	switch msg.Type {
-	case MsgPrePrepare, MsgReply:
+	case MsgPrePrepare, MsgReply, MsgReadReply:
 		a.stats.Censored++
 		return nil
 	}

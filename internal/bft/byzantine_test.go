@@ -165,6 +165,50 @@ func TestAttackerReplayIsSeededDeterministic(t *testing.T) {
 	}
 }
 
+// TestAttackerAnswersReadsFromFrozenState: a replay attacker given a
+// frozen state answers the reads its replica was sent from that state,
+// validly sealed, and passes every other reply through.
+func TestAttackerAnswersReadsFromFrozenState(t *testing.T) {
+	cid := transport.ClientIDBase
+	cpub, cpriv := keypair(t)
+	pubs, privs := replicaKeys(t, 4)
+	atk := NewAttacker(0, privs[0], map[transport.NodeID]ed25519.PublicKey{cid: cpub}, AttackReplay, 99)
+	frozen := newRegisterApp()
+	frozen.regs["k"] = "old"
+	atk.FreezeReads(frozen)
+	read := Request{Client: cid, Seq: 5, Op: []byte("r k")}
+	atk.Observe(cid, mustEncode(t, &Message{Type: MsgRequest, From: cid, Request: &read}))
+
+	replicaKey, err := newReplyKey(privs[0], cpub, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	answer := func(typ MsgType, seq uint64) *Message {
+		t.Helper()
+		m := &Message{Type: typ, From: 0, Epoch: 2, ReplySeq: seq, ReplyClient: cid, Result: []byte("new")}
+		replicaKey.Seal(m)
+		got, err := Decode(atk.Intercept(cid, mustEncode(t, m))[0])
+		if err != nil {
+			t.Fatal(err)
+		}
+		return got
+	}
+	stale := answer(MsgReadReply, 5)
+	if string(stale.Result) != "old" || stale.Epoch != 2 || !deriveReplyKeys(cpriv, pubs, nil)[0].Verify(stale) {
+		t.Fatalf("read answered %q at epoch %d (sealed: %v), want the frozen state's \"old\", validly sealed",
+			stale.Result, stale.Epoch, deriveReplyKeys(cpriv, pubs, nil)[0].Verify(stale))
+	}
+	if got := answer(MsgReadReply, 6); string(got.Result) != "new" {
+		t.Errorf("reply to a read the attacker never saw became %q", got.Result)
+	}
+	if got := answer(MsgReply, 5); string(got.Result) != "new" {
+		t.Errorf("ordered reply became %q", got.Result)
+	}
+	if n := atk.Stats().StaleReads; n != 1 {
+		t.Errorf("StaleReads = %d, want 1", n)
+	}
+}
+
 // TestAttackerCorruptsSnapshotsValidlySigned: the poisoned snapshot
 // differs from the original but still verifies against the compromised
 // replica's key — only f+1 matching-copy counting can keep it out.

@@ -19,7 +19,8 @@ type ClientConfig struct {
 	Key ed25519.PrivateKey
 	// Replicas is the current replica set to talk to.
 	Replicas []transport.NodeID
-	// F is the fault threshold; f+1 matching replies accept a result.
+	// F is the fault threshold; f+1 matching replies accept an ordered
+	// result, and a quorum of n replicas, ⌈(n+F+1)/2⌉, an unordered read.
 	F int
 	// Net provides the endpoint.
 	Net transport.Network
@@ -45,7 +46,8 @@ type ClientConfig struct {
 }
 
 // Client invokes operations on the replicated service and accepts a
-// result once f+1 replicas vouch for it. Safe for sequential use; one
+// result once f+1 replicas vouch for it, or a quorum for a read answered
+// without ordering. Safe for sequential use; one
 // outstanding invocation at a time (run several Clients for concurrency).
 type Client struct {
 	cfg ClientConfig
@@ -57,6 +59,9 @@ type Client struct {
 	// modified, so an Invoke may keep reading the one it started with.
 	replyKeys map[transport.NodeID]*replyKey
 	seq       uint64
+	// epoch is the highest epoch a verified reply was stamped with; a
+	// read's unordered answers count only at it.
+	epoch uint64
 }
 
 // NewClient validates the configuration and connects the endpoint.
@@ -129,48 +134,36 @@ func (c *Client) Replicas() []transport.NodeID {
 // Close releases the client's endpoint.
 func (c *Client) Close() error { return c.ep.Close() }
 
-// Invoke submits one operation and blocks until f+1 matching replies
-// arrive or ctx ends (or MaxAttempts, when set, run out). An error for an
-// ended context wraps ctx.Err().
+// Invoke submits one operation and blocks until its result is vouched
+// for or ctx ends (or MaxAttempts, when set, run out). An ordered result
+// needs f+1 matching replies; a read the replicas answer without ordering
+// it needs a quorum of matching ones at the highest epoch seen (read.go),
+// and when those do not come the request is sent again with the Order
+// bit. An error for an ended context wraps ctx.Err().
 func (c *Client) Invoke(ctx context.Context, op []byte) ([]byte, error) {
 	c.mu.Lock()
 	c.seq++
 	seq := c.seq
 	replicas := append([]transport.NodeID(nil), c.replicas...)
 	keys := c.replyKeys
+	votes := newTally(replicas, c.cfg.F, c.epoch)
 	c.mu.Unlock()
+	defer func() {
+		c.mu.Lock()
+		c.epoch = max(c.epoch, votes.epoch)
+		c.mu.Unlock()
+	}()
 
-	req := Request{Client: c.cfg.ID, Seq: seq, Op: op}
-	req.Sign(c.cfg.Key)
-	// One payload per replica: each copy carries, besides the signature,
-	// the request's MAC under that replica's key, which is what a backup
-	// checks (verify.go).
-	payloads := make(map[transport.NodeID][]byte, len(replicas))
-	for _, id := range replicas {
-		msg := &Message{Type: MsgRequest, From: c.cfg.ID, Request: &req}
-		if key, ok := keys[id]; ok {
-			key.Seal(msg)
-		}
-		payload, err := Encode(msg)
-		if err != nil {
-			return nil, err
-		}
-		payloads[id] = payload
+	req := &Request{Client: c.cfg.ID, Seq: seq, Op: op}
+	payloads, err := c.seal(req, replicas, keys)
+	if err != nil {
+		return nil, err
 	}
-
-	// Only replicas in this invocation's snapshot may vote: a retired
-	// replica (removed by a Lazarus reconfiguration, possibly because it
-	// was compromised) must not count toward the f+1 quorum.
-	member := make(map[transport.NodeID]bool, len(replicas))
-	for _, id := range replicas {
-		member[id] = true
-	}
-
-	votes := make(map[transport.NodeID][]byte)
 	backoff := c.cfg.RequestTimeout / 8
 	attempt := 0
+	wait := false
 	for ; c.cfg.MaxAttempts <= 0 || attempt < c.cfg.MaxAttempts; attempt++ {
-		if attempt > 0 {
+		if wait {
 			// Exponential backoff between attempts (see RequestTimeout).
 			t := time.NewTimer(backoff)
 			select {
@@ -182,6 +175,15 @@ func (c *Client) Invoke(ctx context.Context, op []byte) ([]byte, error) {
 		}
 		if ctx.Err() != nil {
 			break
+		}
+		if attempt > 0 && !req.Order && len(votes.fast) > 0 {
+			// Read replies showed the op is a read, and they did not agree
+			// or too few came: ask for it to be ordered. A write goes out
+			// again as the same request, which replicas deduplicate.
+			req = &Request{Client: c.cfg.ID, Seq: seq, Op: op, Order: true}
+			if payloads, err = c.seal(req, replicas, keys); err != nil {
+				return nil, err
+			}
 		}
 		// Rotate which replica is contacted first on each attempt. The
 		// request still reaches every replica, but ordering starts at the
@@ -196,9 +198,13 @@ func (c *Client) Invoke(ctx context.Context, op []byte) ([]byte, error) {
 				continue
 			}
 		}
-		if result, ok := c.collect(ctx, seq, member, keys, votes); ok {
+		result, outcome := c.collect(ctx, seq, keys, votes, !req.Order)
+		if outcome == accepted {
 			return result, nil
 		}
+		// A read whose unordered answers cannot agree is ordered at once;
+		// an attempt that timed out backs off first.
+		wait = outcome == timedOut
 	}
 	if err := ctx.Err(); err != nil {
 		return nil, fmt.Errorf("bft: client %d: no quorum for request %d after %d attempts: %w",
@@ -208,38 +214,172 @@ func (c *Client) Invoke(ctx context.Context, op []byte) ([]byte, error) {
 		c.cfg.ID, seq, attempt)
 }
 
+// seal signs req and encodes one copy per replica: besides the signature,
+// each copy carries the request's MAC under that replica's key, which is
+// what a backup checks (verify.go) and all a read is checked by (read.go).
+func (c *Client) seal(req *Request, replicas []transport.NodeID,
+	keys map[transport.NodeID]*replyKey) (map[transport.NodeID][]byte, error) {
+	req.Sign(c.cfg.Key)
+	payloads := make(map[transport.NodeID][]byte, len(replicas))
+	for _, id := range replicas {
+		msg := &Message{Type: MsgRequest, From: c.cfg.ID, Request: req}
+		if key, ok := keys[id]; ok {
+			key.Seal(msg)
+		}
+		payload, err := Encode(msg)
+		if err != nil {
+			return nil, err
+		}
+		payloads[id] = payload
+	}
+	return payloads, nil
+}
+
+// outcome is how one attempt's wait for replies ended.
+type outcome int
+
+const (
+	timedOut  outcome = iota // the attempt's RequestTimeout ran out
+	accepted                 // a result is vouched for
+	disagreed                // the unordered answers cannot form a quorum
+)
+
 // collect adds the replies to request seq that arrive within one
-// RequestTimeout to votes, and reports the result f+1 of them agree on.
-func (c *Client) collect(ctx context.Context, seq uint64, member map[transport.NodeID]bool,
-	keys map[transport.NodeID]*replyKey, votes map[transport.NodeID][]byte) ([]byte, bool) {
+// RequestTimeout to t, and returns the result once t accepts one. With
+// fast set, it gives up early when the unordered answers so far rule out
+// a quorum of them.
+func (c *Client) collect(ctx context.Context, seq uint64, keys map[transport.NodeID]*replyKey,
+	t *replyTally, fast bool) ([]byte, outcome) {
 	ctx, cancel := context.WithTimeout(ctx, c.cfg.RequestTimeout)
 	defer cancel()
 	for {
 		env, err := c.ep.Recv(ctx)
 		if err != nil {
-			return nil, false // attempt timed out; retransmit
+			return nil, timedOut // retransmit
 		}
 		reply, err := Decode(env.Payload)
-		if err != nil || reply.Type != MsgReply || reply.ReplySeq != seq {
+		if err != nil || (reply.Type != MsgReply && reply.Type != MsgReadReply) || reply.ReplySeq != seq {
 			continue // stale or foreign message
 		}
-		if !member[env.From] {
+		if !t.member[env.From] {
 			continue // sender is outside the replica-set snapshot
 		}
-		if _, dup := votes[env.From]; dup {
-			// Already hold this replica's verified vote; retransmitted
-			// replies are identical, so skip the MAC check.
+		if t.voted(env.From, reply.Type) {
+			// Already hold this replica's verified vote of this kind;
+			// retransmitted replies are identical, so skip the MAC check.
 			continue
 		}
 		key, ok := keys[env.From]
 		if !ok || !key.Verify(reply) {
 			continue // forged, tampered or for another client: only sealed votes count
 		}
-		votes[env.From] = reply.Result
-		if result, ok := tally(votes, c.cfg.F+1); ok {
-			return result, true
+		if result, ok := t.add(env.From, reply); ok {
+			return result, accepted
+		}
+		if fast && t.fastLost() {
+			return nil, disagreed
 		}
 	}
+}
+
+// replyTally holds one invocation's verified votes: ordered replies, of which
+// f+1 must match, and unordered read replies, of which a quorum must match
+// in result and epoch, that epoch being the highest any reply was stamped
+// with. Only replicas in the invocation's snapshot may vote: a retired
+// replica (removed by a Lazarus reconfiguration, possibly because it was
+// compromised) must not count toward either quorum.
+type replyTally struct {
+	member  map[transport.NodeID]bool
+	f       int
+	quorum  int
+	epoch   uint64
+	ordered map[transport.NodeID][]byte
+	fast    map[transport.NodeID]readVote
+}
+
+// readVote is one replica's unordered answer and the epoch it answered in.
+type readVote struct {
+	result []byte
+	epoch  uint64
+}
+
+// newTally starts a replyTally over the replica set, whose epoch floor is the
+// highest epoch the client has seen.
+func newTally(replicas []transport.NodeID, f int, epoch uint64) *replyTally {
+	t := &replyTally{
+		member:  make(map[transport.NodeID]bool, len(replicas)),
+		f:       f,
+		quorum:  quorumSize(len(replicas), f),
+		epoch:   epoch,
+		ordered: make(map[transport.NodeID][]byte),
+		fast:    make(map[transport.NodeID]readVote),
+	}
+	for _, id := range replicas {
+		t.member[id] = true
+	}
+	return t
+}
+
+// voted reports whether from already cast a vote of the reply type's kind.
+func (t *replyTally) voted(from transport.NodeID, typ MsgType) bool {
+	if typ == MsgReadReply {
+		_, ok := t.fast[from]
+		return ok
+	}
+	_, ok := t.ordered[from]
+	return ok
+}
+
+// add records a verified reply and reports the result it completes, if any.
+func (t *replyTally) add(from transport.NodeID, reply *Message) ([]byte, bool) {
+	t.epoch = max(t.epoch, reply.Epoch)
+	if reply.Type == MsgReply {
+		t.ordered[from] = reply.Result
+		return tally(t.ordered, t.f+1)
+	}
+	t.fast[from] = readVote{result: reply.Result, epoch: reply.Epoch}
+	result, n := t.leadingRead()
+	return result, n >= t.quorum
+}
+
+// leadingRead returns the result the most unordered answers at the epoch
+// floor agree on, and how many do.
+func (t *replyTally) leadingRead() ([]byte, int) {
+	var best []byte
+	most := 0
+	for _, v := range t.fast {
+		if v.epoch != t.epoch {
+			continue
+		}
+		n := 0
+		for _, o := range t.fast {
+			if o.epoch == t.epoch && bytes.Equal(o.result, v.result) {
+				n++
+			}
+		}
+		if n > most {
+			best, most = v.result, n
+		}
+	}
+	return best, most
+}
+
+// fastLost reports whether the unordered answers so far rule out a quorum
+// of them: fewer than a quorum would agree even if every member yet to
+// answer sent the leading result at the epoch floor. It needs one such
+// answer first — replicas that ordered the request (a write) send none.
+func (t *replyTally) fastLost() bool {
+	if len(t.fast) == 0 {
+		return false
+	}
+	_, n := t.leadingRead()
+	answered := len(t.fast)
+	for id := range t.ordered {
+		if _, ok := t.fast[id]; !ok {
+			answered++
+		}
+	}
+	return n+len(t.member)-answered < t.quorum
 }
 
 // tally looks for need matching results among the votes.

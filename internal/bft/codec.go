@@ -1,7 +1,7 @@
 package bft
 
 // The wire codec: one hand-rolled, length-prefixed, big-endian binary
-// layout for everything the package serialises — the eleven message types
+// layout for everything the package serialises — the twelve message types
 // (nested certificates included), ReconfigOp, ReconfigResult and the state
 // snapshot envelope — written by the append helpers and read by the
 // bounds-checked wireReader below. DESIGN.md §8 tabulates the layout.
@@ -31,7 +31,7 @@ const maxWireDepth = 2
 // The smallest encodings of the repeated elements, which cap a claimed
 // element count by the bytes that remain.
 const (
-	minRequestWire = 8 + 8 + 4 + 4
+	minRequestWire = 8 + 8 + 1 + 4 + 4
 	minMessageWire = 1 + 4*8 + 4
 	minProofWire   = 8 + 8 + 32 + 1 + 4
 )
@@ -45,6 +45,13 @@ const (
 func appendU32(b []byte, v uint32) []byte { return binary.BigEndian.AppendUint32(b, v) }
 func appendU64(b []byte, v uint64) []byte { return binary.BigEndian.AppendUint64(b, v) }
 
+func appendBool(b []byte, v bool) []byte {
+	if v {
+		return append(b, 1)
+	}
+	return append(b, 0)
+}
+
 func appendBlob(b, p []byte) []byte {
 	return append(appendU32(b, uint32(len(p))), p...)
 }
@@ -52,6 +59,7 @@ func appendBlob(b, p []byte) []byte {
 func appendRequest(b []byte, req *Request) []byte {
 	b = appendU64(b, uint64(req.Client))
 	b = appendU64(b, req.Seq)
+	b = appendBool(b, req.Order)
 	b = appendBlob(b, req.Op)
 	return appendBlob(b, req.Sig)
 }
@@ -121,9 +129,8 @@ func appendMessage(b []byte, m *Message, err *error) []byte {
 		b = appendBlob(b, m.Sig)
 	case m.Type == MsgCommit:
 		b = append(b, m.BatchDigest[:]...)
-	case m.Type == MsgReply:
+	case m.Type == MsgReply || m.Type == MsgReadReply:
 		b = appendU64(b, m.ReplySeq)
-		b = appendU64(b, m.ReplyEpoch)
 		b = appendU64(b, uint64(m.ReplyClient))
 		b = appendBlob(b, m.Result)
 		b = appendBlob(b, m.Sig)
@@ -212,6 +219,13 @@ func (r *wireReader) u8() byte {
 	return 0
 }
 
+// bool reads a byte that must be 0 or 1: one encoding per value.
+func (r *wireReader) bool() bool {
+	v := r.u8()
+	r.ok = r.ok && v <= 1
+	return v == 1
+}
+
 func (r *wireReader) u32() uint32 {
 	if p := r.take(4); p != nil {
 		return binary.BigEndian.Uint32(p)
@@ -264,6 +278,7 @@ func (r *wireReader) count(min int) int {
 func (r *wireReader) request(req *Request) {
 	req.Client = transport.NodeID(r.u64())
 	req.Seq = r.u64()
+	req.Order = r.bool()
 	req.Op = r.blob()
 	req.Sig = r.blob()
 }
@@ -343,9 +358,8 @@ func (r *wireReader) message(m *Message, depth int) {
 		m.Sig = r.blob()
 	case MsgCommit:
 		m.BatchDigest = r.digest()
-	case MsgReply:
+	case MsgReply, MsgReadReply:
 		m.ReplySeq = r.u64()
-		m.ReplyEpoch = r.u64()
 		m.ReplyClient = transport.NodeID(r.u64())
 		m.Result = r.blob()
 		m.Sig = r.blob()

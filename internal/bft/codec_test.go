@@ -10,25 +10,30 @@ import (
 	"lazarus/internal/transport"
 )
 
-// hotMessages covers the five ordering-path types, empty and populated.
+// hotMessages covers the five ordering-path types and the read reply,
+// empty and populated, and a request with its Order bit set.
 func hotMessages() []*Message {
 	req := Request{Client: transport.ClientIDBase + 3, Seq: 42, Op: []byte("put k v"), Sig: make([]byte, 64)}
 	for i := range req.Sig {
 		req.Sig[i] = byte(i)
 	}
 	empty := Request{Client: transport.ClientIDBase, Seq: 1}
+	ordered := Request{Client: transport.ClientIDBase + 3, Seq: 43, Op: []byte("get k"), Order: true, Sig: req.Sig}
 	return []*Message{
 		{Type: MsgRequest, From: transport.ClientIDBase + 3, Request: &req, Sig: make([]byte, 32)},
 		{Type: MsgRequest, From: transport.ClientIDBase, Request: &empty},
+		{Type: MsgRequest, From: transport.ClientIDBase + 3, Request: &ordered, Sig: make([]byte, 32)},
 		{Type: MsgPrePrepare, From: 0, View: 3, SeqNo: 17, Epoch: 2,
 			Batch: &Batch{Requests: []Request{req, empty}}, BatchDigest: Digest{9, 9}, Sig: make([]byte, 64)},
 		{Type: MsgPrePrepare, From: 1, View: 0, SeqNo: 1, Batch: &Batch{}},
 		{Type: MsgPrepare, From: 2, View: 1, SeqNo: 5, Epoch: 1, BatchDigest: Digest{1, 2, 3}, Sig: []byte("prepsig")},
 		{Type: MsgPrepare, From: 3, View: 1, SeqNo: 6, BatchDigest: Digest{1}},
 		{Type: MsgCommit, From: 3, View: 1, SeqNo: 5, Epoch: 1, BatchDigest: Digest{4, 5, 6}},
-		{Type: MsgReply, From: 2, View: 1, Epoch: 1, ReplySeq: 42, ReplyEpoch: 1,
+		{Type: MsgReply, From: 2, View: 1, Epoch: 1, ReplySeq: 42,
 			ReplyClient: transport.ClientIDBase + 3, Result: []byte("ok"), Sig: make([]byte, 32)},
 		{Type: MsgReply, From: 0},
+		{Type: MsgReadReply, From: 1, View: 1, Epoch: 2, ReplySeq: 43,
+			ReplyClient: transport.ClientIDBase + 3, Result: []byte("VALv"), Sig: make([]byte, 32)},
 	}
 }
 
@@ -179,8 +184,9 @@ func TestCodecHotSizes(t *testing.T) {
 		{&Message{Type: MsgCommit}, 65},
 		{&Message{Type: MsgPrepare, Sig: sig}, 133},
 		{&Message{Type: MsgPrePrepare, Sig: sig, Batch: &Batch{}}, 137},
-		{&Message{Type: MsgRequest, Request: &Request{Sig: sig}, Sig: sig[:32]}, 157}, // signed and MAC'd
-		{&Message{Type: MsgReply, Sig: sig[:32]}, 97},                                 // a MAC, not a signature
+		{&Message{Type: MsgRequest, Request: &Request{Sig: sig}, Sig: sig[:32]}, 158}, // signed and MAC'd
+		{&Message{Type: MsgReply, Sig: sig[:32]}, 89},                                 // a MAC, not a signature
+		{&Message{Type: MsgReadReply, Sig: sig[:32]}, 89},
 	} {
 		if got := len(mustEncode(t, tc.m)); got != tc.want {
 			t.Errorf("%v encodes to %d bytes, want %d", tc.m.Type, got, tc.want)
@@ -194,7 +200,7 @@ func TestCodecRejectsWhatItCannotCarry(t *testing.T) {
 	for _, m := range []*Message{
 		{Type: MsgRequest},
 		{Type: MsgPrePrepare},
-		{Type: MsgCatchUp + 1},
+		{Type: MsgReadReply + 1},
 		{Type: MsgNewView, PrePrepares: []Message{{Type: MsgPrePrepare}}},
 	} {
 		if p, err := Encode(m); err == nil {

@@ -59,6 +59,10 @@ type replicaInstruments struct {
 	votesUnverified *metrics.Counter
 	voteRefills     *metrics.Counter
 
+	// reads counts the read-only requests answered, or parked to be,
+	// without ordering them (read.go).
+	reads *metrics.Counter
+
 	// progressTimeouts counts unproductive progress-timer firings;
 	// retransmitVotes counts stuck instances whose votes the timeout
 	// re-broadcast; requestForwards counts pending requests re-forwarded
@@ -90,6 +94,7 @@ func newReplicaInstruments(reg *metrics.Registry) replicaInstruments {
 		verifyWaits:      reg.Counter("bft.verify_waits"),
 		votesUnverified:  reg.Counter("bft.votes_unverified"),
 		voteRefills:      reg.Counter("bft.vote_refills"),
+		reads:            reg.Counter("bft.reads"),
 		progressTimeouts: reg.Counter("bft.progress_timeouts"),
 		retransmitVotes:  reg.Counter("bft.retransmit_votes"),
 		requestForwards:  reg.Counter("bft.request_forwards"),

@@ -12,6 +12,7 @@ import (
 	"crypto/ed25519"
 	"crypto/sha256"
 	"fmt"
+	"hash"
 
 	"lazarus/internal/transport"
 )
@@ -32,6 +33,9 @@ const (
 	MsgStateRequest
 	MsgStateReply
 	MsgCatchUp
+	// MsgReadReply answers a read-only request without ordering it; a
+	// client needs a quorum of matching ones (read.go).
+	MsgReadReply
 )
 
 // String names the message type.
@@ -59,6 +63,8 @@ func (t MsgType) String() string {
 		return "STATE-REPLY"
 	case MsgCatchUp:
 		return "CATCH-UP"
+	case MsgReadReply:
+		return "READ-REPLY"
 	default:
 		return fmt.Sprintf("MsgType(%d)", int(t))
 	}
@@ -82,6 +88,11 @@ type Request struct {
 	Seq uint64
 	// Op is the opaque service operation.
 	Op []byte
+	// Order asks every replica to order the request even when the
+	// application could answer it unordered (read.go). A client sets it
+	// when a read's unordered answers made no quorum. The signature and the
+	// MACs cover it.
+	Order bool
 	// Sig authenticates the request with the client's key.
 	Sig []byte
 
@@ -98,21 +109,44 @@ type Request struct {
 // encodings built with codec.go's helpers: fixed-width integers, a
 // length-prefixed blob for every variable-length field and a presence byte
 // before every optional one, so no two distinct values share an input. Each starts with a tag
-// naming its kind; both tags are the same length, so neither kind's input
-// is a prefix of the other's. DESIGN.md §8 tabulates the layout.
+// naming its kind; all tags are the same length, so no kind's input is a
+// prefix of another's. A request's Order bit picks its tag. DESIGN.md §8
+// tabulates the layout.
 const (
 	requestInputTag = "lazarus/req\x00"
+	orderedInputTag = "lazarus/ord\x00"
 	messageInputTag = "lazarus/msg\x00"
 )
+
+// requestInputHeader is the size of a request's input before its op.
+const requestInputHeader = len(requestInputTag) + 8 + 8 + 4
+
+// appendInputHeader appends what the request's input holds before its op:
+// tag client:u64 seq:u64 and the op's length.
+func (r *Request) appendInputHeader(b []byte) []byte {
+	if r.Order {
+		b = append(b, orderedInputTag...)
+	} else {
+		b = append(b, requestInputTag...)
+	}
+	b = appendU64(b, uint64(r.Client))
+	b = appendU64(b, r.Seq)
+	return appendU32(b, uint32(len(r.Op)))
+}
 
 // digestInput returns the byte string covered by the client signature
 // and the request's MACs: tag client:u64 seq:u64 op:blob.
 func (r *Request) digestInput() []byte {
-	b := make([]byte, 0, len(requestInputTag)+8+8+4+len(r.Op))
-	b = append(b, requestInputTag...)
-	b = appendU64(b, uint64(r.Client))
-	b = appendU64(b, r.Seq)
-	return appendBlob(b, r.Op)
+	b := r.appendInputHeader(make([]byte, 0, requestInputHeader+len(r.Op)))
+	return append(b, r.Op...)
+}
+
+// writeInput feeds digestInput to h without building it: the op, which
+// can be kilobytes, goes to the hash where it lies.
+func (r *Request) writeInput(h hash.Hash) {
+	var hdr [requestInputHeader]byte
+	h.Write(r.appendInputHeader(hdr[:0]))
+	h.Write(r.Op)
 }
 
 // Digest hashes the request (excluding the signature). The hash is
@@ -120,7 +154,9 @@ func (r *Request) digestInput() []byte {
 // this O(pending) times per commit.
 func (r *Request) Digest() Digest {
 	if !r.digestSet {
-		r.digest = sha256.Sum256(r.digestInput())
+		h := sha256.New()
+		r.writeInput(h)
+		h.Sum(r.digest[:0])
 		r.digestSet = true
 	}
 	return r.digest
@@ -184,10 +220,10 @@ type Message struct {
 	// BatchDigest is the agreed digest in the agreement phases.
 	BatchDigest Digest
 
-	// Reply fields.
+	// Reply fields (MsgReply and MsgReadReply). The header's Epoch is
+	// the epoch the replica answered in.
 	ReplySeq    uint64 // echoes Request.Seq
 	Result      []byte
-	ReplyEpoch  uint64
 	ReplyClient transport.NodeID
 
 	// Checkpoint fields.
@@ -274,8 +310,8 @@ type PreparedProof struct {
 // signedInputFixed is the size of signedInput without its proofs and
 // result bytes: tag, type and four u64 header fields, two digests, newView
 // and lastStable, the proof count, snapSeq and snapView, the snapshot's
-// presence byte and sum, three reply u64s and the result's length.
-const signedInputFixed = len(messageInputTag) + 5*8 + 2*32 + 2*8 + 4 + 2*8 + 1 + 32 + 3*8 + 4
+// presence byte and sum, two reply u64s and the result's length.
+const signedInputFixed = len(messageInputTag) + 5*8 + 2*32 + 2*8 + 4 + 2*8 + 1 + 32 + 2*8 + 4
 
 // signedInput returns the byte string covered by replica signatures and
 // reply MACs. It covers the semantic content of the authenticated types,
@@ -283,7 +319,7 @@ const signedInputFixed = len(messageInputTag) + 5*8 + 2*32 + 2*8 + 4 + 2*8 + 1 +
 //
 //	tag type:u64 from:u64 view:u64 seq:u64 epoch:u64 batchDigest stateDigest
 //	newView:u64 lastStable:u64 proof* snapSeq:u64 snapView:u64
-//	has:u8 [snapshotSum] replySeq:u64 replyEpoch:u64 replyClient:u64 result:blob
+//	has:u8 [snapshotSum] replySeq:u64 replyClient:u64 result:blob
 //
 // where a proof is view:u64 seq:u64 batchDigest has:u8 [from:u64 sig:blob]
 // (from:u64 sig:blob)*, the optional pair its pre-prepare and the list its
@@ -335,7 +371,6 @@ func (m *Message) signedInput() []byte {
 	// Reply fields: without these, a reply's MAC would not bind the
 	// result, and any member could forge votes for arbitrary results.
 	b = appendU64(b, m.ReplySeq)
-	b = appendU64(b, m.ReplyEpoch)
 	b = appendU64(b, uint64(m.ReplyClient))
 	return appendBlob(b, m.Result)
 }

@@ -36,12 +36,7 @@ type ReconfigOp struct {
 // request payload: prefix add:u8 replica:u64 pubKey:blob (see codec.go).
 // Only requests signed by the controller key execute.
 func EncodeReconfigOp(op ReconfigOp) []byte {
-	b := append([]byte(nil), reconfigPrefix...)
-	if op.Add {
-		b = append(b, 1)
-	} else {
-		b = append(b, 0)
-	}
+	b := appendBool(append([]byte(nil), reconfigPrefix...), op.Add)
 	b = appendU64(b, uint64(op.Replica))
 	return appendBlob(b, op.PubKey)
 }
@@ -465,6 +460,7 @@ func (r *Replica) checkPrepared(seq uint64) {
 	in.prepared = true
 	in.cert = cert
 	in.commits[r.cfg.ID] = in.digest
+	r.commitMark = max(r.commitMark, seq)
 	cm := &Message{
 		Type:        MsgCommit,
 		View:        r.view,
@@ -544,6 +540,8 @@ func (r *Replica) executeReady() {
 			r.takeCheckpoint(r.lastExec)
 		}
 	}
+	// Reads parked until execution got this far can be answered.
+	r.serveReads()
 	// Progress was made: disarm, and if work remains start a fresh
 	// timeout (PBFT resets the progress timer whenever execution
 	// advances; without the reset, sustained load turns the timer into
@@ -682,8 +680,11 @@ func (r *Replica) applyReconfig(op ReconfigOp) []byte {
 	}
 	// Rewind the proposal counter past the dropped instances so the
 	// primary reuses their sequence numbers; leaving a gap would stall
-	// execution forever at the first unproposed number.
+	// execution forever at the first unproposed number. The commits this
+	// replica sent for them belong to the old epoch, and so does its
+	// commit mark.
 	r.seq = r.lastExec
+	r.commitMark = r.lastExec
 	// A view change volunteered under the old epoch can never complete —
 	// peers in the new epoch discard old-epoch VIEW-CHANGE messages — yet
 	// inViewChange would keep this replica from voting, which the new

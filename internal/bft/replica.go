@@ -152,6 +152,8 @@ type Replica struct {
 	// app is cfg.App, behind snapshotCheckpointer if it is not a
 	// Checkpointer itself: the replica has one checkpoint path.
 	app Checkpointer
+	// querier is cfg.App if it answers reads unordered, else nil.
+	querier Querier
 
 	// Event-loop state (no locking; single goroutine).
 	membership *Membership
@@ -159,6 +161,13 @@ type Replica struct {
 	seq        uint64 // next sequence number to assign (primary)
 	lowWater   uint64
 	lastExec   uint64
+	// commitMark is the highest sequence number this replica sent a
+	// COMMIT for in its current epoch; a read waits until lastExec reaches
+	// it (read.go).
+	commitMark uint64
+	// reads are the reads waiting for lastExec to reach their mark, at
+	// most one per client, in arrival order.
+	reads      []parkedRead
 	log        map[uint64]*instance
 	clients    map[transport.NodeID]*clientRecord
 	pending    []Request
@@ -305,11 +314,13 @@ func NewReplica(cfg ReplicaConfig) (*Replica, error) {
 	if !ok {
 		app = snapshotCheckpointer{cfg.App}
 	}
+	querier, _ := cfg.App.(Querier)
 	ctx, cancel := context.WithCancel(context.Background())
 	r := &Replica{
 		cfg:          cfg,
 		ep:           ep,
 		app:          app,
+		querier:      querier,
 		membership:   cfg.Membership.Clone(),
 		log:          make(map[uint64]*instance),
 		clients:      make(map[transport.NodeID]*clientRecord),
@@ -450,6 +461,10 @@ func (r *Replica) dispatch(msg *Message) {
 	}
 	switch msg.Type {
 	case MsgRequest:
+		if r.fastRead(msg) {
+			r.onRead(msg)
+			return
+		}
 		landed := msg.pooled
 		if !r.ensureAuth(msg) {
 			return // offloaded; re-enters the inbox with verdicts

@@ -21,6 +21,7 @@ import (
 	"crypto/sha512"
 	"errors"
 	"fmt"
+	"hash"
 	"math/big"
 )
 
@@ -31,9 +32,14 @@ const replyKeyTag = "lazarus/bft reply MAC v1\x00"
 var fieldP = new(big.Int).Sub(new(big.Int).Lsh(big.NewInt(1), 255), big.NewInt(19))
 
 // replyKey MACs the replies one replica sends one client, and the requests
-// that client sends that replica.
+// that client sends that replica. It is not safe for concurrent use: a
+// replica's keys belong to its event loop, a client's to its one Invoke at
+// a time, an attacker's to its mutex.
 type replyKey struct {
 	mac [sha256.Size]byte
+	// h is HMAC-SHA256 under mac, reset before every MAC: keying it
+	// anew would cost two SHA-256 key schedules a message.
+	h hash.Hash
 	// peer is the other side's ed25519 public key: a holder handed a new
 	// key set derives again only for the peers whose key changed.
 	peer ed25519.PublicKey
@@ -75,6 +81,7 @@ func newReplyKey(priv ed25519.PrivateKey, peer ed25519.PublicKey, clientSide boo
 	d.Write(replica)
 	k := &replyKey{peer: append(ed25519.PublicKey(nil), peer...)}
 	d.Sum(k.mac[:0])
+	k.h = hmac.New(sha256.New, k.mac[:])
 	return k, nil
 }
 
@@ -118,11 +125,11 @@ func (k *replyKey) Seal(m *Message) { m.Sig = k.sum(m) }
 func (k *replyKey) Verify(m *Message) bool { return hmac.Equal(m.Sig, k.sum(m)) }
 
 func (k *replyKey) sum(m *Message) []byte {
-	h := hmac.New(sha256.New, k.mac[:])
+	k.h.Reset()
 	if m.Type == MsgRequest && m.Request != nil {
-		h.Write(m.Request.digestInput())
+		m.Request.writeInput(k.h)
 	} else {
-		h.Write(m.signedInput())
+		k.h.Write(m.signedInput())
 	}
-	return h.Sum(nil)
+	return k.h.Sum(nil)
 }

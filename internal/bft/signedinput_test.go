@@ -2,6 +2,8 @@ package bft
 
 import (
 	"bytes"
+	"crypto/ed25519"
+	"crypto/hmac"
 	"crypto/sha256"
 	"encoding/hex"
 	"math/rand"
@@ -35,6 +37,11 @@ func goldenInputs() map[string][]byte {
 	}
 	return map[string][]byte{
 		"request": req.digestInput(),
+		"ordered-request": func() []byte {
+			r := req
+			r.Order = true
+			return r.digestInput()
+		}(),
 		"pre-prepare": with(func(m *Message) {
 			m.Type, m.From, m.BatchDigest = MsgPrePrepare, 0, digestOf(0xb1)
 		}),
@@ -65,7 +72,11 @@ func goldenInputs() map[string][]byte {
 			m.Snapshot = []byte("snapshot bytes")
 		}),
 		"reply": with(func(m *Message) {
-			m.Type, m.ReplySeq, m.ReplyEpoch, m.ReplyClient = MsgReply, 42, 3, transport.ClientIDBase+7
+			m.Type, m.ReplySeq, m.ReplyClient = MsgReply, 42, transport.ClientIDBase+7
+			m.Result = []byte("ok")
+		}),
+		"read-reply": with(func(m *Message) {
+			m.Type, m.ReplySeq, m.ReplyClient = MsgReadReply, 42, transport.ClientIDBase+7
 			m.Result = []byte("ok")
 		}),
 	}
@@ -80,19 +91,22 @@ func TestSignedInputGolden(t *testing.T) {
 		sum  string
 	}
 	want := map[string]golden{
-		// 12 B tag, client, seq, then the 7 B op behind its length.
-		"request": {39, "da1046107d08770ebbe98fa0ec0e601e5a70c06855845f739f138d6d37a18ff4"},
+		// 12 B tag, client, seq, then the 7 B op behind its length. The
+		// Order bit changes only the tag.
+		"request":         {39, "da1046107d08770ebbe98fa0ec0e601e5a70c06855845f739f138d6d37a18ff4"},
+		"ordered-request": {39, "49315bf6acce8d926f641f9e08510354f9e3413626327fd3ad98aadb87ca287b"},
 		// signedInputFixed less the absent snapshot's 32 B sum.
-		"pre-prepare":   {181, "5a3b0da1cf950a144dacb1ed30538b97291519902a178e982dd16617766e4621"},
-		"prepare":       {181, "c24b1eb2ac6b08c536527fa15a04f2450a3011edb0b69a3f645603f15f20ecfe"},
-		"checkpoint":    {181, "371dd841dda8cddb6168a2b0b2058d91286f09b07a4381a484025d030f485072"},
-		"new-view":      {181, "cd2e764bd42781b675d61b6bc0532b8601bd1366bdc4088cc729346e6a8c3c37"},
-		"state-request": {181, "37255fcecf32000633dd6f87a0f32e58c1b4980a1c9f9bf19b72dd65466c21ab"},
-		// 181 + a proof with pre-prepare and two prepares (281) + one
+		"pre-prepare":   {173, "e12193e97d94220abaef491997019cf27e60007fbb02fb6f01ae556da0fc56f6"},
+		"prepare":       {173, "0aa798d724fe42f9cce771f6e8abe3305dbfc11d56009cb29faf03927356e0bd"},
+		"checkpoint":    {173, "6ee21fcbe69c35ccece9b9a57f8a69a8500c8c3a2502d5055b5feb726c75ed05"},
+		"new-view":      {173, "7f1e888c4dc471587a2eb4421b93e9d7b49c4b3fb8d7fccb94a4181219c711b9"},
+		"state-request": {173, "f9b6bdf0012e85fb44fb2b6a49fbe61ec421bcfbee111e6020dfc0e83d7bb333"},
+		// 173 + a proof with pre-prepare and two prepares (281) + one
 		// with neither (53).
-		"view-change": {515, "78fd83ef2a95798047e598ce692c0e4ebfaae7ebf219de874474fda2d729e446"},
-		"state-reply": {213, "d87a3a9b6ba0da4ae4962e72c624bc9f383008eb2a759e47f6ef5a3df77700bc"},
-		"reply":       {183, "3346ed0f98ec90ff081cd1ee6afcf82a39a7d710bcd3a17cd1bd6b6c8ecd93ae"},
+		"view-change": {507, "6657a90aa1287a94851595f3a3c224f1371de3b25fae1456b28ca23ff8421755"},
+		"state-reply": {205, "119982ea2b6c81ddd2c30c979396bfbc93df343050dc2b47ff8df4a7b9f1b483"},
+		"reply":       {175, "fe5b214171ea1dff18ca46a3fa8301200e91cd9a68c8e4b2812f671db8ec267b"},
+		"read-reply":  {175, "c1c1e67075db91cec36095031414df382d53efc2b2682b12cc341bec8840fc4b"},
 	}
 	inputs := goldenInputs()
 	if len(inputs) != len(want) {
@@ -140,7 +154,7 @@ func randomSigned(rng *rand.Rand) *Message {
 		BatchDigest: randomDigest(rng), StateDigest: randomDigest(rng),
 		NewView: rng.Uint64(), LastStable: rng.Uint64(),
 		SnapSeqNo: rng.Uint64(), SnapView: rng.Uint64(),
-		ReplySeq: rng.Uint64(), ReplyEpoch: rng.Uint64(), ReplyClient: transport.NodeID(rng.Uint64()),
+		ReplySeq: rng.Uint64(), ReplyClient: transport.NodeID(rng.Uint64()),
 		Result: randomSig(rng),
 	}
 	if rng.Intn(2) == 0 {
@@ -218,7 +232,6 @@ var messageChanges = []func(rng *rand.Rand, m *Message){
 	},
 	func(_ *rand.Rand, m *Message) { m.Snapshot = append(m.Snapshot, 0) },
 	func(_ *rand.Rand, m *Message) { m.ReplySeq++ },
-	func(_ *rand.Rand, m *Message) { m.ReplyEpoch++ },
 	func(_ *rand.Rand, m *Message) { m.ReplyClient++ },
 	func(rng *rand.Rand, m *Message) { flipBit(rng, m.Result) },
 	func(_ *rand.Rand, m *Message) { m.Result = m.Result[:len(m.Result)-1] },
@@ -287,6 +300,7 @@ func TestDigestInputInjective(t *testing.T) {
 		func(r *Request) { r.Seq++ },
 		func(r *Request) { r.Op = append(r.Op, 0) },
 		func(r *Request) { r.Op[0] ^= 1 },
+		func(r *Request) { r.Order = !r.Order },
 	}
 	f := func(client, seq uint64, op []byte, which uint8) bool {
 		a := Request{Client: transport.NodeID(client), Seq: seq, Op: append([]byte{0}, op...)}
@@ -296,6 +310,36 @@ func TestDigestInputInjective(t *testing.T) {
 		return !bytes.Equal(a.digestInput(), b.digestInput())
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 400, Rand: rand.New(rand.NewSource(2))}); err != nil {
+		t.Error(err)
+	}
+}
+
+// TestStreamedRequestInput: the request digest and the request MAC, which
+// feed the request's input to the hash piecewise, equal the hash and the
+// HMAC of the input built whole, for either Order bit; and a key reused
+// for many MACs gives each the MAC a fresh key would.
+func TestStreamedRequestInput(t *testing.T) {
+	priv, peer := seededKey(0), seededKey(1).Public().(ed25519.PublicKey)
+	reused, err := newReplyKey(priv, peer, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	f := func(client, seq uint64, op []byte, order bool) bool {
+		req := Request{Client: transport.NodeID(client), Seq: seq, Op: op, Order: order}
+		if req.Digest() != Digest(sha256.Sum256(req.digestInput())) {
+			return false
+		}
+		fresh, err := newReplyKey(priv, peer, true)
+		if err != nil {
+			t.Fatal(err)
+		}
+		mac := hmac.New(sha256.New, fresh.mac[:])
+		mac.Write(req.digestInput())
+		msg := &Message{Type: MsgRequest, Request: &req}
+		reused.Seal(msg)
+		return bytes.Equal(msg.Sig, mac.Sum(nil)) && fresh.Verify(msg)
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 200, Rand: rand.New(rand.NewSource(3))}); err != nil {
 		t.Error(err)
 	}
 }

@@ -248,6 +248,9 @@ func (r *Replica) restoreSnapshot(reply *Message) error {
 	if r.seq < snap.LastExec || !sameEpoch {
 		r.seq = snap.LastExec
 	}
+	if !sameEpoch {
+		r.commitMark = snap.LastExec
+	}
 	r.membership = mem
 	r.lastExec = snap.LastExec
 	r.lowWater = snap.LastExec
@@ -262,5 +265,6 @@ func (r *Replica) restoreSnapshot(reply *Message) error {
 		meta: snap, digest: reply.StateDigest, app: after,
 		bytes: reply.Snapshot, sum: reply.snapshotSum(),
 	}
+	r.serveReads()
 	return nil
 }

@@ -535,6 +535,7 @@ func (r *Replica) onCatchUp(msg *Message) {
 	cert := p
 	in.cert = &cert
 	in.commits[r.cfg.ID] = in.digest
+	r.commitMark = max(r.commitMark, msg.SeqNo)
 	cm := &Message{
 		Type:        MsgCommit,
 		View:        r.view,

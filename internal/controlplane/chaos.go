@@ -11,6 +11,7 @@ import (
 	"context"
 	"crypto/ed25519"
 	"crypto/rand"
+	"errors"
 	"fmt"
 	mrand "math/rand"
 	"sort"
@@ -337,6 +338,11 @@ func RunChaos(ctx context.Context, cfg ChaosConfig) (*ChaosReport, error) {
 	// rebuilds its risk state from the feeds, not the WAL.
 	published := append([]*osint.Vulnerability(nil), ds.All()...)
 
+	// stores keeps each node's latest store, so that a replay attacker can
+	// answer reads from a copy of its replica's state frozen when armed.
+	var storesMu sync.Mutex
+	stores := make(map[transport.NodeID]*kvs.Store)
+
 	var ltuMode atomic.Int32
 	mkConfig := func(vulns []*osint.Vulnerability) Config {
 		return Config{
@@ -349,6 +355,11 @@ func RunChaos(ctx context.Context, cfg ChaosConfig) (*ChaosReport, error) {
 			ClientKeys:   clientKeys,
 			LTUSecret:    []byte("chaos-ltu-secret"),
 			ReplicaTuning: func(rc *bft.ReplicaConfig) {
+				if st, ok := rc.App.(*kvs.Store); ok {
+					storesMu.Lock()
+					stores[rc.ID] = st
+					storesMu.Unlock()
+				}
 				rc.CheckpointInterval = 8
 				rc.ViewChangeTimeout = progressTimeout
 				rc.BatchDelay = time.Millisecond
@@ -472,6 +483,7 @@ func RunChaos(ctx context.Context, cfg ChaosConfig) (*ChaosReport, error) {
 	disarmByz := func() {
 		for _, aa := range attackers {
 			net.Intercept(aa.id, nil)
+			net.Observe(aa.id, nil)
 			report.ByzStats.Add(aa.atk.Stats())
 		}
 		attackers = nil
@@ -560,6 +572,17 @@ func RunChaos(ctx context.Context, cfg ChaosConfig) (*ChaosReport, error) {
 						continue
 					}
 					atk := bft.NewAttacker(id, key, clientKeys, byzKind, byzRng.Int63())
+					if byzKind == bft.AttackReplay {
+						storesMu.Lock()
+						live := stores[id]
+						storesMu.Unlock()
+						if frozen, ferr := frozenCopy(live); ferr == nil {
+							atk.FreezeReads(frozen)
+							net.Observe(id, atk.Observe)
+						} else {
+							cfg.Logf("chaos: round %d: replay attacker %d answers reads live: %v", round, id, ferr)
+						}
+					}
 					net.Intercept(id, atk.Intercept)
 					attackers = append(attackers, armedAttacker{id, atk})
 					ids = append(ids, id)
@@ -818,6 +841,19 @@ func liveReplicas(c *Controller) ([]transport.NodeID, map[transport.NodeID]*bft.
 	}
 	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
 	return ids, reps
+}
+
+// frozenCopy returns a new store holding live's current state.
+func frozenCopy(live *kvs.Store) (*kvs.Store, error) {
+	if live == nil {
+		return nil, errors.New("chaos: no store to freeze")
+	}
+	snap, err := live.Snapshot()
+	if err != nil {
+		return nil, err
+	}
+	frozen := kvs.New()
+	return frozen, frozen.Restore(snap)
 }
 
 // probe points cl at c's current membership and runs ops through it in

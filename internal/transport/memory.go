@@ -34,6 +34,7 @@ type Memory struct {
 	endpoints    map[NodeID]*memEndpoint
 	cut          map[[2]NodeID]bool
 	interceptors map[NodeID]SendInterceptor
+	observers    map[NodeID]RecvObserver
 	rng          *rand.Rand
 	closed       bool
 }
@@ -48,6 +49,7 @@ func NewMemory(cfg MemoryConfig) *Memory {
 		endpoints:    make(map[NodeID]*memEndpoint),
 		cut:          make(map[[2]NodeID]bool),
 		interceptors: make(map[NodeID]SendInterceptor),
+		observers:    make(map[NodeID]RecvObserver),
 		rng:          rand.New(rand.NewSource(cfg.Seed)),
 	}
 	m.stats.init(cfg.Metrics, "transport.memory")
@@ -135,6 +137,19 @@ func (m *Memory) Intercept(id NodeID, fn SendInterceptor) {
 	m.interceptors[id] = fn
 }
 
+// Observe installs fn as the observer of id's inbound traffic: it sees
+// every payload delivered to id, outside the network lock. A nil fn
+// removes the hook.
+func (m *Memory) Observe(id NodeID, fn RecvObserver) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	if fn == nil {
+		delete(m.observers, id)
+		return
+	}
+	m.observers[id] = fn
+}
+
 func link(a, b NodeID) [2]NodeID {
 	if a > b {
 		a, b = b, a
@@ -209,12 +224,16 @@ func (ep *memEndpoint) sendOne(to NodeID, payload []byte) error {
 		return fmt.Errorf("transport: unknown destination %d", to)
 	}
 	drop := m.cfg.DropRate > 0 && m.rng.Float64() < m.cfg.DropRate
+	observe := m.observers[to]
 	m.mu.Unlock()
 	if drop {
 		st.dropsLossy.Add(1)
 		return nil
 	}
 	env := Envelope{From: ep.id, To: to, Payload: append([]byte(nil), payload...)}
+	if observe != nil {
+		observe(ep.id, env.Payload)
+	}
 	st.framesSent.Add(1)
 	st.bytesSent.Add(int64(len(payload)))
 	select {

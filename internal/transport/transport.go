@@ -43,6 +43,13 @@ var ErrClosed = errors.New("transport: endpoint closed")
 // concurrent use and must not call back into the network.
 type SendInterceptor func(to NodeID, payload []byte) [][]byte
 
+// RecvObserver sees one node's inbound traffic: every payload delivered
+// to it, and who sent it. It may not change or keep the payload. The
+// Byzantine harness uses it to let an attacker know what its replica was
+// asked. Implementations must be safe for concurrent use and must not call
+// back into the network.
+type RecvObserver func(from NodeID, payload []byte)
+
 // Endpoint is one node's connection to the network.
 type Endpoint interface {
 	// ID returns the node this endpoint belongs to.

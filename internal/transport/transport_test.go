@@ -79,6 +79,29 @@ func TestMemoryCutAndHeal(t *testing.T) {
 	}
 }
 
+// TestMemoryObserve: an observer sees what is delivered to its node, with
+// the sender, and not what a cut link loses; removing it ends that.
+func TestMemoryObserve(t *testing.T) {
+	net := NewMemory(MemoryConfig{})
+	defer net.Close()
+	a, _ := net.Endpoint(1)
+	b, _ := net.Endpoint(2)
+	c, _ := net.Endpoint(3)
+	var seen []string
+	net.Observe(2, func(from NodeID, payload []byte) { seen = append(seen, fmt.Sprintf("%d:%s", from, payload)) })
+	a.Send(2, []byte("one"))
+	b.Send(1, []byte("not to 2"))
+	net.Cut(3, 2)
+	c.Send(2, []byte("lost"))
+	net.Heal(3, 2)
+	c.Send(2, []byte("two"))
+	net.Observe(2, nil)
+	a.Send(2, []byte("unseen"))
+	if got := fmt.Sprint(seen); got != "[1:one 3:two]" {
+		t.Errorf("observer saw %s, want [1:one 3:two]", got)
+	}
+}
+
 func TestMemoryIsolateRejoin(t *testing.T) {
 	net := NewMemory(MemoryConfig{})
 	defer net.Close()
