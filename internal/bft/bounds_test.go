@@ -39,8 +39,8 @@ func TestCatchUpDoesNotAllocateBeforeValidation(t *testing.T) {
 				// Right shape, right epoch, no signatures anywhere: the
 				// proof passes every cheap field check and fails only
 				// certificate validation.
-				PrePrepare: &Message{Type: MsgPrePrepare, From: 0, View: 0,
-					SeqNo: seq, Epoch: r.membership.Epoch, BatchDigest: badDigest},
+				Prepares: []Message{{Type: MsgPrepare, From: 2, View: 0,
+					SeqNo: seq, Epoch: r.membership.Epoch, BatchDigest: badDigest}},
 			}},
 		})
 	}

@@ -4,11 +4,11 @@ package bft
 //
 // An Attacker models a *compromised* replica: the adversary holds the
 // replica's real signing key and controls its network layer, so every
-// forged message it emits carries a valid signature from a current
-// group member — and every forged reply a valid MAC, since the stolen key
-// and the clients' public keys are all it takes to derive the replica's
-// reply keys. Nothing here is detectable by signature checking alone —
-// that is the point. Safety against these attacks must come from quorum
+// forged message of a signed type carries a valid signature from a
+// current group member — and every forged reply a valid MAC, since the
+// stolen key and the clients' public keys are all it takes to derive the
+// replica's reply keys. Nothing here is detectable by signature checking
+// alone — that is the point. Safety against these attacks must come from quorum
 // intersection and per-message protocol validation (digest binding,
 // view/epoch freshness, certificate checks, f+1 snapshot vouching), and
 // the chaos harness asserts exactly that while attacks run.
@@ -231,16 +231,18 @@ func (a *Attacker) equivocate(to transport.NodeID, msg *Message, payload []byte)
 	switch msg.Type {
 	case MsgPrePrepare:
 		// Split-brain proposal: even-numbered peers get the real batch,
-		// odd-numbered peers a validly signed empty batch for the same
-		// (view, seq).
+		// odd-numbered peers an empty batch for the same (view, seq). A
+		// proposal is unsigned; the compromised channel is what vouches.
 		if to%2 == 0 {
 			return [][]byte{payload}
 		}
 		forged := *msg
 		forged.Batch = &Batch{}
 		forged.BatchDigest = forged.Batch.Digest()
-		a.stats.Equivocated++
-		return a.forge(&forged, payload)
+		if p, err := Encode(&forged); err == nil {
+			a.stats.Equivocated++
+			return [][]byte{p}
+		}
 	case MsgPrepare:
 		if to%2 == 0 {
 			// A copy whose signature fails goes first: a replica that

@@ -119,6 +119,7 @@ func (r *Replica) checkStable(seq uint64) {
 		}
 	}
 	if len(candidates) == 0 {
+		r.noteSplit(seq, cs, counts)
 		return
 	}
 	sort.Slice(candidates, func(i, j int) bool {
@@ -148,6 +149,26 @@ func (r *Replica) checkStable(seq uint64) {
 		return
 	}
 	r.advanceLowWater(seq, cs.snapshot)
+}
+
+// noteSplit reports a checkpoint no digest can make stable any more: the
+// largest tally plus the members not heard from yet fall short of a
+// quorum. Replicas that executed the same batches vote the same digest, so
+// a split means the application's state is not deterministic, or more
+// than f members are faulty. The window then jams at this checkpoint.
+// Counted and logged once per seq.
+func (r *Replica) noteSplit(seq uint64, cs *checkpointState, counts map[Digest]int) {
+	top := 0
+	for _, n := range counts {
+		top = max(top, n)
+	}
+	if cs.split || top+r.membership.N()-len(cs.votes) >= r.membership.Quorum() {
+		return
+	}
+	cs.split = true
+	r.ins.checkpointSplits.Inc()
+	r.cfg.Logf("replica %d: checkpoint digests split at seq %d: own %v, tally %v",
+		r.cfg.ID, seq, cs.votes[r.cfg.ID], counts)
 }
 
 // advanceLowWater installs a new stable checkpoint and garbage-collects.

@@ -22,7 +22,8 @@ func signedReq(c *cluster, client transport.NodeID, seq uint64, op string) Reque
 }
 
 // signedMsg signs a hand-crafted replica message with its sender's key
-// (pre-prepares and prepares are signature-checked before votes count).
+// (prepares are signature-checked before votes count; a pre-prepare's
+// signature is ignored).
 func signedMsg(c *cluster, m *Message) *Message {
 	m.Sign(c.keys[m.From])
 	return m

@@ -31,6 +31,11 @@ type replicaInstruments struct {
 	viewChanges     *metrics.Counter
 	stateTransfers  *metrics.Counter
 	reconfigs       *metrics.Counter
+
+	// checkpointSplits counts checkpoints whose votes rule out a quorum
+	// for every digest, once per seq (noteSplit).
+	checkpointSplits *metrics.Counter
+
 	// transferReason counts state requests by cause (transferReasons);
 	// snapshotsSerialised counts the times a frozen state was turned into
 	// bytes for a peer.
@@ -38,10 +43,10 @@ type replicaInstruments struct {
 	snapshotsSerialised *metrics.Counter
 
 	// verifyOps counts ed25519 verifications actually performed: client
-	// signatures on requests, and replica signatures on the pre-prepares
-	// and prepares that went through the dispatch path. verifyCacheHits
-	// counts requests the verdict cache resolved: every cached request,
-	// including the cached part of a batch that is otherwise verified.
+	// signatures on requests, and replica signatures on the prepares that
+	// went through the dispatch path. verifyCacheHits counts requests the
+	// verdict cache resolved: every cached request, including the cached
+	// part of a batch that is otherwise verified.
 	// requestMACs counts REQUESTs a backup accepted on its MAC; they are
 	// neither verifications nor cache hits. verifyOffloaded counts messages
 	// handed to the verify pool rather than verified inline on the event
@@ -84,6 +89,7 @@ func newReplicaInstruments(reg *metrics.Registry) replicaInstruments {
 		checkpointUS:     reg.Histogram("bft.checkpoint_us"),
 		executedBatches:  reg.Counter("bft.executed_batches"),
 		checkpoints:      reg.Counter("bft.checkpoints"),
+		checkpointSplits: reg.Counter("bft.checkpoint_splits"),
 		viewChanges:      reg.Counter("bft.view_changes"),
 		stateTransfers:   reg.Counter("bft.state_transfers"),
 		reconfigs:        reg.Counter("bft.reconfigs"),

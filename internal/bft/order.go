@@ -217,10 +217,7 @@ func (r *Replica) propose(force bool) {
 			Batch:       batch,
 			BatchDigest: batch.Digest(),
 		}
-		// Sign the proposal (From is already set; the signature covers it).
-		// Backups verify before voting, and the signed pre-prepare anchors
-		// the prepared certificates carried by view changes.
-		pp.Sign(r.cfg.Key)
+		// Unsigned: the channel authenticates the primary (onPrePrepare).
 		r.broadcast(pp)
 		r.acceptPrePrepare(pp) // the primary pre-prepares locally
 	}
@@ -270,9 +267,9 @@ func (r *Replica) acceptPrePrepare(pp *Message) {
 		in.startedAt = time.Now() //lazlint:allow wallclock(commit-latency metric start; never hashed, voted on or executed)
 	}
 	in.prepares[r.cfg.ID] = pp.BatchDigest
-	// The primary's pre-prepare stands in for its prepare (PBFT's
-	// prepared predicate: pre-prepare + 2f prepares from distinct
-	// replicas).
+	// The primary's pre-prepare stands in for its prepare in the tally
+	// (PBFT's prepared predicate: pre-prepare + 2f prepares from distinct
+	// replicas); the certificate is the 2f signed prepares alone.
 	in.prepares[pp.From] = pp.BatchDigest
 	if !r.primary() {
 		prep := &Message{
@@ -292,7 +289,11 @@ func (r *Replica) acceptPrePrepare(pp *Message) {
 	r.checkPrepared(pp.SeqNo)
 }
 
-// onPrePrepare handles the primary's proposal.
+// onPrePrepare handles the primary's proposal. It carries no signature:
+// the transport authenticated its sender (pump stamps the envelope's
+// origin into From), and only the view's primary may propose. A
+// certificate for it later is quorum−1 signed prepares, which DESIGN.md
+// §10 shows is enough.
 func (r *Replica) onPrePrepare(msg *Message) {
 	if r.joining || r.inViewChange || !r.fromMember(msg) {
 		return
@@ -307,12 +308,17 @@ func (r *Replica) onPrePrepare(msg *Message) {
 		r.cfg.Logf("replica %d: pre-prepare digest mismatch at seq %d", r.cfg.ID, msg.SeqNo)
 		return
 	}
-	// The primary's signature must verify before the proposal fixes this
-	// instance's digest: an unsigned proposal could commit a batch whose
-	// prepared certificate can never validate in a later view change.
-	if !r.replicaSigOK(msg) {
-		r.cfg.Logf("replica %d: pre-prepare at seq %d fails signature check", r.cfg.ID, msg.SeqNo)
-		return
+	// Authenticate every request in the batch before the proposal touches
+	// the log: a Byzantine primary must not inject operations no client
+	// sent. Either grade will do — this replica's MAC proves the client
+	// sent it as well as a signature does. The dispatch path resolved
+	// these before the handler ran (verdicts ride on the message);
+	// requestOK resolves direct calls inline.
+	for i := range msg.Batch.Requests {
+		if !r.requestOK(msg, i) {
+			r.cfg.Logf("replica %d: batch at seq %d carries unauthenticated request", r.cfg.ID, msg.SeqNo)
+			return
+		}
 	}
 	in := r.inst(msg.SeqNo)
 	if in.prePrepare != nil {
@@ -322,17 +328,6 @@ func (r *Replica) onPrePrepare(msg *Message) {
 			r.startViewChange(r.view + 1)
 		}
 		return
-	}
-	// Authenticate every request in the batch: a Byzantine primary must
-	// not inject operations no client sent. Either grade will do — this
-	// replica's MAC proves the client sent it as well as a signature does.
-	// The dispatch path resolved these before the handler ran (verdicts
-	// ride on the message); requestOK resolves direct calls inline.
-	for i := range msg.Batch.Requests {
-		if !r.requestOK(msg, i) {
-			r.cfg.Logf("replica %d: batch at seq %d carries unauthenticated request", r.cfg.ID, msg.SeqNo)
-			return
-		}
 	}
 	r.acceptPrePrepare(msg)
 	// An accepted proposal is progress owed: the timer runs until it

@@ -141,6 +141,7 @@ type checkpointState struct {
 	votes    map[transport.NodeID]Digest
 	snapshot *frozenState // set on the replica's own checkpoint
 	stable   bool
+	split    bool // no digest can reach a quorum (noteSplit)
 }
 
 // Replica is one BFT state machine replica. Create with NewReplica, start
@@ -504,9 +505,8 @@ func (r *Replica) dispatchPrePrepare(msg *Message) {
 	if !r.prePrepareAdmissible(msg) {
 		return
 	}
-	// Capture the claimed sender's key on the loop (membership is
-	// loop-owned) so the pool can verify the replica signature too.
-	msg.repSigKey = r.membership.Keys[msg.From]
+	// A batch whose requests are all in the verdict cache resolves here,
+	// on the loop: the proposal itself has no signature to verify.
 	if !r.ensureAuth(msg) {
 		return // offloaded or waiting; it comes back with verdicts
 	}

@@ -42,9 +42,6 @@ func goldenInputs() map[string][]byte {
 			r.Order = true
 			return r.digestInput()
 		}(),
-		"pre-prepare": with(func(m *Message) {
-			m.Type, m.From, m.BatchDigest = MsgPrePrepare, 0, digestOf(0xb1)
-		}),
 		"prepare": with(func(m *Message) {
 			m.Type, m.BatchDigest = MsgPrepare, digestOf(0xb1)
 		}),
@@ -55,8 +52,7 @@ func goldenInputs() map[string][]byte {
 			m.Type, m.NewView, m.LastStable = MsgViewChange, 3, 16
 			m.Prepared = []PreparedProof{{
 				View: 2, SeqNo: 17, BatchDigest: digestOf(0xb1),
-				PrePrepare: &Message{From: 0, Sig: fill(0xa0, 64)},
-				Prepares:   []Message{{From: 1, Sig: fill(0xa1, 64)}, {From: 2, Sig: fill(0xa2, 64)}},
+				Prepares: []Message{{From: 1, Sig: fill(0xa1, 64)}, {From: 2, Sig: fill(0xa2, 64)}},
 			}, {
 				View: 2, SeqNo: 18, BatchDigest: digestOf(0xb2),
 			}}
@@ -96,14 +92,12 @@ func TestSignedInputGolden(t *testing.T) {
 		"request":         {39, "da1046107d08770ebbe98fa0ec0e601e5a70c06855845f739f138d6d37a18ff4"},
 		"ordered-request": {39, "49315bf6acce8d926f641f9e08510354f9e3413626327fd3ad98aadb87ca287b"},
 		// signedInputFixed less the absent snapshot's 32 B sum.
-		"pre-prepare":   {173, "e12193e97d94220abaef491997019cf27e60007fbb02fb6f01ae556da0fc56f6"},
 		"prepare":       {173, "0aa798d724fe42f9cce771f6e8abe3305dbfc11d56009cb29faf03927356e0bd"},
 		"checkpoint":    {173, "6ee21fcbe69c35ccece9b9a57f8a69a8500c8c3a2502d5055b5feb726c75ed05"},
 		"new-view":      {173, "7f1e888c4dc471587a2eb4421b93e9d7b49c4b3fb8d7fccb94a4181219c711b9"},
 		"state-request": {173, "f9b6bdf0012e85fb44fb2b6a49fbe61ec421bcfbee111e6020dfc0e83d7bb333"},
-		// 173 + a proof with pre-prepare and two prepares (281) + one
-		// with neither (53).
-		"view-change": {507, "6657a90aa1287a94851595f3a3c224f1371de3b25fae1456b28ca23ff8421755"},
+		// 173 + a proof with two prepares (204) + one with none (52).
+		"view-change": {429, "03a1ec268f4f25627c8cd5d2a4a8c1a03fe28d3205bd7c04a0fd90c0e92b1197"},
 		"state-reply": {205, "119982ea2b6c81ddd2c30c979396bfbc93df343050dc2b47ff8df4a7b9f1b483"},
 		"reply":       {175, "fe5b214171ea1dff18ca46a3fa8301200e91cd9a68c8e4b2812f671db8ec267b"},
 		"read-reply":  {175, "c1c1e67075db91cec36095031414df382d53efc2b2682b12cc341bec8840fc4b"},
@@ -145,8 +139,8 @@ func randomDigest(rng *rand.Rand) (d Digest) {
 }
 
 // randomSigned draws a message setting every field signedInput covers. Its
-// first proof always has a pre-prepare and at least two prepares, so every
-// boundary between variable-length fields exists; later proofs vary.
+// first proof always has at least two prepares, so every boundary between
+// variable-length fields exists; later proofs vary.
 func randomSigned(rng *rand.Rand) *Message {
 	m := &Message{
 		Type: MsgType(1 + rng.Intn(int(MsgCatchUp))), From: transport.NodeID(rng.Uint64()),
@@ -162,9 +156,6 @@ func randomSigned(rng *rand.Rand) *Message {
 	}
 	for i := 0; i < 1+rng.Intn(3); i++ {
 		p := PreparedProof{View: rng.Uint64(), SeqNo: rng.Uint64(), BatchDigest: randomDigest(rng)}
-		if i == 0 || rng.Intn(2) == 0 {
-			p.PrePrepare = &Message{From: transport.NodeID(rng.Uint64()), Sig: randomSig(rng)}
-		}
 		votes := rng.Intn(4)
 		if i == 0 {
 			votes += 2
@@ -186,9 +177,6 @@ func cloneCovered(m *Message) *Message {
 	c.Result = bytes.Clone(m.Result)
 	c.Prepared = make([]PreparedProof, len(m.Prepared))
 	for i, p := range m.Prepared {
-		if p.PrePrepare != nil {
-			p.PrePrepare = &Message{From: p.PrePrepare.From, Sig: bytes.Clone(p.PrePrepare.Sig)}
-		}
 		votes := make([]Message, len(p.Prepares))
 		for j := range p.Prepares {
 			votes[j] = Message{From: p.Prepares[j].From, Sig: bytes.Clone(p.Prepares[j].Sig)}
@@ -240,17 +228,6 @@ var messageChanges = []func(rng *rand.Rand, m *Message){
 	func(rng *rand.Rand, m *Message) { m.Prepared[rng.Intn(len(m.Prepared))].View++ },
 	func(rng *rand.Rand, m *Message) { m.Prepared[rng.Intn(len(m.Prepared))].SeqNo++ },
 	func(rng *rand.Rand, m *Message) { flipBit(rng, m.Prepared[rng.Intn(len(m.Prepared))].BatchDigest[:]) },
-	func(rng *rand.Rand, m *Message) {
-		p := &m.Prepared[rng.Intn(len(m.Prepared))]
-		if p.PrePrepare == nil {
-			p.PrePrepare = &Message{}
-		} else {
-			p.PrePrepare = nil
-		}
-	},
-	func(_ *rand.Rand, m *Message) { m.Prepared[0].PrePrepare.From++ },
-	func(rng *rand.Rand, m *Message) { flipBit(rng, m.Prepared[0].PrePrepare.Sig) },
-	func(_ *rand.Rand, m *Message) { m.Prepared[0].PrePrepare.Sig = append(m.Prepared[0].PrePrepare.Sig, 0) },
 	func(_ *rand.Rand, m *Message) { m.Prepared[0].Prepares = m.Prepared[0].Prepares[1:] },
 	func(rng *rand.Rand, m *Message) {
 		p := &m.Prepared[rng.Intn(len(m.Prepared))]
@@ -258,12 +235,8 @@ var messageChanges = []func(rng *rand.Rand, m *Message){
 	},
 	func(rng *rand.Rand, m *Message) { m.Prepared[0].Prepares[rng.Intn(2)].From++ },
 	func(rng *rand.Rand, m *Message) { flipBit(rng, m.Prepared[0].Prepares[rng.Intn(2)].Sig) },
-	// A byte moved across a variable-length boundary: pre-prepare
-	// signature → first prepare's, first prepare's → second's.
-	func(_ *rand.Rand, m *Message) {
-		p := &m.Prepared[0]
-		moveByte(&p.PrePrepare.Sig, &p.Prepares[0].Sig)
-	},
+	// A byte moved across a variable-length boundary: first prepare's
+	// signature → second's.
 	func(_ *rand.Rand, m *Message) {
 		p := &m.Prepared[0]
 		moveByte(&p.Prepares[0].Sig, &p.Prepares[1].Sig)

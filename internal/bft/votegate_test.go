@@ -345,9 +345,8 @@ func batchOf(c *cluster, n int) (*Batch, *Message) {
 }
 
 // TestPartlyCachedBatchVerifiesOnlyTheRest: a pre-prepare whose batch is
-// partly in the verdict cache verifies only the requests that are not,
-// plus its own signature. It used to verify every request of a batch that
-// was not wholly cached.
+// partly in the verdict cache verifies only the requests that are not. It
+// used to verify every request of a batch that was not wholly cached.
 func TestPartlyCachedBatchVerifiesOnlyTheRest(t *testing.T) {
 	c, reg := gateCluster(t, 4)
 	defer c.stop()
@@ -362,8 +361,8 @@ func TestPartlyCachedBatchVerifiesOnlyTheRest(t *testing.T) {
 	if in := r.log[1]; in == nil || in.prePrepare == nil {
 		t.Fatal("pre-prepare was not accepted")
 	}
-	if got := verifies.Value() - before; got != 3 {
-		t.Errorf("%d verifications, want 3: the 2 uncached requests and the signature", got)
+	if got := verifies.Value() - before; got != 2 {
+		t.Errorf("%d verifications, want 2: the 2 uncached requests", got)
 	}
 	if got := hits.Value() - hitsBefore; got != 1 {
 		t.Errorf("%d cache hits, want 1", got)
@@ -395,8 +394,8 @@ func TestPrePrepareWaitsForRequestAtPool(t *testing.T) {
 	if in := r.log[1]; in == nil || in.prePrepare == nil {
 		t.Fatal("pre-prepare was not accepted once the verdict landed")
 	}
-	if got := verifies.Value() - before; got != 2 {
-		t.Errorf("%d verifications, want 2: the request once and the signature", got)
+	if got := verifies.Value() - before; got != 1 {
+		t.Errorf("%d verifications, want 1: the request once", got)
 	}
 	if len(r.pooledReqs) != 0 || len(r.verdictWaits) != 0 {
 		t.Errorf("%d requests still counted at the pool, %d pre-prepares still waiting", len(r.pooledReqs), len(r.verdictWaits))
@@ -427,8 +426,8 @@ func TestForgedRequestAtPoolDoesNotFailGenuinePrePrepare(t *testing.T) {
 	if in := r.log[1]; in == nil || in.prePrepare == nil {
 		t.Fatal("a forged REQUEST at the pool failed the genuine pre-prepare")
 	}
-	if got := verifies.Value() - before; got != 3 {
-		t.Errorf("%d verifications, want 3: the forged copy, the genuine one and the signature", got)
+	if got := verifies.Value() - before; got != 2 {
+		t.Errorf("%d verifications, want 2: the forged copy and the genuine one", got)
 	}
 	if !r.verified.has(batch.Requests[0].Digest()) {
 		t.Error("the genuine request's verdict did not reach the cache")
