@@ -9,6 +9,7 @@ import (
 	"encoding/binary"
 	"testing"
 
+	"lazarus/internal/pairkey"
 	"lazarus/internal/transport"
 )
 
@@ -24,7 +25,7 @@ func seededKey(i int) ed25519.PrivateKey {
 func TestReplyKeyDerivation(t *testing.T) {
 	for i := 0; i < 64; i++ {
 		priv, replica := seededKey(2*i), seededKey(2*i+1)
-		u, err := montgomeryU(priv.Public().(ed25519.PublicKey))
+		u, err := pairkey.MontgomeryU(priv.Public().(ed25519.PublicKey))
 		if err != nil {
 			t.Fatalf("key %d: %v", i, err)
 		}

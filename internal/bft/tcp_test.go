@@ -30,6 +30,19 @@ func freePorts(t *testing.T, n int) []string {
 	return addrs
 }
 
+// linkIdentities returns the replicas' and the client's keys as a TCP
+// network's Keys and Identities, so every link has its own frame key.
+func linkIdentities(pubs map[transport.NodeID]ed25519.PublicKey, privs map[transport.NodeID]ed25519.PrivateKey,
+	client transport.NodeID, clientPub ed25519.PublicKey, clientPriv ed25519.PrivateKey,
+) (map[transport.NodeID]ed25519.PublicKey, map[transport.NodeID]ed25519.PrivateKey) {
+	keys := map[transport.NodeID]ed25519.PublicKey{client: clientPub}
+	identities := map[transport.NodeID]ed25519.PrivateKey{client: clientPriv}
+	for id := range pubs {
+		keys[id], identities[id] = pubs[id], privs[id]
+	}
+	return keys, identities
+}
+
 // TestOrderingOverTCP runs the full protocol over real sockets with
 // authenticated frames (the deployment transport) instead of the
 // in-memory switchboard.
@@ -44,9 +57,19 @@ func TestOrderingOverTCP(t *testing.T) {
 		addrs[ids[i]] = ports[i]
 	}
 	addrs[clientID] = ports[n]
+
+	pubs := make(map[transport.NodeID]ed25519.PublicKey, n)
+	privs := make(map[transport.NodeID]ed25519.PrivateKey, n)
+	for _, id := range ids {
+		pubs[id], privs[id] = keypair(t)
+	}
+	clientPub, clientPriv := keypair(t)
+	ctrlPub, _ := keypair(t)
+	keys, identities := linkIdentities(pubs, privs, clientID, clientPub, clientPriv)
 	tnet, err := transport.NewTCP(transport.TCPConfig{
-		Addrs:  addrs,
-		Secret: []byte("bft-over-tcp-test"),
+		Addrs:      addrs,
+		Keys:       keys,
+		Identities: identities,
 		// Tight deadlines: a wedged replica must cost milliseconds, not
 		// OS-default connect timeouts, even in this happy-path test.
 		DialTimeout:  2 * time.Second,
@@ -56,14 +79,6 @@ func TestOrderingOverTCP(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer tnet.Close()
-
-	pubs := make(map[transport.NodeID]ed25519.PublicKey, n)
-	privs := make(map[transport.NodeID]ed25519.PrivateKey, n)
-	for _, id := range ids {
-		pubs[id], privs[id] = keypair(t)
-	}
-	clientPub, clientPriv := keypair(t)
-	ctrlPub, _ := keypair(t)
 	membership, err := NewMembership(ids, pubs)
 	if err != nil {
 		t.Fatal(err)

@@ -34,6 +34,14 @@ func newWANHarness(t *testing.T, kind, profile string) *wanHarness {
 		ids[i] = transport.NodeID(i)
 	}
 
+	pubs := make(map[transport.NodeID]ed25519.PublicKey, n)
+	privs := make(map[transport.NodeID]ed25519.PrivateKey, n)
+	for _, id := range ids {
+		pubs[id], privs[id] = keypair(t)
+	}
+	clientPub, clientPriv := keypair(t)
+	ctrlPub, _ := keypair(t)
+
 	var inner transport.Network
 	switch kind {
 	case "memory":
@@ -45,9 +53,11 @@ func newWANHarness(t *testing.T, kind, profile string) *wanHarness {
 			addrs[id] = ports[i]
 		}
 		addrs[clientID] = ports[n]
+		keys, identities := linkIdentities(pubs, privs, clientID, clientPub, clientPriv)
 		tnet, err := transport.NewTCP(transport.TCPConfig{
 			Addrs:        addrs,
-			Secret:       []byte("wan-partition-test"),
+			Keys:         keys,
+			Identities:   identities,
 			DialTimeout:  2 * time.Second,
 			WriteTimeout: 2 * time.Second,
 			Seed:         1,
@@ -65,13 +75,6 @@ func newWANHarness(t *testing.T, kind, profile string) *wanHarness {
 	}
 	wnet := netem.Wrap(inner, netem.Config{Profile: prof, Seed: 1})
 
-	pubs := make(map[transport.NodeID]ed25519.PublicKey, n)
-	privs := make(map[transport.NodeID]ed25519.PrivateKey, n)
-	for _, id := range ids {
-		pubs[id], privs[id] = keypair(t)
-	}
-	clientPub, clientPriv := keypair(t)
-	ctrlPub, _ := keypair(t)
 	membership, err := NewMembership(ids, pubs)
 	if err != nil {
 		t.Fatal(err)

@@ -2,6 +2,7 @@ package transport
 
 import (
 	"context"
+	"crypto/ed25519"
 	"crypto/hmac"
 	"crypto/sha256"
 	"encoding/binary"
@@ -15,6 +16,7 @@ import (
 	"time"
 
 	"lazarus/internal/metrics"
+	"lazarus/internal/pairkey"
 )
 
 // maxFrame bounds a single TCP frame (16 MiB), protecting receivers from
@@ -28,13 +30,25 @@ const frameOverhead = 4 + 16 + sha256.Size
 // errAuthFail marks an inbound frame that failed HMAC authentication.
 var errAuthFail = errors.New("transport: frame failed authentication")
 
+// linkKeyTag separates link keys from any other use of the pair secret.
+const linkKeyTag = "lazarus/transport link MAC v1\x00"
+
 // TCPConfig configures a TCP network.
 type TCPConfig struct {
 	// Addrs maps every node to its listen address. All nodes that will
 	// ever communicate must be listed.
 	Addrs map[NodeID]string
-	// Secret keys the per-link HMAC authenticators; all nodes share it
-	// (pairwise keys would be derived from it in a full deployment).
+	// Keys is the ed25519 public key of every node in Addrs, and
+	// Identities the private keys of the nodes whose endpoints this
+	// network opens. With them each directed link has its own frame key,
+	// hashed from the X25519 secret of its two ends (pairkey.Shared) and
+	// their public keys in (sender, receiver) order: only the two ends of
+	// a link can MAC its frames, so a frame's From names its real sender.
+	Keys       map[NodeID]ed25519.PublicKey
+	Identities map[NodeID]ed25519.PrivateKey
+	// Secret, set instead of Keys, keys every link with one shared secret:
+	// any holder can put any node's id on a frame. It suits only a process
+	// that hosts every node and trusts all of them.
 	Secret []byte
 	// QueueDepth is the per-endpoint inbox capacity (default 4096).
 	QueueDepth int
@@ -63,8 +77,8 @@ type TCPConfig struct {
 	Metrics *metrics.Registry
 }
 
-// TCP is a Network over real sockets with length-prefixed, HMAC-
-// authenticated frames. Frame layout:
+// TCP is a Network over real sockets with length-prefixed frames, each
+// authenticated by an HMAC under its link's key. Frame layout:
 //
 //	uint32 length | int64 from | int64 to | payload | 32-byte HMAC
 //
@@ -90,8 +104,18 @@ func NewTCP(cfg TCPConfig) (*TCP, error) {
 	if len(cfg.Addrs) == 0 {
 		return nil, fmt.Errorf("transport: tcp network needs addresses")
 	}
-	if len(cfg.Secret) == 0 {
-		return nil, fmt.Errorf("transport: tcp network needs a MAC secret")
+	if (cfg.Keys == nil) == (len(cfg.Secret) == 0) {
+		return nil, fmt.Errorf("transport: tcp network needs link keys or a MAC secret, not both")
+	}
+	for id := range cfg.Addrs {
+		if _, ok := cfg.Keys[id]; cfg.Keys != nil && !ok {
+			return nil, fmt.Errorf("transport: no public key for node %d", id)
+		}
+	}
+	for id, priv := range cfg.Identities {
+		if len(priv) != ed25519.PrivateKeySize || !priv.Public().(ed25519.PublicKey).Equal(cfg.Keys[id]) {
+			return nil, fmt.Errorf("transport: identity of node %d does not match its public key", id)
+		}
 	}
 	if cfg.QueueDepth <= 0 {
 		cfg.QueueDepth = 4096
@@ -133,6 +157,10 @@ type tcpEndpoint struct {
 	dialCtx    context.Context
 	dialCancel context.CancelFunc
 
+	// out and in are the frame keys of the links to and from each peer;
+	// both are nil when one Secret keys every link.
+	out, in map[NodeID][]byte
+
 	mu      sync.Mutex
 	writers map[NodeID]*peerWriter
 	inbound map[net.Conn]struct{}
@@ -154,6 +182,10 @@ func (t *TCP) Endpoint(id NodeID) (Endpoint, error) {
 	if !ok {
 		return nil, fmt.Errorf("transport: no address for node %d", id)
 	}
+	out, in, err := t.linkKeys(id)
+	if err != nil {
+		return nil, err
+	}
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
 		return nil, fmt.Errorf("transport: listening on %s: %w", addr, err)
@@ -167,6 +199,8 @@ func (t *TCP) Endpoint(id NodeID) (Endpoint, error) {
 		closed:     make(chan struct{}),
 		dialCtx:    ctx,
 		dialCancel: cancel,
+		out:        out,
+		in:         in,
 		writers:    make(map[NodeID]*peerWriter),
 		inbound:    make(map[net.Conn]struct{}),
 	}
@@ -174,6 +208,58 @@ func (t *TCP) Endpoint(id NodeID) (Endpoint, error) {
 	go ep.acceptLoop()
 	t.endpoints[id] = ep
 	return ep, nil
+}
+
+// linkKeys derives the frame keys of every link to and from node id: one
+// X25519 exchange per peer, done once when the endpoint opens.
+func (t *TCP) linkKeys(id NodeID) (out, in map[NodeID][]byte, err error) {
+	if t.cfg.Keys == nil {
+		return nil, nil, nil
+	}
+	priv, ok := t.cfg.Identities[id]
+	if !ok {
+		return nil, nil, fmt.Errorf("transport: no identity for node %d", id)
+	}
+	out = make(map[NodeID][]byte, len(t.cfg.Addrs))
+	in = make(map[NodeID][]byte, len(t.cfg.Addrs))
+	self := t.cfg.Keys[id]
+	for peer := range t.cfg.Addrs {
+		pub := t.cfg.Keys[peer]
+		shared, err := pairkey.Shared(priv, pub)
+		if err != nil {
+			return nil, nil, fmt.Errorf("transport: link key with node %d: %w", peer, err)
+		}
+		out[peer] = linkKey(shared, self, pub)
+		in[peer] = linkKey(shared, pub, self)
+	}
+	return out, in, nil
+}
+
+// linkKey hashes the pair secret of a link's two ends, with their public
+// keys in (sender, receiver) order, into the key of that direction.
+func linkKey(shared []byte, from, to ed25519.PublicKey) []byte {
+	d := sha256.New()
+	d.Write([]byte(linkKeyTag))
+	d.Write(shared)
+	d.Write(from)
+	d.Write(to)
+	return d.Sum(nil)
+}
+
+// keyTo and keyFrom return the frame key of the link to or from a peer,
+// nil for a node with no key.
+func (ep *tcpEndpoint) keyTo(peer NodeID) []byte {
+	if ep.out == nil {
+		return ep.net.cfg.Secret
+	}
+	return ep.out[peer]
+}
+
+func (ep *tcpEndpoint) keyFrom(peer NodeID) []byte {
+	if ep.in == nil {
+		return ep.net.cfg.Secret
+	}
+	return ep.in[peer]
 }
 
 // Close implements Network.
@@ -231,11 +317,27 @@ func (ep *tcpEndpoint) acceptLoop() {
 
 func (ep *tcpEndpoint) readLoop(conn net.Conn) {
 	st := &ep.net.stats
-	// One HMAC state per connection, reset per frame: hmac.New runs two
-	// SHA-256 key schedules, pure waste to repeat per frame.
-	mac := hmac.New(sha256.New, ep.net.cfg.Secret)
+	// One HMAC state per sender and connection, reset per frame: hmac.New
+	// runs two SHA-256 key schedules, pure waste to repeat per frame. The
+	// map holds at most one state per node with a key.
+	macs := make(map[NodeID]hash.Hash, 1)
+	macFrom := func(from NodeID) hash.Hash {
+		if ep.in == nil {
+			from = 0 // one Secret keys every link: one state serves every sender
+		}
+		mac, ok := macs[from]
+		if !ok {
+			key := ep.keyFrom(from)
+			if key == nil {
+				return nil
+			}
+			mac = hmac.New(sha256.New, key)
+			macs[from] = mac
+		}
+		return mac
+	}
 	for {
-		env, err := readFrameMAC(conn, mac)
+		env, err := readFrameMAC(conn, macFrom)
 		if err != nil {
 			if errors.Is(err, errAuthFail) {
 				st.dropsAuthFail.Add(1)
@@ -309,13 +411,17 @@ func (ep *tcpEndpoint) writer(to NodeID) (*peerWriter, error) {
 	if !ok {
 		return nil, fmt.Errorf("transport: no address for node %d", to)
 	}
+	key := ep.keyTo(to)
+	if key == nil {
+		return nil, fmt.Errorf("transport: no link key for node %d", to)
+	}
 	pw := &peerWriter{
 		to:    to,
 		addr:  addr,
 		ep:    ep,
 		queue: make(chan Envelope, ep.net.cfg.SendQueueDepth),
 		kick:  make(chan struct{}, 1),
-		mac:   hmac.New(sha256.New, ep.net.cfg.Secret),
+		mac:   hmac.New(sha256.New, key),
 		// Jitter must come from a writer-local seeded source, not the
 		// global math/rand: the chaos harness replays whole runs from one
 		// seed, and a global draw would interleave with every other
@@ -591,13 +697,16 @@ func writeFrame(w io.Writer, secret []byte, env Envelope) error {
 // readFrame reads and authenticates one envelope with a one-shot HMAC
 // state.
 func readFrame(r io.Reader, secret []byte) (Envelope, error) {
-	return readFrameMAC(r, hmac.New(sha256.New, secret))
+	mac := hmac.New(sha256.New, secret)
+	return readFrameMAC(r, func(NodeID) hash.Hash { return mac })
 }
 
-// readFrameMAC reads and authenticates one envelope, resetting mac for
-// reuse. The returned payload is freshly allocated — ownership passes to
-// the consumer, so the read buffer cannot be recycled.
-func readFrameMAC(r io.Reader, mac hash.Hash) (Envelope, error) {
+// readFrameMAC reads one envelope and authenticates it under the HMAC
+// state macFrom returns for the sender it names (nil: no key, so the frame
+// fails), resetting that state for reuse. The returned payload is freshly
+// allocated — ownership passes to the consumer, so the read buffer cannot
+// be recycled.
+func readFrameMAC(r io.Reader, macFrom func(NodeID) hash.Hash) (Envelope, error) {
 	var lenBuf [4]byte
 	if _, err := io.ReadFull(r, lenBuf[:]); err != nil {
 		return Envelope{}, err
@@ -613,6 +722,11 @@ func readFrameMAC(r io.Reader, mac hash.Hash) (Envelope, error) {
 	payloadLen := int(total) - 16 - sha256.Size
 	hdr, payload, sum := buf[:16], buf[16:16+payloadLen], buf[16+payloadLen:]
 
+	from := NodeID(binary.BigEndian.Uint64(hdr[0:8]))
+	mac := macFrom(from)
+	if mac == nil {
+		return Envelope{}, errAuthFail
+	}
 	mac.Reset()
 	mac.Write(hdr)
 	mac.Write(payload)
@@ -620,7 +734,7 @@ func readFrameMAC(r io.Reader, mac hash.Hash) (Envelope, error) {
 		return Envelope{}, errAuthFail
 	}
 	return Envelope{
-		From:    NodeID(binary.BigEndian.Uint64(hdr[0:8])),
+		From:    from,
 		To:      NodeID(binary.BigEndian.Uint64(hdr[8:16])),
 		Payload: payload,
 	}, nil
