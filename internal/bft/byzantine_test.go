@@ -120,19 +120,24 @@ func TestAttackerForgesValidlySealedReplies(t *testing.T) {
 		t.Fatal("forged reply fails the client's MAC check — it would be trivially rejected")
 	}
 
-	votes := map[transport.NodeID][]byte{0: forged.Result}
+	votes := newTally([]transport.NodeID{0, 1, 2, 3}, 1, nil, 0)
+	if res, ok := votes.add(0, forged); ok {
+		t.Fatalf("one forged vote completed %q", res)
+	}
+	var (
+		res []byte
+		ok  bool
+	)
 	for id := transport.NodeID(1); id < 4; id++ {
 		if !clientKeys[id].Verify(replies[id]) {
 			t.Fatalf("genuine reply from %d rejected", id)
 		}
-		votes[id] = replies[id].Result
-		if id == 1 {
-			if res, ok := tally(votes, 2); ok {
-				t.Fatalf("one forged and one genuine vote reached f+1 on %q", res)
-			}
+		res, ok = votes.add(id, replies[id])
+		if id == 1 && ok {
+			t.Fatalf("one forged and one genuine vote reached f+1 on %q", res)
 		}
 	}
-	if res, ok := tally(votes, 2); !ok || !bytes.Equal(res, replies[1].Result) {
+	if !ok || !bytes.Equal(res, replies[1].Result) {
 		t.Fatalf("tally = %q, %v; want the genuine result", res, ok)
 	}
 }

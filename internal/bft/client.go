@@ -5,6 +5,7 @@ import (
 	"context"
 	"crypto/ed25519"
 	"fmt"
+	"slices"
 	"sync"
 	"time"
 
@@ -59,9 +60,10 @@ type Client struct {
 	// modified, so an Invoke may keep reading the one it started with.
 	replyKeys map[transport.NodeID]*replyKey
 	seq       uint64
-	// epoch is the highest epoch a verified reply was stamped with; a
-	// read's unordered answers count only at it.
-	epoch uint64
+	// stamps and floor carry replyTally's stamps and floor from one
+	// invocation to the next.
+	stamps map[transport.NodeID]uint64
+	floor  uint64
 }
 
 // NewClient validates the configuration and connects the endpoint.
@@ -136,21 +138,21 @@ func (c *Client) Close() error { return c.ep.Close() }
 
 // Invoke submits one operation and blocks until its result is vouched
 // for or ctx ends (or MaxAttempts, when set, run out). An ordered result
-// needs f+1 matching replies; a read the replicas answer without ordering
-// it needs a quorum of matching ones at the highest epoch seen (read.go),
-// and when those do not come the request is sent again with the Order
-// bit. An error for an ended context wraps ctx.Err().
+// needs f+1 replies matching in result and epoch; a read the replicas
+// answer without ordering it needs a quorum of matching ones at the epoch
+// floor (read.go), and when those do not come the request is sent again
+// with the Order bit. An error for an ended context wraps ctx.Err().
 func (c *Client) Invoke(ctx context.Context, op []byte) ([]byte, error) {
 	c.mu.Lock()
 	c.seq++
 	seq := c.seq
 	replicas := append([]transport.NodeID(nil), c.replicas...)
 	keys := c.replyKeys
-	votes := newTally(replicas, c.cfg.F, c.epoch)
+	votes := newTally(replicas, c.cfg.F, c.stamps, c.floor)
 	c.mu.Unlock()
 	defer func() {
 		c.mu.Lock()
-		c.epoch = max(c.epoch, votes.epoch)
+		c.stamps, c.floor = votes.stamps, votes.floor
 		c.mu.Unlock()
 	}()
 
@@ -283,39 +285,57 @@ func (c *Client) collect(ctx context.Context, seq uint64, keys map[transport.Nod
 }
 
 // replyTally holds one invocation's verified votes: ordered replies, of which
-// f+1 must match, and unordered read replies, of which a quorum must match
-// in result and epoch, that epoch being the highest any reply was stamped
-// with. Only replicas in the invocation's snapshot may vote: a retired
-// replica (removed by a Lazarus reconfiguration, possibly because it was
+// f+1 must match in result and epoch, and unordered read replies, of which
+// a quorum must match in result and epoch, that epoch being the floor.
+// Only replicas in the invocation's snapshot may vote: a retired replica
+// (removed by a Lazarus reconfiguration, possibly because it was
 // compromised) must not count toward either quorum.
 type replyTally struct {
-	member  map[transport.NodeID]bool
-	f       int
-	quorum  int
-	epoch   uint64
-	ordered map[transport.NodeID][]byte
-	fast    map[transport.NodeID]readVote
+	member map[transport.NodeID]bool
+	f      int
+	quorum int
+	// stamps is, per member, the highest epoch it stamped on a verified
+	// reply, in this invocation or an earlier one.
+	stamps map[transport.NodeID]uint64
+	// floor is the highest epoch f+1 members of a replica set have
+	// stamped. One of them is correct, so the epoch exists: a faulty
+	// member alone cannot raise the floor and push the client's reads onto
+	// the ordered path. It is at least the epoch of every ordered result
+	// the client accepted, whose f+1 repliers all stamped that epoch. It
+	// never drops, not even when the members that raised it leave the
+	// replica set.
+	floor   uint64
+	ordered map[transport.NodeID]vote
+	fast    map[transport.NodeID]vote
 }
 
-// readVote is one replica's unordered answer and the epoch it answered in.
-type readVote struct {
+// vote is one replica's answer and the epoch it answered in. A correct
+// replica stamps an ordered reply with the epoch it executed the request
+// in, which the order of execution fixes, and a read reply with its
+// current epoch.
+type vote struct {
 	result []byte
 	epoch  uint64
 }
 
-// newTally starts a replyTally over the replica set, whose epoch floor is the
-// highest epoch the client has seen.
-func newTally(replicas []transport.NodeID, f int, epoch uint64) *replyTally {
+// newTally starts a replyTally over the replica set, carrying over the
+// epochs its members stamped on the client's earlier replies and the
+// floor those set.
+func newTally(replicas []transport.NodeID, f int, seen map[transport.NodeID]uint64, floor uint64) *replyTally {
 	t := &replyTally{
 		member:  make(map[transport.NodeID]bool, len(replicas)),
 		f:       f,
 		quorum:  quorumSize(len(replicas), f),
-		epoch:   epoch,
-		ordered: make(map[transport.NodeID][]byte),
-		fast:    make(map[transport.NodeID]readVote),
+		stamps:  make(map[transport.NodeID]uint64, len(replicas)),
+		floor:   floor,
+		ordered: make(map[transport.NodeID]vote),
+		fast:    make(map[transport.NodeID]vote),
 	}
 	for _, id := range replicas {
 		t.member[id] = true
+		if e, ok := seen[id]; ok {
+			t.stamps[id] = e
+		}
 	}
 	return t
 }
@@ -332,33 +352,50 @@ func (t *replyTally) voted(from transport.NodeID, typ MsgType) bool {
 
 // add records a verified reply and reports the result it completes, if any.
 func (t *replyTally) add(from transport.NodeID, reply *Message) ([]byte, bool) {
-	t.epoch = max(t.epoch, reply.Epoch)
-	if reply.Type == MsgReply {
-		t.ordered[from] = reply.Result
-		return tally(t.ordered, t.f+1)
+	t.stamps[from] = max(t.stamps[from], reply.Epoch)
+	if len(t.member) > t.f {
+		es := make([]uint64, 0, len(t.member))
+		for id := range t.member {
+			es = append(es, t.stamps[id])
+		}
+		slices.Sort(es)
+		t.floor = max(t.floor, es[len(es)-1-t.f])
 	}
-	t.fast[from] = readVote{result: reply.Result, epoch: reply.Epoch}
+	v := vote{result: reply.Result, epoch: reply.Epoch}
+	if reply.Type == MsgReply {
+		t.ordered[from] = v
+		best, n := leading(t.ordered, func(vote) bool { return true })
+		return best.result, n > t.f
+	}
+	t.fast[from] = v
 	result, n := t.leadingRead()
 	return result, n >= t.quorum
 }
 
-// leadingRead returns the result the most unordered answers at the epoch
-// floor agree on, and how many do.
+// leadingRead returns the result the most unordered answers at the floor
+// agree on, and how many do.
 func (t *replyTally) leadingRead() ([]byte, int) {
-	var best []byte
+	best, n := leading(t.fast, func(v vote) bool { return v.epoch == t.floor })
+	return best.result, n
+}
+
+// leading returns the vote that the most votes match in result and epoch,
+// among those counts admits, and how many match it.
+func leading(votes map[transport.NodeID]vote, counts func(vote) bool) (vote, int) {
+	var best vote
 	most := 0
-	for _, v := range t.fast {
-		if v.epoch != t.epoch {
+	for _, v := range votes {
+		if !counts(v) {
 			continue
 		}
 		n := 0
-		for _, o := range t.fast {
-			if o.epoch == t.epoch && bytes.Equal(o.result, v.result) {
+		for _, o := range votes {
+			if o.epoch == v.epoch && bytes.Equal(o.result, v.result) {
 				n++
 			}
 		}
 		if n > most {
-			best, most = v.result, n
+			best, most = v, n
 		}
 	}
 	return best, most
@@ -380,20 +417,4 @@ func (t *replyTally) fastLost() bool {
 		}
 	}
 	return n+len(t.member)-answered < t.quorum
-}
-
-// tally looks for need matching results among the votes.
-func tally(votes map[transport.NodeID][]byte, need int) ([]byte, bool) {
-	for _, result := range votes {
-		count := 0
-		for _, other := range votes {
-			if bytes.Equal(result, other) {
-				count++
-			}
-		}
-		if count >= need {
-			return result, true
-		}
-	}
-	return nil, false
 }

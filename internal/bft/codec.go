@@ -135,7 +135,6 @@ func appendMessage(b []byte, m *Message, err *error) []byte {
 		b = appendBlob(b, m.Sig)
 	case m.Type == MsgStateReply:
 		b = appendU64(b, m.SnapSeqNo)
-		b = appendU64(b, m.SnapView)
 		b = append(b, m.StateDigest[:]...)
 		b = appendBlob(b, m.Snapshot)
 		b = appendBlob(b, m.Sig)
@@ -354,7 +353,6 @@ func (r *wireReader) message(m *Message, depth int) {
 		m.Sig = r.blob()
 	case MsgStateReply:
 		m.SnapSeqNo = r.u64()
-		m.SnapView = r.u64()
 		m.StateDigest = r.digest()
 		m.Snapshot = r.blob()
 		m.Sig = r.blob()

@@ -67,7 +67,7 @@ func coldMessages() []*Message {
 		{Type: MsgCheckpoint, From: 1, SeqNo: 16, Epoch: 1, StateDigest: Digest{5},
 			LastStable: 8, Sig: make([]byte, 64)},
 		{Type: MsgStateRequest, From: 3, SeqNo: 12, Epoch: 1, Sig: make([]byte, 64)},
-		{Type: MsgStateReply, From: 3, SnapSeqNo: 16, SnapView: 3, StateDigest: Digest{6},
+		{Type: MsgStateReply, From: 3, SnapSeqNo: 16, StateDigest: Digest{6},
 			Snapshot: []byte("snapshot-bytes"), Sig: make([]byte, 64)},
 		{Type: MsgViewChange, From: 2, NewView: 1},
 		{Type: MsgRequest, From: transport.ClientIDBase,

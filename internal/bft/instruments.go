@@ -50,13 +50,11 @@ type replicaInstruments struct {
 	// requestMACs counts REQUESTs a backup accepted on its MAC; they are
 	// neither verifications nor cache hits. verifyOffloaded counts messages
 	// handed to the verify pool rather than verified inline on the event
-	// loop. verifyWaits counts pre-prepares that waited for the verdict on
-	// a request at the pool instead of verifying it again (awaitVerdict).
+	// loop.
 	verifyOps       *metrics.Counter
 	verifyCacheHits *metrics.Counter
 	requestMACs     *metrics.Counter
 	verifyOffloaded *metrics.Counter
-	verifyWaits     *metrics.Counter
 	// votesUnverified counts prepares the gate parked or dropped without
 	// verifying them; voteRefills counts parked ones verified later because
 	// an earlier verification failed or came back for another digest. Their
@@ -97,7 +95,6 @@ func newReplicaInstruments(reg *metrics.Registry) replicaInstruments {
 		verifyCacheHits:  reg.Counter("bft.verify_cache_hits"),
 		requestMACs:      reg.Counter("bft.request_macs"),
 		verifyOffloaded:  reg.Counter("bft.verify_offloaded"),
-		verifyWaits:      reg.Counter("bft.verify_waits"),
 		votesUnverified:  reg.Counter("bft.votes_unverified"),
 		voteRefills:      reg.Counter("bft.vote_refills"),
 		reads:            reg.Counter("bft.reads"),

@@ -240,7 +240,6 @@ type Message struct {
 	// State transfer fields.
 	Snapshot  []byte
 	SnapSeqNo uint64
-	SnapView  uint64
 
 	// Sig authenticates the message: the sender's signature on the types
 	// that can enter certificates or state transfer, and on a reply or a
@@ -265,12 +264,9 @@ type Message struct {
 	// voteFlying marks a prepare its instance's gate counts as in flight
 	// at the verify pool (see prepareGate). Local like authDone.
 	voteFlying bool
-	// pooled marks a REQUEST handed to the verify pool, whose verdict
-	// pre-prepares carrying the same request may wait for; noWait marks a
-	// pre-prepare that a failed verdict released, which verifies its own
-	// requests instead of waiting again (see awaitVerdict). Local like
-	// authDone.
-	pooled, noWait bool
+	// pooled marks a REQUEST handed to the verify pool (see
+	// requestLanded). Local like authDone.
+	pooled bool
 
 	// snapSum caches snapshotSum(). A state reply's megabytes are hashed
 	// once per message, not once per use; Snapshot must not change after.
@@ -307,17 +303,17 @@ type PreparedProof struct {
 
 // signedInputFixed is the size of signedInput without its proofs and
 // result bytes: tag, type and four u64 header fields, two digests, newView
-// and lastStable, the proof count, snapSeq and snapView, the snapshot's
-// presence byte and sum, two reply u64s and the result's length.
-const signedInputFixed = len(messageInputTag) + 5*8 + 2*32 + 2*8 + 4 + 2*8 + 1 + 32 + 2*8 + 4
+// and lastStable, the proof count, snapSeq, the snapshot's presence byte
+// and sum, two reply u64s and the result's length.
+const signedInputFixed = len(messageInputTag) + 5*8 + 2*32 + 2*8 + 4 + 8 + 1 + 32 + 2*8 + 4
 
 // signedInput returns the byte string covered by replica signatures and
 // reply MACs. It covers the semantic content of the authenticated types,
 // every field of every type, in one layout:
 //
 //	tag type:u64 from:u64 view:u64 seq:u64 epoch:u64 batchDigest stateDigest
-//	newView:u64 lastStable:u64 proof* snapSeq:u64 snapView:u64
-//	has:u8 [snapshotSum] replySeq:u64 replyClient:u64 result:blob
+//	newView:u64 lastStable:u64 proof* snapSeq:u64 has:u8 [snapshotSum]
+//	replySeq:u64 replyClient:u64 result:blob
 //
 // where a proof is view:u64 seq:u64 batchDigest (from:u64 sig:blob)*, the
 // list its prepares.
@@ -350,7 +346,6 @@ func (m *Message) signedInput() []byte {
 		}
 	}
 	b = appendU64(b, m.SnapSeqNo)
-	b = appendU64(b, m.SnapView)
 	if len(m.Snapshot) > 0 {
 		sum := m.snapshotSum()
 		b = append(b, 1)

@@ -295,13 +295,7 @@ func (r *Replica) acceptPrePrepare(pp *Message) {
 // certificate for it later is quorum−1 signed prepares, which DESIGN.md
 // §10 shows is enough.
 func (r *Replica) onPrePrepare(msg *Message) {
-	if r.joining || r.inViewChange || !r.fromMember(msg) {
-		return
-	}
-	if msg.View != r.view || msg.From != r.membership.Primary(r.view) {
-		return
-	}
-	if msg.Epoch != r.membership.Epoch || !r.inWindow(msg.SeqNo) {
+	if !r.prePrepareAdmissible(msg) {
 		return
 	}
 	if msg.Batch == nil || msg.Batch.Digest() != msg.BatchDigest {

@@ -201,6 +201,52 @@ func TestProposalNeedsPrimaryChannel(t *testing.T) {
 	}
 }
 
+// TestPrePrepareAdmissionIsOneRule: onPrePrepare admits exactly the
+// proposals prePrepareAdmissible does. Over sender, view, epoch, window,
+// joining and an open view change, a proposal the rule rejects leaves the
+// log untouched when the handler is called directly, and one it admits
+// installs.
+func TestPrePrepareAdmissionIsOneRule(t *testing.T) {
+	rows := []struct {
+		name  string
+		admit bool
+		set   func(r *Replica, pp *Message)
+	}{
+		{"the primary's proposal", true, func(*Replica, *Message) {}},
+		{"from a backup", false, func(_ *Replica, pp *Message) { pp.From = 2 }},
+		{"from a non-member", false, func(_ *Replica, pp *Message) { pp.From = 9 }},
+		// Replica 0 leads views 0 and 4 alike: only the view differs.
+		{"for a later view", false, func(_ *Replica, pp *Message) { pp.View = 4 }},
+		{"for an earlier view", false, func(r *Replica, _ *Message) { r.view = 4 }},
+		{"for another epoch", false, func(_ *Replica, pp *Message) { pp.Epoch++ }},
+		{"at the low watermark", false, func(r *Replica, pp *Message) { r.lowWater = pp.SeqNo }},
+		{"above the window", false, func(r *Replica, pp *Message) { pp.SeqNo = r.lowWater + r.window() + 1 }},
+		{"at the window's top", true, func(r *Replica, pp *Message) { pp.SeqNo = r.lowWater + r.window() }},
+		{"while joining", false, func(r *Replica, _ *Message) { r.joining = true }},
+		{"during a view change", false, func(r *Replica, _ *Message) { r.inViewChange = true }},
+	}
+	for _, row := range rows {
+		t.Run(row.name, func(t *testing.T) {
+			c := newCluster(t, 4, 1, nil)
+			defer c.stop()
+			r := c.replicas[1]
+			_, pp := batchOf(c, 1)
+			row.set(r, pp)
+			if got := r.prePrepareAdmissible(pp); got != row.admit {
+				t.Fatalf("prePrepareAdmissible = %v, want %v", got, row.admit)
+			}
+			r.onPrePrepare(pp)
+			in := r.log[pp.SeqNo]
+			if installed := in != nil && in.prePrepare != nil; installed != row.admit {
+				t.Errorf("onPrePrepare installed the proposal: %v, want %v", installed, row.admit)
+			}
+			if !row.admit && len(r.log) != 0 {
+				t.Errorf("a rejected proposal left %d log instances", len(r.log))
+			}
+		})
+	}
+}
+
 // splitApp is a counterApp whose snapshot names its replica, so no two
 // replicas' checkpoint digests agree.
 type splitApp struct {

@@ -12,12 +12,13 @@ package bft
 // replica's epoch.
 //
 // The client accepts a read only from Quorum() matching (result, epoch)
-// replies at the highest epoch it has seen, and otherwise retransmits the
-// request with the Order bit (client.go). A write the client saw complete
-// was committed: a quorum sent COMMIT for it. Any read quorum shares f+1
-// replicas with that commit quorum, so an honest one among them waited
-// until it had executed the write, and the quorum's matching answer is its
-// answer. DESIGN.md §10 "Reads" gives the whole argument.
+// replies at the highest epoch f+1 members have shown it, and otherwise
+// retransmits the request with the Order bit (client.go). A write the
+// client saw complete was committed: a quorum sent COMMIT for it. Any read
+// quorum shares f+1 replicas with that commit quorum, so an honest one
+// among them waited until it had executed the write, and the quorum's
+// matching answer is its answer. DESIGN.md §10 "Reads" gives the whole
+// argument.
 
 // parkedRead is a read waiting until its replica has executed through
 // mark, the replica's commitMark when the read arrived.

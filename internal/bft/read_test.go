@@ -505,8 +505,8 @@ func orderedReply(result string, epoch uint64) *Message {
 
 // TestClientReadRule pins which unordered answers complete a read: a
 // quorum of members agreeing on result and epoch, at the highest epoch
-// the client has seen. Anything less sends the request to the ordered
-// path, whose replies here say "ordered".
+// f+1 members have shown the client. Anything less sends the request to
+// the ordered path, whose replies here say "ordered".
 func TestClientReadRule(t *testing.T) {
 	invokeRead := func(t *testing.T, cl *Client) string {
 		t.Helper()
@@ -580,9 +580,65 @@ func TestClientReadRule(t *testing.T) {
 	})
 	t.Run("a higher epoch sends the read to the ordered path", func(t *testing.T) {
 		_, privs := replicaKeys(t, 4)
-		cl := readClient(t, privs, fast(map[transport.NodeID]*Message{0: readReply("v", 1), 1: readReply("v", 1), 2: readReply("v", 2)}))
+		cl := readClient(t, privs, fast(map[transport.NodeID]*Message{0: readReply("v", 1), 1: readReply("v", 1), 2: readReply("v", 2), 3: readReply("v", 2)}))
 		if got := invokeRead(t, cl); got != "ordered" {
 			t.Fatalf("read returned %q, want the ordered path's answer", got)
+		}
+	})
+	t.Run("one member's higher epoch does not send the read to the ordered path", func(t *testing.T) {
+		_, privs := replicaKeys(t, 4)
+		var writes atomic.Int32
+		cl := readClient(t, privs, func(id transport.NodeID, req *Request) []*Message {
+			epoch := uint64(1)
+			if id == 3 {
+				epoch = 1000 // a faulty member stamps an epoch that does not exist
+			}
+			if !req.Order && bytes.HasPrefix(req.Op, []byte("r ")) {
+				return []*Message{readReply("v", epoch)}
+			}
+			// Members 0 and 3 answer the write's first copy, member 1
+			// only its retransmission, so the client counts member 3's
+			// reply before it accepts.
+			if id == 0 || id == 3 || (id == 1 && writes.Add(1) > 1) {
+				return []*Message{orderedReply("ordered", epoch)}
+			}
+			return nil
+		})
+		if _, err := cl.Invoke(context.Background(), []byte("w k v")); err != nil {
+			t.Fatal(err)
+		}
+		if got := invokeRead(t, cl); got != "v" {
+			t.Fatalf("read returned %q after one member stamped epoch 1000, want v from the epoch-1 quorum", got)
+		}
+	})
+	t.Run("a write's epoch holds when one replier stamps an older one", func(t *testing.T) {
+		_, privs := replicaKeys(t, 4)
+		var writes atomic.Int32
+		cl := readClient(t, privs, func(id transport.NodeID, req *Request) []*Message {
+			if req.Order {
+				return []*Message{orderedReply("ordered", 2)}
+			}
+			if bytes.HasPrefix(req.Op, []byte("r ")) {
+				if id == 0 {
+					return nil
+				}
+				return []*Message{readReply("stale", 1)}
+			}
+			// The write ran in epoch 2. Member 3 stamps epoch 1 on its
+			// reply; member 1 answers only the retransmission.
+			switch {
+			case id == 0 || (id == 1 && writes.Add(1) > 1):
+				return []*Message{orderedReply("ordered", 2)}
+			case id == 3:
+				return []*Message{orderedReply("ordered", 1)}
+			}
+			return nil
+		})
+		if _, err := cl.Invoke(context.Background(), []byte("w k v")); err != nil {
+			t.Fatal(err)
+		}
+		if got := invokeRead(t, cl); got != "ordered" {
+			t.Fatalf("read returned %q from an epoch-1 quorum after a write in epoch 2, want the ordered path's answer", got)
 		}
 	})
 	t.Run("a quorum below the highest epoch seen does not count", func(t *testing.T) {

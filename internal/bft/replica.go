@@ -216,13 +216,10 @@ type Replica struct {
 
 	// Request authentication (see verify.go). verified is loop-owned;
 	// verifyJobs feeds the worker pool and is nil until Start. pooledReqs
-	// counts, by digest, the REQUESTs at the pool, and verdictWaits holds
-	// the pre-prepares waiting for one of their verdicts, by sequence
-	// number (awaitVerdict). Both loop-owned.
-	verified     *verdictCache
-	verifyJobs   chan *Message
-	pooledReqs   map[Digest]int
-	verdictWaits map[uint64]verdictWait
+	// counts, by digest, the REQUESTs at the pool (loop-owned).
+	verified   *verdictCache
+	verifyJobs chan *Message
+	pooledReqs map[Digest]int
 
 	// replyKeys seal replies, by the public key that authenticated the
 	// request (a ClientKeys entry or ControllerKey), each derived on its
@@ -318,28 +315,27 @@ func NewReplica(cfg ReplicaConfig) (*Replica, error) {
 	querier, _ := cfg.App.(Querier)
 	ctx, cancel := context.WithCancel(context.Background())
 	r := &Replica{
-		cfg:          cfg,
-		ep:           ep,
-		app:          app,
-		querier:      querier,
-		membership:   cfg.Membership.Clone(),
-		log:          make(map[uint64]*instance),
-		clients:      make(map[transport.NodeID]*clientRecord),
-		pendingSet:   make(map[Digest]bool),
-		ckpts:        make(map[uint64]*checkpointState),
-		ckptAhead:    make(map[transport.NodeID]uint64),
-		viewChanges:  make(map[uint64]map[transport.NodeID]*Message),
-		stReplies:    make(map[transport.NodeID]*Message),
-		epochClaims:  make(map[transport.NodeID]uint64),
-		joining:      cfg.Joining,
-		verified:     newVerdictCache(4096),
-		pooledReqs:   make(map[Digest]int),
-		verdictWaits: make(map[uint64]verdictWait),
-		replyKeys:    make(map[string]*replyKey),
-		ctx:          ctx,
-		cancel:       cancel,
-		inbox:        make(chan *Message, 1024),
-		ins:          newReplicaInstruments(cfg.Metrics),
+		cfg:         cfg,
+		ep:          ep,
+		app:         app,
+		querier:     querier,
+		membership:  cfg.Membership.Clone(),
+		log:         make(map[uint64]*instance),
+		clients:     make(map[transport.NodeID]*clientRecord),
+		pendingSet:  make(map[Digest]bool),
+		ckpts:       make(map[uint64]*checkpointState),
+		ckptAhead:   make(map[transport.NodeID]uint64),
+		viewChanges: make(map[uint64]map[transport.NodeID]*Message),
+		stReplies:   make(map[transport.NodeID]*Message),
+		epochClaims: make(map[transport.NodeID]uint64),
+		joining:     cfg.Joining,
+		verified:    newVerdictCache(4096),
+		pooledReqs:  make(map[Digest]int),
+		replyKeys:   make(map[string]*replyKey),
+		ctx:         ctx,
+		cancel:      cancel,
+		inbox:       make(chan *Message, 1024),
+		ins:         newReplicaInstruments(cfg.Metrics),
 	}
 	r.vcTimer = time.NewTimer(time.Hour)
 	if !r.vcTimer.Stop() {
@@ -497,8 +493,8 @@ func (r *Replica) dispatch(msg *Message) {
 	}
 }
 
-// dispatchPrePrepare routes a pre-prepare: inbound, back from the verify
-// pool, or released by the verdict it waited for (requestLanded).
+// dispatchPrePrepare routes a pre-prepare: inbound, or back from the
+// verify pool.
 func (r *Replica) dispatchPrePrepare(msg *Message) {
 	// Cheap structural checks first, so signature work is never spent on
 	// proposals that cannot be accepted anyway.
@@ -508,7 +504,7 @@ func (r *Replica) dispatchPrePrepare(msg *Message) {
 	// A batch whose requests are all in the verdict cache resolves here,
 	// on the loop: the proposal itself has no signature to verify.
 	if !r.ensureAuth(msg) {
-		return // offloaded or waiting; it comes back with verdicts
+		return // offloaded; it comes back with verdicts
 	}
 	r.onPrePrepare(msg)
 	// The proposal fixed the digest: votes verified for another no longer
@@ -608,7 +604,14 @@ func (r *Replica) fromMember(msg *Message) bool {
 	return r.membership.Contains(msg.From)
 }
 
-// verifySigned checks a signed message's replica signature.
+// verifySigned checks a signed message's replica signature against the
+// CURRENT membership only. Boot-configuration keys deliberately do NOT
+// count: a replica is removed from the membership precisely because it is
+// suspected compromised, and accepting its signature on a state reply
+// would hand the adversary one of the f+1 vouchers it needs to feed us
+// fabricated state (one removed-but-boot member plus one compromised
+// current member beats f=1). A joining replica's current membership IS the
+// boot configuration until its first restore, so bootstrap is unaffected.
 func (r *Replica) verifySigned(msg *Message) bool {
 	pub, ok := r.membership.Keys[msg.From]
 	if !ok {

@@ -64,7 +64,7 @@ func goldenInputs() map[string][]byte {
 			m.Type = MsgStateRequest
 		}),
 		"state-reply": with(func(m *Message) {
-			m.Type, m.SnapSeqNo, m.SnapView, m.StateDigest = MsgStateReply, 16, 2, digestOf(0x5d)
+			m.Type, m.SnapSeqNo, m.StateDigest = MsgStateReply, 16, digestOf(0x5d)
 			m.Snapshot = []byte("snapshot bytes")
 		}),
 		"reply": with(func(m *Message) {
@@ -92,15 +92,15 @@ func TestSignedInputGolden(t *testing.T) {
 		"request":         {39, "da1046107d08770ebbe98fa0ec0e601e5a70c06855845f739f138d6d37a18ff4"},
 		"ordered-request": {39, "49315bf6acce8d926f641f9e08510354f9e3413626327fd3ad98aadb87ca287b"},
 		// signedInputFixed less the absent snapshot's 32 B sum.
-		"prepare":       {173, "0aa798d724fe42f9cce771f6e8abe3305dbfc11d56009cb29faf03927356e0bd"},
-		"checkpoint":    {173, "6ee21fcbe69c35ccece9b9a57f8a69a8500c8c3a2502d5055b5feb726c75ed05"},
-		"new-view":      {173, "7f1e888c4dc471587a2eb4421b93e9d7b49c4b3fb8d7fccb94a4181219c711b9"},
-		"state-request": {173, "f9b6bdf0012e85fb44fb2b6a49fbe61ec421bcfbee111e6020dfc0e83d7bb333"},
-		// 173 + a proof with two prepares (204) + one with none (52).
-		"view-change": {429, "03a1ec268f4f25627c8cd5d2a4a8c1a03fe28d3205bd7c04a0fd90c0e92b1197"},
-		"state-reply": {205, "119982ea2b6c81ddd2c30c979396bfbc93df343050dc2b47ff8df4a7b9f1b483"},
-		"reply":       {175, "fe5b214171ea1dff18ca46a3fa8301200e91cd9a68c8e4b2812f671db8ec267b"},
-		"read-reply":  {175, "c1c1e67075db91cec36095031414df382d53efc2b2682b12cc341bec8840fc4b"},
+		"prepare":       {165, "901e8a7084c3b3ff7e6c69cb96cb796d1a07b1cf7aa25f72a5aa400bc81e7071"},
+		"checkpoint":    {165, "1422322bdc4e24a8e5096e05569aa97fe48b15ef1be6709cb5e7b65efa393240"},
+		"new-view":      {165, "6506eaacfabd29028845b3113e93ee556f35f1eeb92fc784c845dd1d47abcf0f"},
+		"state-request": {165, "1eebb855cb5057a46c7510e93a39b05321c4f11b9ca061f4b1c127916a05dcda"},
+		// 165 + a proof with two prepares (204) + one with none (52).
+		"view-change": {421, "44bb97a19cdd042730c59a925cd846d2311e0ded33f61bf3da8da4008940a6d9"},
+		"state-reply": {197, "64591d7cb8514f95abfc40590ebc4035b4478507abd8118f764a25a4aae5155e"},
+		"reply":       {167, "c030768e6d3eb97436622aeea7a15a89a671c5cc8e8eec0ee7d413169a4aa512"},
+		"read-reply":  {167, "f9215a7cc730422f48cc62dc429a24f10d200b806c70fa0c327296881df4c51c"},
 	}
 	inputs := goldenInputs()
 	if len(inputs) != len(want) {
@@ -146,8 +146,7 @@ func randomSigned(rng *rand.Rand) *Message {
 		Type: MsgType(1 + rng.Intn(int(MsgCatchUp))), From: transport.NodeID(rng.Uint64()),
 		View: rng.Uint64(), SeqNo: rng.Uint64(), Epoch: rng.Uint64(),
 		BatchDigest: randomDigest(rng), StateDigest: randomDigest(rng),
-		NewView: rng.Uint64(), LastStable: rng.Uint64(),
-		SnapSeqNo: rng.Uint64(), SnapView: rng.Uint64(),
+		NewView: rng.Uint64(), LastStable: rng.Uint64(), SnapSeqNo: rng.Uint64(),
 		ReplySeq: rng.Uint64(), ReplyClient: transport.NodeID(rng.Uint64()),
 		Result: randomSig(rng),
 	}
@@ -210,7 +209,6 @@ var messageChanges = []func(rng *rand.Rand, m *Message){
 	func(_ *rand.Rand, m *Message) { m.NewView++ },
 	func(_ *rand.Rand, m *Message) { m.LastStable++ },
 	func(_ *rand.Rand, m *Message) { m.SnapSeqNo++ },
-	func(_ *rand.Rand, m *Message) { m.SnapView++ },
 	func(rng *rand.Rand, m *Message) {
 		if m.Snapshot == nil {
 			m.Snapshot = randomSig(rng)

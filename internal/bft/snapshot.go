@@ -165,7 +165,6 @@ func (r *Replica) stateReply(f *frozenState) (*Message, error) {
 	reply := &Message{
 		Type:        MsgStateReply,
 		SnapSeqNo:   f.meta.LastExec,
-		SnapView:    r.view,
 		Snapshot:    f.bytes,
 		StateDigest: f.digest,
 		snapSum:     f.sum,

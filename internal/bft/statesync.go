@@ -90,8 +90,8 @@ func (r *Replica) onStateRequest(msg *Message) {
 	// in, multi-KB snapshot out). Boot-or-current membership is the right
 	// scope for *serving*: a removed replica legitimately asks for the
 	// state that proves its removal. (Counting toward the restore quorum
-	// is stricter — see verifyStateReply.)
-	if !r.verifyStateRequest(msg) {
+	// is stricter — see verifySigned.)
+	if boot, ok := r.cfg.Membership.Keys[msg.From]; !r.verifySigned(msg) && !(ok && msg.VerifySig(boot)) {
 		return
 	}
 	if msg.Epoch < r.membership.Epoch && msg.SeqNo < r.lastExec {
@@ -127,7 +127,7 @@ func (r *Replica) onStateReply(msg *Message) {
 	if msg.SnapSeqNo <= r.lastExec && !r.joining {
 		return
 	}
-	if !r.verifyStateReply(msg) {
+	if !r.verifySigned(msg) {
 		return
 	}
 	r.stReplies[msg.From] = msg //lazlint:allow epoch-guard(state transfer is the cross-epoch recovery path: a replica fetching a snapshot is precisely the one whose local epoch is stale; freshness comes from f+1 matching snapshot digests, not epoch equality)
@@ -216,29 +216,4 @@ func (r *Replica) onStateReply(msg *Message) {
 	// committed instances the log kept above the restore point execute now.
 	r.compactPending()
 	r.executeReady()
-}
-
-// verifyStateReply authenticates a snapshot voucher against the CURRENT
-// membership only. Boot-configuration keys deliberately do NOT count:
-// a replica is removed from the membership precisely because it is
-// suspected compromised, and accepting its signature here would hand the
-// adversary one of the f+1 vouchers it needs to feed us fabricated state
-// (one removed-but-boot member plus one compromised current member beats
-// f=1). A joining replica's current membership IS the boot configuration
-// until its first restore, so bootstrap is unaffected.
-func (r *Replica) verifyStateReply(msg *Message) bool {
-	pub, ok := r.membership.Keys[msg.From]
-	return ok && msg.VerifySig(pub)
-}
-
-// verifyStateRequest authenticates a state requester: boot or current
-// membership, with a valid signature.
-func (r *Replica) verifyStateRequest(msg *Message) bool {
-	if pub, ok := r.membership.Keys[msg.From]; ok && msg.VerifySig(pub) {
-		return true
-	}
-	if pub, ok := r.cfg.Membership.Keys[msg.From]; ok && msg.VerifySig(pub) {
-		return true
-	}
-	return false
 }

@@ -70,10 +70,6 @@ func TestOrderingOverTCP(t *testing.T) {
 		Addrs:      addrs,
 		Keys:       keys,
 		Identities: identities,
-		// Tight deadlines: a wedged replica must cost milliseconds, not
-		// OS-default connect timeouts, even in this happy-path test.
-		DialTimeout:  2 * time.Second,
-		WriteTimeout: 2 * time.Second,
 	})
 	if err != nil {
 		t.Fatal(err)

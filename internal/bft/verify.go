@@ -31,19 +31,19 @@ package bft
 // Deadlock freedom: the loop never blocks feeding the pool (enqueue is
 // non-blocking, falling back to inline verification when the pool is
 // saturated), and workers block only on the inbox, which the loop always
-// drains. A pre-prepare that waits for a REQUEST's verdict (awaitVerdict)
-// waits in a loop-owned table, never on the loop itself.
+// drains.
 //
 // One rule decides what is verified: a signature is verified at most once
 // per replica, and only when its verdict can change what the replica does.
-// The verdict cache and awaitVerdict keep requests to one verification;
-// the prepare gate and the late-prepare rule (dispatchPrepare) skip the
-// votes whose verdict cannot be used.
+// The verdict cache keeps requests to one verification, save a pre-prepare
+// that arrives while a copy of its request is still at the pool, which
+// checks its own copy (requestLanded); the prepare gate and the
+// late-prepare rule (dispatchPrepare) skip the votes whose verdict cannot
+// be used.
 
 import (
 	"bytes"
 	"crypto/sha256"
-	"slices"
 
 	"lazarus/internal/transport"
 )
@@ -147,8 +147,7 @@ func authReq(msg *Message, i int) *Request {
 // ensureAuth resolves every request verdict a message needs before its
 // handler runs. It returns true when the message is ready to dispatch;
 // false means it was handed to the verify pool and will re-enter the
-// inbox with verdicts attached, or that it waits on the loop for a verdict
-// already being computed (awaitVerdict). Runs on the event loop.
+// inbox with verdicts attached. Runs on the event loop.
 func (r *Replica) ensureAuth(msg *Message) bool {
 	if msg.authDone {
 		// The pool (or a previous pass) resolved this message; fold the
@@ -157,9 +156,7 @@ func (r *Replica) ensureAuth(msg *Message) bool {
 		r.adoptVerdicts(msg)
 		return true
 	}
-	if !r.resolveWithoutSignatures(msg, true) {
-		return false
-	}
+	r.resolveWithoutSignatures(msg)
 	if msg.authDone {
 		return true
 	}
@@ -197,10 +194,8 @@ func (r *Replica) ensureAuth(msg *Message) bool {
 // request twice. What vouches depends on where the request is: a REQUEST
 // at the primary needs its own signature, one at a backup is accepted on
 // this replica's MAC, and a request in a pre-prepare on either grade. It
-// marks the message done when nothing is left to verify. With wait set, a
-// pre-prepare may park on a request at the pool instead (awaitVerdict),
-// and false reports that it did.
-func (r *Replica) resolveWithoutSignatures(msg *Message, wait bool) bool {
+// marks the message done when nothing is left to verify.
+func (r *Replica) resolveWithoutSignatures(msg *Message) {
 	n := numAuthReqs(msg)
 	var auth []verdict
 	resolved := 0
@@ -218,9 +213,6 @@ func (r *Replica) resolveWithoutSignatures(msg *Message, wait bool) bool {
 			v = byMAC
 		}
 		if v == unauthenticated {
-			if wait && r.awaitVerdict(msg, req.Digest()) {
-				return false
-			}
 			continue
 		}
 		if auth == nil {
@@ -242,7 +234,6 @@ func (r *Replica) resolveWithoutSignatures(msg *Message, wait bool) bool {
 		msg.authDone = true
 		r.adoptVerdicts(msg)
 	}
-	return true
 }
 
 // requestMACOK reports whether a REQUEST carries this replica's MAC from
@@ -256,36 +247,11 @@ func (r *Replica) requestMACOK(msg *Message) bool {
 	return err == nil && key.Verify(msg)
 }
 
-// awaitVerdict parks an admissible pre-prepare on the loop when request d
-// of its batch is at the verify pool inside a REQUEST: that verdict lands
-// soon, and verifying the same request again meanwhile changes nothing.
-// requestLanded re-dispatches it. Bounded: only digests at the pool can be
-// waited on, by at most one pre-prepare per sequence number in the window.
-// It reports whether the message now waits.
-func (r *Replica) awaitVerdict(msg *Message, d Digest) bool {
-	if msg.Type != MsgPrePrepare || msg.noWait || r.pooledReqs[d] == 0 {
-		return false
-	}
-	if _, taken := r.verdictWaits[msg.SeqNo]; taken || !r.inWindow(msg.SeqNo) {
-		return false
-	}
-	r.verdictWaits[msg.SeqNo] = verdictWait{digest: d, pp: msg}
-	r.ins.verifyWaits.Inc()
-	return true
-}
-
-// verdictWait is a pre-prepare waiting for the verdict on one request.
-type verdictWait struct {
-	digest Digest
-	pp     *Message
-}
-
 // requestLanded runs when a REQUEST the loop handed to the verify pool is
-// back with its verdict, and releases the pre-prepares waiting for it, in
-// sequence order. A positive verdict is in the cache by now; a negative
-// one sends each waiter through its own verification, so a forged copy of
-// a request cannot fail a batch that carries the genuine one, and drops
-// the pending copy with the same signature (upgradeUnsigned sent it).
+// back with its verdict. A negative one drops the pending copy with the
+// same signature (upgradeUnsigned sent it). A pre-prepare that carried the
+// request meanwhile verified its own copy, so a forged copy at the pool
+// cannot fail a batch that carries the genuine one.
 func (r *Replica) requestLanded(msg *Message) {
 	d := msg.Request.Digest()
 	if r.pooledReqs[d] <= 1 {
@@ -295,19 +261,6 @@ func (r *Replica) requestLanded(msg *Message) {
 	}
 	if msg.auth[0] == unauthenticated {
 		r.dropPending(msg.Request)
-	}
-	var seqs []uint64
-	for seq, w := range r.verdictWaits {
-		if w.digest == d {
-			seqs = append(seqs, seq)
-		}
-	}
-	slices.Sort(seqs)
-	for _, seq := range seqs {
-		pp := r.verdictWaits[seq].pp
-		delete(r.verdictWaits, seq)
-		pp.noWait = msg.auth[0] == unauthenticated
-		r.dispatchPrePrepare(pp)
 	}
 }
 
@@ -350,9 +303,8 @@ func (r *Replica) authMessage(msg *Message) {
 // (white-box tests, locally re-injected messages) verify inline.
 func (r *Replica) replicaSigOK(msg *Message) bool {
 	if !msg.repSigDone {
-		pub, ok := r.membership.Keys[msg.From]
 		msg.repSigDone = true
-		msg.repSigOK = ok && msg.VerifySig(pub)
+		msg.repSigOK = r.verifySigned(msg)
 	}
 	return msg.repSigOK
 }
@@ -376,7 +328,7 @@ func (r *Replica) adoptVerdicts(msg *Message) {
 // white-box test, say — resolves them here, inline.
 func (r *Replica) requestOK(msg *Message, i int) bool {
 	if !msg.authDone {
-		r.resolveWithoutSignatures(msg, false)
+		r.resolveWithoutSignatures(msg)
 		if !msg.authDone {
 			r.authMessage(msg)
 			r.adoptVerdicts(msg)
@@ -655,8 +607,8 @@ func (r *Replica) refillPrepares(seq uint64) {
 // prePrepareAdmissible runs the cheap structural checks on a pre-prepare
 // before any work is spent on its requests: only the current primary's
 // proposal for the current view, epoch and window is worth
-// authenticating. onPrePrepare re-checks afterwards — the view may have
-// changed while the pool held the message.
+// authenticating. onPrePrepare applies it again afterwards — the view may
+// have changed while the pool held the message.
 func (r *Replica) prePrepareAdmissible(msg *Message) bool {
 	if r.joining || r.inViewChange || !r.fromMember(msg) {
 		return false

@@ -369,42 +369,10 @@ func TestPartlyCachedBatchVerifiesOnlyTheRest(t *testing.T) {
 	}
 }
 
-// TestPrePrepareWaitsForRequestAtPool: a backup's pre-prepare arriving
-// while the REQUEST it carries is at the verify pool waits for that
-// verdict instead of verifying the request a second time.
-func TestPrePrepareWaitsForRequestAtPool(t *testing.T) {
-	c, reg := gateCluster(t, 4)
-	defer c.stop()
-	r := c.replicas[1]
-	holdPool(r)
-	batch, pp := batchOf(c, 1)
-	req := batch.Requests[0]
-	verifies := reg.Counter("bft.verify_ops")
-	before := verifies.Value()
-
-	r.dispatch(&Message{Type: MsgRequest, From: req.Client, Request: &req}) // at the pool
-	r.dispatch(pp)
-	if got := reg.Counter("bft.verify_waits").Value(); got != 1 {
-		t.Fatalf("%d pre-prepares waited, want 1", got)
-	}
-	if got := len(r.verifyJobs); got != 1 {
-		t.Fatalf("%d messages at the pool, want only the REQUEST", got)
-	}
-	drainPool(r)
-	if in := r.log[1]; in == nil || in.prePrepare == nil {
-		t.Fatal("pre-prepare was not accepted once the verdict landed")
-	}
-	if got := verifies.Value() - before; got != 1 {
-		t.Errorf("%d verifications, want 1: the request once", got)
-	}
-	if len(r.pooledReqs) != 0 || len(r.verdictWaits) != 0 {
-		t.Errorf("%d requests still counted at the pool, %d pre-prepares still waiting", len(r.pooledReqs), len(r.verdictWaits))
-	}
-}
-
 // TestForgedRequestAtPoolDoesNotFailGenuinePrePrepare: a copy of a request
-// with a garbled signature at the pool makes the pre-prepare that waited
-// for it verify its own, genuine copy, and the proposal is accepted.
+// with a garbled signature at the pool does not fail the pre-prepare that
+// carries the genuine copy: the proposal verifies its own copy and is
+// accepted.
 func TestForgedRequestAtPoolDoesNotFailGenuinePrePrepare(t *testing.T) {
 	c, reg := gateCluster(t, 4)
 	defer c.stop()
@@ -419,9 +387,6 @@ func TestForgedRequestAtPoolDoesNotFailGenuinePrePrepare(t *testing.T) {
 
 	r.dispatch(&Message{Type: MsgRequest, From: forged.Client, Request: &forged}) // at the pool
 	r.dispatch(pp)
-	if got := reg.Counter("bft.verify_waits").Value(); got != 1 {
-		t.Fatalf("%d pre-prepares waited, want 1", got)
-	}
 	drainPool(r)
 	if in := r.log[1]; in == nil || in.prePrepare == nil {
 		t.Fatal("a forged REQUEST at the pool failed the genuine pre-prepare")

@@ -55,12 +55,10 @@ func newWANHarness(t *testing.T, kind, profile string) *wanHarness {
 		addrs[clientID] = ports[n]
 		keys, identities := linkIdentities(pubs, privs, clientID, clientPub, clientPriv)
 		tnet, err := transport.NewTCP(transport.TCPConfig{
-			Addrs:        addrs,
-			Keys:         keys,
-			Identities:   identities,
-			DialTimeout:  2 * time.Second,
-			WriteTimeout: 2 * time.Second,
-			Seed:         1,
+			Addrs:      addrs,
+			Keys:       keys,
+			Identities: identities,
+			Seed:       1,
 		})
 		if err != nil {
 			t.Fatal(err)

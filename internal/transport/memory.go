@@ -9,11 +9,12 @@ import (
 	"lazarus/internal/metrics"
 )
 
+// memInboxDepth is each endpoint's inbox capacity. Sends to a full inbox
+// are dropped, as a real lossy network would.
+const memInboxDepth = 4096
+
 // MemoryConfig shapes the simulated network.
 type MemoryConfig struct {
-	// QueueDepth is each endpoint's inbox capacity (default 4096).
-	// Sends to a full inbox are dropped, as a real lossy network would.
-	QueueDepth int
 	// DropRate is the probability in [0,1) that a message is lost.
 	DropRate float64
 	// Seed drives the loss randomness.
@@ -29,6 +30,9 @@ type MemoryConfig struct {
 type Memory struct {
 	cfg   MemoryConfig
 	stats counters
+	// inboxDepth is memInboxDepth, set by NewMemory; the package's tests
+	// shrink it before opening endpoints.
+	inboxDepth int
 
 	mu           sync.Mutex
 	endpoints    map[NodeID]*memEndpoint
@@ -41,11 +45,9 @@ type Memory struct {
 
 // NewMemory builds an in-memory network.
 func NewMemory(cfg MemoryConfig) *Memory {
-	if cfg.QueueDepth <= 0 {
-		cfg.QueueDepth = 4096
-	}
 	m := &Memory{
 		cfg:          cfg,
+		inboxDepth:   memInboxDepth,
 		endpoints:    make(map[NodeID]*memEndpoint),
 		cut:          make(map[[2]NodeID]bool),
 		interceptors: make(map[NodeID]SendInterceptor),
@@ -82,7 +84,7 @@ func (m *Memory) Endpoint(id NodeID) (Endpoint, error) {
 	ep := &memEndpoint{
 		id:     id,
 		net:    m,
-		inbox:  make(chan Envelope, m.cfg.QueueDepth),
+		inbox:  make(chan Envelope, m.inboxDepth),
 		closed: make(chan struct{}),
 	}
 	m.endpoints[id] = ep

@@ -5,7 +5,8 @@ import "testing"
 // TestMemoryStats exercises every memory-side counter: delivered frames,
 // link-cut and injected-loss drops, and inbox-overflow drops.
 func TestMemoryStats(t *testing.T) {
-	net := NewMemory(MemoryConfig{QueueDepth: 2})
+	net := NewMemory(MemoryConfig{})
+	net.inboxDepth = 2
 	defer net.Close()
 	a, _ := net.Endpoint(1)
 	b, _ := net.Endpoint(2)

@@ -33,6 +33,39 @@ var errAuthFail = errors.New("transport: frame failed authentication")
 // linkKeyTag separates link keys from any other use of the pair secret.
 const linkKeyTag = "lazarus/transport link MAC v1\x00"
 
+// tcpLimits are a TCP network's queue sizes and timeouts. No caller wants
+// other values than defaultTCPLimits', so none is a TCPConfig field; the
+// package's tests shorten them before opening endpoints.
+type tcpLimits struct {
+	// inboxDepth is each endpoint's inbox capacity.
+	inboxDepth int
+	// sendQueueDepth is each per-peer outbound queue's capacity. When a
+	// peer's queue is full — it is slow, wedged or unreachable — further
+	// frames to it are dropped and counted, never blocking the sender.
+	sendQueueDepth int
+	// dialTimeout bounds a single connection attempt.
+	dialTimeout time.Duration
+	// writeTimeout bounds a single frame write. A peer that stops draining
+	// its socket trips the deadline and loses the frame instead of
+	// wedging the writer.
+	writeTimeout time.Duration
+	// redialBackoff and redialBackoffMax shape the capped exponential
+	// backoff (plus up to 50% jitter) between dial attempts to an
+	// unreachable peer.
+	redialBackoff, redialBackoffMax time.Duration
+}
+
+func defaultTCPLimits() tcpLimits {
+	return tcpLimits{
+		inboxDepth:       4096,
+		sendQueueDepth:   1024,
+		dialTimeout:      3 * time.Second,
+		writeTimeout:     5 * time.Second,
+		redialBackoff:    50 * time.Millisecond,
+		redialBackoffMax: 2 * time.Second,
+	}
+}
+
 // TCPConfig configures a TCP network.
 type TCPConfig struct {
 	// Addrs maps every node to its listen address. All nodes that will
@@ -50,23 +83,6 @@ type TCPConfig struct {
 	// any holder can put any node's id on a frame. It suits only a process
 	// that hosts every node and trusts all of them.
 	Secret []byte
-	// QueueDepth is the per-endpoint inbox capacity (default 4096).
-	QueueDepth int
-	// SendQueueDepth is the per-peer outbound queue capacity (default
-	// 1024). When a peer's queue is full — it is slow, wedged or
-	// unreachable — further frames to it are dropped and counted,
-	// never blocking the sender.
-	SendQueueDepth int
-	// DialTimeout bounds a single connection attempt (default 3s).
-	DialTimeout time.Duration
-	// WriteTimeout bounds a single frame write (default 5s). A peer
-	// that stops draining its socket trips the deadline and loses the
-	// frame instead of wedging the writer.
-	WriteTimeout time.Duration
-	// RedialBackoff and RedialBackoffMax shape the capped exponential
-	// backoff (plus up to 50% jitter) between dial attempts to an
-	// unreachable peer (defaults 50ms and 2s).
-	RedialBackoff, RedialBackoffMax time.Duration
 	// Seed keys the per-peer backoff-jitter RNGs: each (endpoint, peer)
 	// writer derives its own rand.Rand from it, so two networks built
 	// with the same seed replay identical jitter sequences and seeded
@@ -92,6 +108,7 @@ type TCPConfig struct {
 // asynchronous model the BFT layer assumes.
 type TCP struct {
 	cfg   TCPConfig
+	lim   tcpLimits
 	stats counters
 
 	mu        sync.Mutex
@@ -117,25 +134,7 @@ func NewTCP(cfg TCPConfig) (*TCP, error) {
 			return nil, fmt.Errorf("transport: identity of node %d does not match its public key", id)
 		}
 	}
-	if cfg.QueueDepth <= 0 {
-		cfg.QueueDepth = 4096
-	}
-	if cfg.SendQueueDepth <= 0 {
-		cfg.SendQueueDepth = 1024
-	}
-	if cfg.DialTimeout <= 0 {
-		cfg.DialTimeout = 3 * time.Second
-	}
-	if cfg.WriteTimeout <= 0 {
-		cfg.WriteTimeout = 5 * time.Second
-	}
-	if cfg.RedialBackoff <= 0 {
-		cfg.RedialBackoff = 50 * time.Millisecond
-	}
-	if cfg.RedialBackoffMax <= 0 {
-		cfg.RedialBackoffMax = 2 * time.Second
-	}
-	t := &TCP{cfg: cfg, endpoints: make(map[NodeID]*tcpEndpoint)}
+	t := &TCP{cfg: cfg, endpoints: make(map[NodeID]*tcpEndpoint), lim: defaultTCPLimits()}
 	t.stats.init(cfg.Metrics, "transport.tcp")
 	return t, nil
 }
@@ -195,7 +194,7 @@ func (t *TCP) Endpoint(id NodeID) (Endpoint, error) {
 		id:         id,
 		net:        t,
 		listener:   ln,
-		inbox:      make(chan Envelope, t.cfg.QueueDepth),
+		inbox:      make(chan Envelope, t.lim.inboxDepth),
 		closed:     make(chan struct{}),
 		dialCtx:    ctx,
 		dialCancel: cancel,
@@ -419,7 +418,7 @@ func (ep *tcpEndpoint) writer(to NodeID) (*peerWriter, error) {
 		to:    to,
 		addr:  addr,
 		ep:    ep,
-		queue: make(chan Envelope, ep.net.cfg.SendQueueDepth),
+		queue: make(chan Envelope, ep.net.lim.sendQueueDepth),
 		kick:  make(chan struct{}, 1),
 		mac:   hmac.New(sha256.New, key),
 		// Jitter must come from a writer-local seeded source, not the
@@ -461,9 +460,9 @@ func (pw *peerWriter) run() {
 	ep := pw.ep
 	defer ep.wg.Done()
 	defer pw.closeConn()
-	cfg := &ep.net.cfg
+	lim := &ep.net.lim
 	st := &ep.net.stats
-	backoff := cfg.RedialBackoff
+	backoff := lim.redialBackoff
 	everConnected := false
 	for {
 		var env Envelope
@@ -490,8 +489,8 @@ func (pw *peerWriter) run() {
 						return
 					}
 					backoff *= 2
-					if backoff > cfg.RedialBackoffMax {
-						backoff = cfg.RedialBackoffMax
+					if backoff > lim.redialBackoffMax {
+						backoff = lim.redialBackoffMax
 					}
 					continue
 				}
@@ -500,9 +499,9 @@ func (pw *peerWriter) run() {
 				}
 				conn = c
 				everConnected = true
-				backoff = cfg.RedialBackoff
+				backoff = lim.redialBackoff
 			}
-			conn.SetWriteDeadline(time.Now().Add(cfg.WriteTimeout))
+			conn.SetWriteDeadline(time.Now().Add(lim.writeTimeout))
 			if _, err := conn.Write(frame); err != nil {
 				var ne net.Error
 				if errors.As(err, &ne) && ne.Timeout() {
@@ -528,7 +527,7 @@ func (pw *peerWriter) dial(redial bool) (net.Conn, error) {
 	if redial {
 		st.redials.Add(1)
 	}
-	d := net.Dialer{Timeout: pw.ep.net.cfg.DialTimeout}
+	d := net.Dialer{Timeout: pw.ep.net.lim.dialTimeout}
 	c, err := d.DialContext(pw.ep.dialCtx, "tcp", pw.addr)
 	if err != nil {
 		st.dialFailures.Add(1)
@@ -555,12 +554,12 @@ func (pw *peerWriter) wake() {
 
 // sleep waits out the redial backoff plus up to 50% jitter, returning
 // false if the endpoint closes first. A fresh Send (wake) cuts the wait
-// short once a minimum of RedialBackoff has elapsed: on a flapping link
+// short once a minimum of the base backoff has elapsed: on a flapping link
 // the traffic that resumes after the link heals should trigger an
 // immediate redial instead of sleeping out the full capped backoff,
 // while the floor keeps steady traffic toward a genuinely dead peer
 // from turning the backoff into a dial storm (at most one dial per
-// RedialBackoff either way).
+// base backoff either way).
 func (pw *peerWriter) sleep(d time.Duration) bool {
 	d += time.Duration(pw.rng.Int63n(int64(d)/2 + 1))
 	// Drain a stale nudge: sends already queued when the dial failed are
@@ -569,7 +568,7 @@ func (pw *peerWriter) sleep(d time.Duration) bool {
 	case <-pw.kick:
 	default:
 	}
-	floor := pw.ep.net.cfg.RedialBackoff
+	floor := pw.ep.net.lim.redialBackoff
 	if floor > d {
 		floor = d
 	}

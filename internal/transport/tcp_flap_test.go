@@ -12,14 +12,12 @@ import (
 // plus jitter) no matter what, so a healed link stayed unused for
 // seconds while frames piled up behind a timer.
 func TestTCPRedialCutsBackoffOnSendAfterHeal(t *testing.T) {
-	cfg := TCPConfig{
-		DialTimeout:      200 * time.Millisecond,
-		RedialBackoff:    10 * time.Millisecond,
-		RedialBackoffMax: 3 * time.Second,
-	}
 	// Node 3's port is reserved then released: down for now, but
 	// re-bindable when the flap ends.
-	tnet, a, _ := newTwoNodeTCP(t, cfg, blackholeAddr(t))
+	tnet, a, _ := newTwoNodeTCP(t, TCPConfig{}, blackholeAddr(t), func(l *tcpLimits) {
+		l.dialTimeout = 200 * time.Millisecond
+		l.redialBackoff, l.redialBackoffMax = 10*time.Millisecond, 3*time.Second
+	})
 
 	// Flap phase 1: one frame toward the dead peer parks its writer in
 	// the dial/backoff loop. Nine failures sleep 10+20+...+1280ms, after

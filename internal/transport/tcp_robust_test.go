@@ -36,8 +36,9 @@ func blackholeAddr(t *testing.T) string {
 
 // newTwoNodeTCP builds a TCP net where node 1 is the sender, node 2 is a
 // live endpoint, and node 3's address is the given (possibly hostile)
-// addr. It returns the sender and receiver endpoints.
-func newTwoNodeTCP(t *testing.T, cfg TCPConfig, addr3 string) (*TCP, Endpoint, Endpoint) {
+// addr. A non-nil tune shortens the network's limits before any endpoint
+// opens. It returns the sender and receiver endpoints.
+func newTwoNodeTCP(t *testing.T, cfg TCPConfig, addr3 string, tune func(*tcpLimits)) (*TCP, Endpoint, Endpoint) {
 	t.Helper()
 	cfg.Addrs = map[NodeID]string{1: "127.0.0.1:0", 2: "127.0.0.1:0", 3: addr3}
 	if len(cfg.Secret) == 0 {
@@ -46,6 +47,9 @@ func newTwoNodeTCP(t *testing.T, cfg TCPConfig, addr3 string) (*TCP, Endpoint, E
 	tnet, err := NewTCP(cfg)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if tune != nil {
+		tune(&tnet.lim)
 	}
 	t.Cleanup(func() { tnet.Close() })
 	b, err := tnet.Endpoint(2)
@@ -67,16 +71,14 @@ func newTwoNodeTCP(t *testing.T, cfg TCPConfig, addr3 string) (*TCP, Endpoint, E
 // configured dial timeout (the old design held the endpoint mutex across
 // net.Dial, so one dead peer froze every concurrent Send).
 func TestTCPUnreachablePeerDoesNotBlockHealthySends(t *testing.T) {
-	cfg := TCPConfig{
-		DialTimeout:      400 * time.Millisecond,
-		WriteTimeout:     400 * time.Millisecond,
-		RedialBackoff:    10 * time.Millisecond,
-		RedialBackoffMax: 50 * time.Millisecond,
+	const dialTimeout = 400 * time.Millisecond
+	tnet, a, b := newTwoNodeTCP(t, TCPConfig{}, blackholeAddr(t), func(l *tcpLimits) {
+		l.dialTimeout, l.writeTimeout = dialTimeout, 400*time.Millisecond
+		l.redialBackoff, l.redialBackoffMax = 10*time.Millisecond, 50*time.Millisecond
 		// Deep enough that the burst below never overflows: every frame
 		// to the healthy peer must arrive, not be shed as queue-full.
-		SendQueueDepth: 128,
-	}
-	tnet, a, b := newTwoNodeTCP(t, cfg, blackholeAddr(t))
+		l.sendQueueDepth = 128
+	})
 
 	const msgs = 50
 	start := time.Now()
@@ -88,9 +90,9 @@ func TestTCPUnreachablePeerDoesNotBlockHealthySends(t *testing.T) {
 			t.Fatalf("send to healthy peer: %v", err)
 		}
 	}
-	if elapsed := time.Since(start); elapsed >= cfg.DialTimeout {
+	if elapsed := time.Since(start); elapsed >= dialTimeout {
 		t.Fatalf("%d interleaved sends took %v, blocked behind the dead peer (dial timeout %v)",
-			2*msgs, elapsed, cfg.DialTimeout)
+			2*msgs, elapsed, dialTimeout)
 	}
 	for i := 0; i < msgs; i++ {
 		if env := recvOne(t, b, 2*time.Second); string(env.Payload) != "to the living" {
@@ -133,14 +135,11 @@ func TestTCPStalledPeerTripsWriteDeadline(t *testing.T) {
 		}
 	}()
 
-	cfg := TCPConfig{
-		DialTimeout:      500 * time.Millisecond,
-		WriteTimeout:     150 * time.Millisecond,
-		RedialBackoff:    10 * time.Millisecond,
-		RedialBackoffMax: 50 * time.Millisecond,
-		SendQueueDepth:   4,
-	}
-	tnet, a, b := newTwoNodeTCP(t, cfg, ln.Addr().String())
+	tnet, a, b := newTwoNodeTCP(t, TCPConfig{}, ln.Addr().String(), func(l *tcpLimits) {
+		l.dialTimeout, l.writeTimeout = 500*time.Millisecond, 150*time.Millisecond
+		l.redialBackoff, l.redialBackoffMax = 10*time.Millisecond, 50*time.Millisecond
+		l.sendQueueDepth = 4
+	})
 
 	// Frames bigger than any kernel socket buffer: a single write can
 	// never complete against a peer that doesn't read, so the writer is
@@ -171,12 +170,10 @@ func TestTCPStalledPeerTripsWriteDeadline(t *testing.T) {
 // out the dial timeout) while a writer is mid-dial/backoff against an
 // unreachable peer.
 func TestTCPClosePromptWithDeadPeer(t *testing.T) {
-	cfg := TCPConfig{
-		DialTimeout:      5 * time.Second, // far longer than the Close bound below
-		RedialBackoff:    time.Second,
-		RedialBackoffMax: 5 * time.Second,
-	}
-	tnet, a, _ := newTwoNodeTCP(t, cfg, blackholeAddr(t))
+	tnet, a, _ := newTwoNodeTCP(t, TCPConfig{}, blackholeAddr(t), func(l *tcpLimits) {
+		l.dialTimeout = 5 * time.Second // far longer than the Close bound below
+		l.redialBackoff, l.redialBackoffMax = time.Second, 5*time.Second
+	})
 	if err := a.Send(3, []byte("doomed")); err != nil {
 		t.Fatal(err)
 	}
@@ -196,7 +193,7 @@ func TestTCPClosePromptWithDeadPeer(t *testing.T) {
 // TestTCPStatsCounts checks the happy-path counters: frames and bytes on
 // both sides and exactly one dial for a persistent connection.
 func TestTCPStatsCounts(t *testing.T) {
-	tnet, a, b := newTwoNodeTCP(t, TCPConfig{}, blackholeAddr(t))
+	tnet, a, b := newTwoNodeTCP(t, TCPConfig{}, blackholeAddr(t), nil)
 	const msgs = 5
 	for i := 0; i < msgs; i++ {
 		if err := a.Send(2, []byte("count me")); err != nil {
@@ -226,7 +223,7 @@ func TestTCPStatsCounts(t *testing.T) {
 // wrong secret and a well-MACed frame addressed to the wrong node; both
 // must be rejected and counted.
 func TestTCPStatsAuthAndMisroute(t *testing.T) {
-	tnet, _, b := newTwoNodeTCP(t, TCPConfig{Secret: []byte("right")}, blackholeAddr(t))
+	tnet, _, b := newTwoNodeTCP(t, TCPConfig{Secret: []byte("right")}, blackholeAddr(t), nil)
 	addr := b.(*tcpEndpoint).listener.Addr().String()
 
 	rogue, err := net.Dial("tcp", addr)

@@ -38,11 +38,11 @@ func TestJitterSeedDeterministic(t *testing.T) {
 
 // TestPeerWriterSleepJitterBounds drives sleep() directly: the waited
 // duration includes up to 50% jitter, a wake() cuts the wait short but
-// never below the RedialBackoff floor, and a closing endpoint aborts
+// never below the base-backoff floor, and a closing endpoint aborts
 // the wait immediately.
 func TestPeerWriterSleepJitterBounds(t *testing.T) {
 	ep := &tcpEndpoint{
-		net:    &TCP{cfg: TCPConfig{RedialBackoff: 10 * time.Millisecond}},
+		net:    &TCP{lim: tcpLimits{redialBackoff: 10 * time.Millisecond}},
 		closed: make(chan struct{}),
 	}
 	pw := &peerWriter{

@@ -8,7 +8,6 @@ package transport
 import (
 	"context"
 	"errors"
-	"fmt"
 )
 
 // NodeID identifies a protocol participant. Replicas use small integers;
@@ -73,20 +72,4 @@ type Network interface {
 	Stats() Stats
 	// Close shuts the network down.
 	Close() error
-}
-
-// Broadcast sends the payload to every listed destination (skipping the
-// sender itself); it keeps going on per-destination errors and returns the
-// first one.
-func Broadcast(ep Endpoint, to []NodeID, payload []byte) error {
-	var first error
-	for _, dst := range to {
-		if dst == ep.ID() {
-			continue
-		}
-		if err := ep.Send(dst, payload); err != nil && first == nil {
-			first = fmt.Errorf("transport: broadcast to %d: %w", dst, err)
-		}
-	}
-	return first
 }

@@ -203,28 +203,6 @@ func TestMemoryConcurrentSenders(t *testing.T) {
 	}
 }
 
-func TestBroadcast(t *testing.T) {
-	net := NewMemory(MemoryConfig{})
-	defer net.Close()
-	a, _ := net.Endpoint(1)
-	b, _ := net.Endpoint(2)
-	c, _ := net.Endpoint(3)
-	if err := Broadcast(a, []NodeID{1, 2, 3}, []byte("all")); err != nil {
-		t.Fatal(err)
-	}
-	for _, ep := range []Endpoint{b, c} {
-		if env := recvOne(t, ep, time.Second); string(env.Payload) != "all" {
-			t.Errorf("node %d payload = %q", ep.ID(), env.Payload)
-		}
-	}
-	// Sender must not deliver to itself.
-	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Millisecond)
-	defer cancel()
-	if _, err := a.Recv(ctx); err == nil {
-		t.Error("broadcast delivered to sender")
-	}
-}
-
 func TestTCPBasicDelivery(t *testing.T) {
 	cfg := TCPConfig{
 		Addrs: map[NodeID]string{
