@@ -13,8 +13,8 @@ import (
 
 // chaosRun drives the full control plane through a seeded fault schedule
 // — random boot failures, stalled boots, LTU faults, silent replicas and
-// link loss, plus forced boot-failure rounds — while closed-loop clients
-// hammer the replicated KVS. With controllerFaults the harness also
+// link loss, plus forced boot-failure rounds — while two clients write a
+// fixed number of puts per round to the replicated KVS. With controllerFaults the harness also
 // kills the controller a few WAL appends into random rounds (usually
 // mid-swap) and recovers a successor from the WAL, which must resolve
 // the interrupted swap; walPath backs the log with a file so restart

@@ -82,11 +82,13 @@ func run() error {
 
 	// The configuration Algorithm 1 would start from.
 	rng := rand.New(rand.NewSource(42))
-	best, risk, err := strategies.GreedyMinRiskConfig(universe, 4, engine, asof, rng)
+	start, err := strategies.StartLazarus(universe, 4, engine, 0, asof, rng)
 	if err != nil {
 		return err
 	}
-	fmt.Printf("\nrecommended CONFIG (greedy minimum-risk): %v at risk %.1f\n", best.IDs(), risk)
+	best := start.Config()
+	fmt.Printf("\nrecommended CONFIG (greedy minimum-risk): %v at risk %.1f (threshold %.1f)\n",
+		best.IDs(), engine.Risk(best, asof), start.Threshold())
 
 	// Show the effect of a fresh critical CVE on the recommendation.
 	fmt.Println("\nscore evolution of CVE-2018-8897 (MOV SS, the May 2018 anchor):")

@@ -42,8 +42,8 @@ type ChaosConfig struct {
 	Seed int64
 	// N is the replica-set size (default 4).
 	N int
-	// ClientWorkers is how many closed-loop KVS clients run throughout
-	// (default 2; 0 disables load).
+	// ClientWorkers is how many KVS clients load the run; each issues
+	// chaosPutsPerRound puts every round (0 disables load).
 	ClientWorkers int
 
 	// Per-round fault probabilities.
@@ -172,7 +172,8 @@ type ChaosReport struct {
 	Final Status
 	// Census is the closing execution-plane census.
 	Census Census
-	// ClientOps and ClientErrs tally the load clients' invokes.
+	// ClientOps and ClientErrs tally the load clients' invokes; they sum
+	// to Rounds × ClientWorkers × chaosPutsPerRound.
 	ClientOps, ClientErrs uint64
 	// ControllerKills and Recoveries count crash-restart cycles
 	// (ControllerFaults runs; every kill must be matched by a recovery).
@@ -217,6 +218,9 @@ type ChaosReport struct {
 	// healthy run).
 	Violations []string
 }
+
+// chaosPutsPerRound is each load worker's work per chaos round.
+const chaosPutsPerRound = 16
 
 // ltuFaultMode is the per-round LTU fault switch.
 type ltuFaultMode int32
@@ -389,13 +393,10 @@ func RunChaos(ctx context.Context, cfg ChaosConfig) (*ChaosReport, error) {
 	if err != nil {
 		return nil, err
 	}
-	// The live controller moves on crash-restart; everything long-lived
-	// (load workers, invariant checks, the closing report) reads it
-	// through this pointer. A killed predecessor is never Stop()ped — its
-	// nodes belong to the successor now — only its control client dies.
-	var ctrlP atomic.Pointer[Controller]
-	ctrlP.Store(ctrl)
-	defer func() { ctrlP.Load().Stop() }()
+	// ctrl is the live controller; it moves on crash-restart. A killed
+	// predecessor is never Stop()ped — its nodes belong to the successor
+	// now — only its control client dies.
+	defer func() { ctrl.Stop() }()
 
 	if err := ctrl.Bootstrap(ctx); err != nil {
 		return nil, fmt.Errorf("chaos bootstrap: %w", err)
@@ -420,48 +421,47 @@ func RunChaos(ctx context.Context, cfg ChaosConfig) (*ChaosReport, error) {
 	}
 	downCl, byzCl, wanCl, finalCl := probeCls[0], probeCls[1], probeCls[2], probeCls[3]
 
-	// Client load: closed-loop KVS writers/readers that track the
-	// membership as it changes. Their errors are expected under faults
-	// and only tallied.
+	// Client load: each round, every worker issues chaosPutsPerRound KVS
+	// puts through the round's membership, so a seed fixes how much work
+	// the run does. Their errors are expected under faults and only
+	// tallied.
 	var ops, opErrs atomic.Uint64
-	loadCtx, stopLoad := context.WithCancel(ctx)
-	defer stopLoad()
-	var wg sync.WaitGroup
-	for w := 0; w < cfg.ClientWorkers; w++ {
+	workers := make([]*bft.Client, cfg.ClientWorkers)
+	for w := range workers {
 		id := transport.ClientIDBase + transport.NodeID(1+w)
 		cl, err := ctrl.ServiceClient(id, clientPrivs[id])
 		if err != nil {
 			return nil, err
 		}
-		wg.Add(1)
-		go func(w int, cl *bft.Client) {
-			defer wg.Done()
-			defer cl.Close()
-			for i := 0; loadCtx.Err() == nil; i++ {
-				if i%8 == 0 {
-					// Follow reconfigurations with keys so reply
-					// verification tracks the current group (through the
-					// pointer — the controller changes on crash-restart).
-					if m := ctrlP.Load().Membership(); m != nil {
-						cl.UpdateMembership(m.Replicas, m.Keys)
+		defer cl.Close()
+		workers[w] = cl
+	}
+	var load sync.WaitGroup
+	startLoad := func(round int, m *bft.Membership) {
+		for w, cl := range workers {
+			cl.UpdateMembership(m.Replicas, m.Keys)
+			load.Add(1)
+			go func() {
+				defer load.Done()
+				for p := 0; p < chaosPutsPerRound; p++ {
+					i := round*chaosPutsPerRound + p
+					op, _ := kvs.EncodeOp(kvs.Op{Kind: kvs.OpPut, Key: fmt.Sprintf("w%d-k%d", w, i%32), Value: []byte{byte(i)}})
+					ictx, cancel := context.WithTimeout(ctx, 2*time.Second)
+					_, err := cl.Invoke(ictx, op)
+					cancel()
+					if err != nil {
+						opErrs.Add(1)
+						// Back off instead of hammering a disrupted group.
+						select {
+						case <-ctx.Done():
+						case <-time.After(50 * time.Millisecond):
+						}
+						continue
 					}
+					ops.Add(1)
 				}
-				op, _ := kvs.EncodeOp(kvs.Op{Kind: kvs.OpPut, Key: fmt.Sprintf("w%d-k%d", w, i%32), Value: []byte{byte(i)}})
-				ictx, cancel := context.WithTimeout(loadCtx, 2*time.Second)
-				_, err := cl.Invoke(ictx, op)
-				cancel()
-				if err != nil {
-					opErrs.Add(1)
-					// Back off instead of hammering a disrupted group.
-					select {
-					case <-loadCtx.Done():
-					case <-time.After(50 * time.Millisecond):
-					}
-					continue
-				}
-				ops.Add(1)
-			}
-		}(w, cl)
+			}()
+		}
 	}
 
 	report := &ChaosReport{}
@@ -498,7 +498,7 @@ func RunChaos(ctx context.Context, cfg ChaosConfig) (*ChaosReport, error) {
 	}()
 	bombSeq := 0
 	checkRound := func(tag string) {
-		for _, v := range checkInvariants(ctrlP.Load(), cfg.N) {
+		for _, v := range checkInvariants(ctrl, cfg.N) {
 			report.Violations = append(report.Violations, fmt.Sprintf("%s: %s", tag, v))
 		}
 	}
@@ -526,7 +526,8 @@ func RunChaos(ctx context.Context, cfg ChaosConfig) (*ChaosReport, error) {
 			break
 		}
 		report.Rounds++
-		cur := ctrlP.Load()
+		cur := ctrl
+		startLoad(round, cur.Membership())
 
 		// 1. Install this round's faults (last round's were cleared).
 		faulty := false
@@ -712,6 +713,7 @@ func RunChaos(ctx context.Context, cfg ChaosConfig) (*ChaosReport, error) {
 			// Clear the injected faults before recovery, like a restart
 			// that outlives the transient failure, then bring up the
 			// successor from the shared WAL and the surviving plant.
+			load.Wait()
 			clearFaults(cur)
 			next, rerr := Recover(ctx, mkConfig(append([]*osint.Vulnerability(nil), published...)), cur.Plant())
 			if rerr != nil {
@@ -722,8 +724,7 @@ func RunChaos(ctx context.Context, cfg ChaosConfig) (*ChaosReport, error) {
 			if cur.client != nil {
 				cur.client.Close()
 			}
-			ctrlP.Store(next)
-			cur = next
+			ctrl, cur = next, next
 		} else if err != nil {
 			report.RoundErrors++
 			cfg.Logf("chaos: round %d: %v", round, err)
@@ -768,6 +769,7 @@ func RunChaos(ctx context.Context, cfg ChaosConfig) (*ChaosReport, error) {
 		// trace: no two replicas may have executed different commands at
 		// the same sequence number, no matter what the attackers sent.
 		byzRound := len(attackers) > 0
+		load.Wait()
 		clearFaults(cur)
 		if byzRound {
 			for _, v := range checkExecTraces(cur) {
@@ -780,37 +782,34 @@ func RunChaos(ctx context.Context, cfg ChaosConfig) (*ChaosReport, error) {
 	// Settling rounds with no faults: quarantined images requeue, and any
 	// pending replacement gets a clean shot.
 	for i := 0; i < 2 && ctx.Err() == nil; i++ {
-		if _, err := ctrlP.Load().MonitorRound(ctx); err != nil {
+		if _, err := ctrl.MonitorRound(ctx); err != nil {
 			cfg.Logf("chaos: settling round: %v", err)
 		}
 	}
-	stopLoad()
-	wg.Wait()
 	checkRound("final")
 	if cfg.ByzFaults {
-		for _, v := range checkExecTraces(ctrlP.Load()) {
+		for _, v := range checkExecTraces(ctrl) {
 			report.Violations = append(report.Violations, fmt.Sprintf("final: %s", v))
 		}
 	}
 
 	// Closing liveness probe: the service must still order requests
 	// through the final membership.
-	if _, err := probe(ctx, ctrlP.Load(), finalCl, 15*time.Second, putOp("chaos-final", "ok")); err != nil {
+	if _, err := probe(ctx, ctrl, finalCl, 15*time.Second, putOp("chaos-final", "ok")); err != nil {
 		report.Violations = append(report.Violations, fmt.Sprintf("final liveness probe: %v", err))
 	}
 
-	fin := ctrlP.Load()
-	report.Stats = fin.SwapStats()
-	report.History = fin.SwapHistory()
+	report.Stats = ctrl.SwapStats()
+	report.History = ctrl.SwapHistory()
 	report.Net = net.Stats()
 	if wnet != nil {
 		report.Netem = wnet.NetemStats()
 	}
-	report.Final = fin.Status()
-	report.Census = fin.Census()
+	report.Final = ctrl.Status()
+	report.Census = ctrl.Census()
 	report.ClientOps = ops.Load()
 	report.ClientErrs = opErrs.Load()
-	report.Generation = fin.Generation()
+	report.Generation = ctrl.Generation()
 	switch w := wal.(type) {
 	case *MemWAL:
 		report.WALRecords = w.Len()

@@ -420,4 +420,8 @@ func TestChaosRunDeterministic(t *testing.T) {
 	if report.ClientOps == 0 {
 		t.Error("client load completed zero operations")
 	}
+	// The seed fixes the load: every worker issues its puts each round.
+	if got, want := report.ClientOps+report.ClientErrs, uint64(report.Rounds*2*chaosPutsPerRound); got != want {
+		t.Errorf("client invokes = %d, want rounds × workers × %d = %d", got, chaosPutsPerRound, want)
+	}
 }

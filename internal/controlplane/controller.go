@@ -32,10 +32,8 @@ import (
 
 // Config configures a Controller.
 type Config struct {
-	// Universe lists the OS images the deploy manager can provision
-	// (default: the 17 deployable catalog versions).
-	Universe []catalog.OS
-	// N is the replica-set size (default 4).
+	// N is the replica-set size (default 4). The universe is the
+	// deployable catalog.
 	N int
 	// Seed drives the randomized selection.
 	Seed int64
@@ -90,14 +88,11 @@ type Config struct {
 }
 
 func (c *Config) fill() error {
-	if len(c.Universe) == 0 {
-		c.Universe = catalog.Deployable()
-	}
 	if c.N == 0 {
 		c.N = 4
 	}
-	if len(c.Universe) < c.N {
-		return fmt.Errorf("controlplane: universe %d smaller than n %d", len(c.Universe), c.N)
+	if u := len(catalog.Deployable()); u < c.N {
+		return fmt.Errorf("controlplane: universe %d smaller than n %d", u, c.N)
 	}
 	if c.Clock == nil {
 		c.Clock = time.Now
@@ -474,30 +469,15 @@ func (c *Controller) Bootstrap(ctx context.Context) error {
 	}
 	now := c.cfg.Clock()
 
-	universe := make([]core.Replica, len(c.cfg.Universe))
-	for i, os := range c.cfg.Universe {
-		universe[i] = replicaFor(os)
+	var universe []core.Replica
+	for _, os := range catalog.Deployable() {
+		universe = append(universe, replicaFor(os))
 	}
-	initial, risk, err := strategies.GreedyMinRiskConfig(universe, c.cfg.N, c.eval, now, c.rng)
+	monitor, err := strategies.StartLazarus(universe, c.cfg.N, c.eval, 0, now, c.rng)
 	if err != nil {
 		return err
 	}
-	// Baseline headroom plus one fresh HIGH exploited shared weakness
-	// (see strategies.Env.Threshold).
-	threshold := risk*1.05 + 8.75
-	pool := make([]core.Replica, 0, len(universe)-c.cfg.N)
-	for _, r := range universe {
-		if !initial.Contains(r.ID) {
-			pool = append(pool, r)
-		}
-	}
-	monitor, err := core.NewMonitor(c.eval, initial, pool, core.MonitorConfig{
-		Threshold: threshold,
-		Rand:      c.rng,
-	})
-	if err != nil {
-		return err
-	}
+	initial := monitor.Config()
 	c.monitor = monitor
 
 	// Provision the execution plane: one node per configured OS. Keys
@@ -549,7 +529,7 @@ func (c *Controller) Bootstrap(ctx context.Context) error {
 		return err
 	}
 	c.cfg.Logf("controlplane: bootstrapped CONFIG %v at risk %.1f (threshold %.1f)",
-		initial.IDs(), risk, threshold)
+		initial.IDs(), c.eval.Risk(initial, now), monitor.Threshold())
 	return nil
 }
 
@@ -730,11 +710,10 @@ func (c *Controller) Membership() *bft.Membership {
 	return c.currentMembership()
 }
 
-// MonitorRound runs one Algorithm 1 round at the clock's current time and
+// MonitorRound runs one Algorithm 1 round (core.Monitor.Round, which
+// remediates the paper's corner cases) at the clock's current time and
 // executes any resulting replica replacement on the execution plane
-// through the staged swap engine (swap.go). The paper's corner cases are
-// remediated automatically (raise threshold / release the
-// least-vulnerable quarantined replica). When a swap fails and is rolled
+// through the staged swap engine (swap.go). When a swap fails and is rolled
 // back, the returned Decision still describes the attempted replacement
 // but the lifecycle sets have been reverted — the error reports the
 // failed stage, and SwapStats/SwapHistory record the attempt. A swap
@@ -757,31 +736,15 @@ func (c *Controller) MonitorRound(ctx context.Context) (core.Decision, error) {
 
 	now := c.cfg.Clock()
 	roundStart := time.Now()
-	decision, err := monitor.Monitor(now)
-	switch {
-	case errors.Is(err, core.ErrPoolExhausted):
-		c.cfg.Logf("controlplane: pool exhausted; releasing least-vulnerable quarantined replica")
-		if _, relErr := monitor.ReleaseLeastVulnerable(now); relErr == nil {
-			decision, err = monitor.Monitor(now)
-		}
-	case errors.Is(err, core.ErrNoCandidate):
-		// The paper's first administrator remediation, automated:
-		// iteratively raise the threshold until some replacement is
-		// acceptable again (bounded, so a hopeless landscape cannot spin).
-		for attempt := 0; attempt < 8 && errors.Is(err, core.ErrNoCandidate); attempt++ {
-			newThr := monitor.Threshold()*1.5 + 1
-			c.cfg.Logf("controlplane: no candidate below threshold; raising to %.1f", newThr)
-			if raiseErr := monitor.RaiseThreshold(newThr); raiseErr != nil {
-				return decision, raiseErr
-			}
-			decision, err = monitor.Monitor(now)
-		}
-	}
+	decision := monitor.Round(now)
 	// Algorithm 1 evaluation time, remediation included; swap execution
 	// is measured separately per stage.
 	c.ins.monitorRoundUS.Observe(time.Since(roundStart).Microseconds())
-	if err != nil && !errors.Is(err, core.ErrNoCandidate) && !errors.Is(err, core.ErrPoolExhausted) {
-		return decision, err
+	if decision.Released.ID != "" {
+		c.cfg.Logf("controlplane: pool exhausted; released least-vulnerable quarantined replica %s", decision.Released.ID)
+	}
+	if decision.RaisedTo > 0 {
+		c.cfg.Logf("controlplane: no candidate below threshold; raised to %.1f", decision.RaisedTo)
 	}
 	if !decision.Reconfigured {
 		c.walCensus()

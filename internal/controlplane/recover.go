@@ -16,6 +16,7 @@ import (
 	"time"
 
 	"lazarus/internal/bft"
+	"lazarus/internal/catalog"
 	"lazarus/internal/core"
 	"lazarus/internal/transport"
 )
@@ -189,7 +190,7 @@ func Recover(ctx context.Context, cfg Config, plant Plant) (*Controller, error) 
 	var sets [3][]core.Replica
 	for i, ids := range [3][]string{cen.Config, cen.Pool, cen.Quarantine} {
 		for _, id := range ids {
-			r, ok := c.monitorReplica(id)
+			r, ok := monitorReplica(id)
 			if !ok {
 				return nil, fmt.Errorf("controlplane: census OS %s not in the universe", id)
 			}
@@ -255,8 +256,8 @@ func Recover(ctx context.Context, cfg Config, plant Plant) (*Controller, error) 
 // executeSwap drives takes it from there. It fails only if the swap is
 // still open.
 func (c *Controller) resumeSwap(ctx context.Context, fl *inFlightSwap) error {
-	removed, ok := c.monitorReplica(fl.removedOS)
-	added, aok := c.monitorReplica(fl.addedOS)
+	removed, ok := monitorReplica(fl.removedOS)
+	added, aok := monitorReplica(fl.addedOS)
 	if !ok || !aok {
 		return fmt.Errorf("controlplane: open swap %d: OS %s or %s not in the universe", fl.swapID, fl.removedOS, fl.addedOS)
 	}
@@ -288,15 +289,14 @@ func (c *Controller) resumeOpen(ctx context.Context) error {
 	return c.resumeSwap(ctx, st.inFlight)
 }
 
-// monitorReplica resolves an OS id to the risk engine's replica identity
-// via the configured universe.
-func (c *Controller) monitorReplica(osID string) (core.Replica, bool) {
-	for _, os := range c.cfg.Universe {
-		if os.ID == osID {
-			return replicaFor(os), true
-		}
+// monitorReplica resolves a deployable OS id to the risk engine's replica
+// identity.
+func monitorReplica(osID string) (core.Replica, bool) {
+	os, err := catalog.ByID(osID)
+	if err != nil || !os.Deployable() {
+		return core.Replica{}, false
 	}
-	return core.Replica{}, false
+	return replicaFor(os), true
 }
 
 // refreshEpoch lifts the local membership epoch to the highest one a

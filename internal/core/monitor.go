@@ -34,9 +34,12 @@ type Decision struct {
 	// Requeued lists quarantined replicas that were returned to the pool
 	// this round (fully patched).
 	Requeued []Replica
-	// Candidates is how many candidate configurations were below the
-	// threshold when the random pick was made.
-	Candidates int
+	// Released is the quarantined replica Round returned to an exhausted
+	// pool (zero when it released none).
+	Released Replica
+	// RaisedTo is the threshold Round ended at after raising it for want
+	// of a candidate (zero when it did not raise it).
+	RaisedTo float64
 }
 
 // Trigger enumerates why Algorithm 1 attempted a replacement.
@@ -72,10 +75,6 @@ type MonitorConfig struct {
 	// Threshold is the Equation 5 risk level at which the running
 	// configuration must be replaced.
 	Threshold float64
-	// HighScore is the average-score level that rotates a single replica
-	// out even when the configuration risk is acceptable (Algorithm 1
-	// line 19 initializes maxScore to the CVSS HIGH rating, 7.0).
-	HighScore float64
 	// Rand drives the uniformly random pick among acceptable candidate
 	// configurations (so inspecting POOL does not reveal the next
 	// CONFIG).
@@ -104,9 +103,6 @@ func NewMonitor(engine RiskEvaluator, initial Config, pool []Replica, cfg Monito
 	}
 	if cfg.Threshold < 0 {
 		return nil, fmt.Errorf("core: negative risk threshold")
-	}
-	if cfg.HighScore <= 0 {
-		cfg.HighScore = osint.ScoreHigh
 	}
 	if cfg.Rand == nil {
 		return nil, fmt.Errorf("core: monitor requires a random source")
@@ -161,21 +157,11 @@ func (m *Monitor) Quarantine() []Replica { return append([]Replica(nil), m.quara
 // Threshold returns the current risk threshold.
 func (m *Monitor) Threshold() float64 { return m.cfg.Threshold }
 
-// RaiseThreshold applies the paper's first administrator remediation for
-// Algorithm 1's corner cases: increase the acceptable risk level.
-func (m *Monitor) RaiseThreshold(to float64) error {
-	if to < m.cfg.Threshold {
-		return fmt.Errorf("core: new threshold %.2f below current %.2f", to, m.cfg.Threshold)
-	}
-	m.cfg.Threshold = to
-	return nil
-}
-
-// ReleaseLeastVulnerable applies the paper's second administrator
+// releaseLeastVulnerable applies the paper's second administrator
 // remediation: move the quarantined replica with the fewest unpatched
 // vulnerabilities back to POOL even though it is not fully patched. It
 // returns the released replica.
-func (m *Monitor) ReleaseLeastVulnerable(now time.Time) (Replica, error) {
+func (m *Monitor) releaseLeastVulnerable(now time.Time) (Replica, error) {
 	if len(m.quarantine) == 0 {
 		return Replica{}, fmt.Errorf("core: quarantine is empty")
 	}
@@ -262,67 +248,83 @@ func (m *Monitor) Monitor(now time.Time) (Decision, error) {
 	return d, reconfigErr
 }
 
+// Round runs one round of Algorithm 1 with the paper's two
+// administrator remediations for its corner cases automated. An
+// exhausted POOL gets the least-vulnerable quarantined replica back and
+// the round is retried once. When no candidate keeps the risk within the
+// threshold, the threshold is raised to 1.5× + 1 and the round retried,
+// at most 8 times, so a hopeless landscape cannot spin. A corner case
+// the remediation does not clear leaves the configuration as it was, and
+// the Decision reports no reconfiguration.
+func (m *Monitor) Round(now time.Time) Decision {
+	d, err := m.Monitor(now)
+	retry := func() {
+		requeued := d.Requeued
+		d, err = m.Monitor(now)
+		d.Requeued = append(requeued, d.Requeued...)
+	}
+	switch {
+	case errors.Is(err, ErrPoolExhausted):
+		if r, relErr := m.releaseLeastVulnerable(now); relErr == nil {
+			retry()
+			d.Released = r
+		}
+	case errors.Is(err, ErrNoCandidate):
+		for raises := 0; raises < 8 && errors.Is(err, ErrNoCandidate); raises++ {
+			m.cfg.Threshold = m.cfg.Threshold*1.5 + 1
+			retry()
+			d.RaisedTo = m.cfg.Threshold
+		}
+	}
+	return d
+}
+
 // replaceAny implements lines 7–16: every COMB of n-1 running replicas
-// combined with every pool element is evaluated; an acceptable candidate
-// is picked uniformly at random.
+// combined with every pool element is a candidate.
 func (m *Monitor) replaceAny(now time.Time, d *Decision) error {
-	if len(m.pool) == 0 {
-		return ErrPoolExhausted
-	}
-	type candidate struct {
-		config Config
-		risk   float64
-	}
-	var candidates []candidate
+	var candidates []Config
 	combs := m.combinations()
 	for _, r := range m.pool {
 		for _, comb := range combs {
-			next := append(comb.Clone(), r)
-			risk := m.engine.Risk(next, now)
-			if risk <= m.cfg.Threshold {
-				candidates = append(candidates, candidate{next, risk})
-			}
+			candidates = append(candidates, append(comb.Clone(), r))
 		}
 	}
-	if len(candidates) == 0 {
-		return ErrNoCandidate
-	}
-	d.Candidates = len(candidates)
-	pick := candidates[m.cfg.Rand.Intn(len(candidates))]
-	m.updateSets(pick.config, d)
-	return nil
+	return m.pickAcceptable(now, candidates, d)
 }
 
 // replaceOne implements lines 25–33: only toRemove leaves; every pool
 // element is tried in its place.
 func (m *Monitor) replaceOne(now time.Time, toRemove Replica, d *Decision) error {
-	if len(m.pool) == 0 {
-		return ErrPoolExhausted
-	}
-	type candidate struct {
-		config Config
-		risk   float64
-	}
-	var candidates []candidate
 	base := make(Config, 0, len(m.config)-1)
 	for _, r := range m.config {
 		if r.ID != toRemove.ID {
 			base = append(base, r)
 		}
 	}
+	var candidates []Config
 	for _, r := range m.pool {
-		next := append(base.Clone(), r)
-		risk := m.engine.Risk(next, now)
-		if risk <= m.cfg.Threshold {
-			candidates = append(candidates, candidate{next, risk})
+		candidates = append(candidates, append(base.Clone(), r))
+	}
+	return m.pickAcceptable(now, candidates, d)
+}
+
+// pickAcceptable is the tail both replacements share: keep the
+// candidates whose risk stays within the threshold and install one
+// picked uniformly at random.
+func (m *Monitor) pickAcceptable(now time.Time, candidates []Config, d *Decision) error {
+	if len(m.pool) == 0 {
+		return ErrPoolExhausted
+	}
+	var acceptable []Config
+	for _, next := range candidates {
+		if m.engine.Risk(next, now) <= m.cfg.Threshold {
+			acceptable = append(acceptable, next)
 		}
 	}
-	if len(candidates) == 0 {
+	if len(acceptable) == 0 {
 		return ErrNoCandidate
 	}
-	d.Candidates = len(candidates)
-	pick := candidates[m.cfg.Rand.Intn(len(candidates))]
-	m.updateSets(pick.config, d)
+	m.updateSets(acceptable[m.cfg.Rand.Intn(len(acceptable))], d)
 	return nil
 }
 
@@ -330,7 +332,7 @@ func (m *Monitor) replaceOne(now time.Time, toRemove Replica, d *Decision) error
 // highest average vulnerability score, if that average is >= HIGH.
 func (m *Monitor) worstReplica(now time.Time) (Replica, bool) {
 	var worst Replica
-	maxScore := m.cfg.HighScore
+	maxScore := osint.ScoreHigh
 	found := false
 	for _, r := range m.config {
 		if avg := m.engine.AverageScore(r, now); avg >= maxScore {

@@ -2,9 +2,11 @@ package core
 
 import (
 	"errors"
+	"fmt"
 	"math"
 	"math/rand"
 	"sort"
+	"strings"
 	"testing"
 	"time"
 
@@ -238,11 +240,8 @@ func TestMonitorNoCandidate(t *testing.T) {
 		t.Errorf("err = %v, want ErrNoCandidate", err)
 	}
 	// Remediation 1: raising the threshold unblocks the system.
-	if err := m.RaiseThreshold(100); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := m.Monitor(day(2018, 6, 1)); err != nil {
-		t.Errorf("after raising threshold: %v", err)
+	if d := m.Round(day(2018, 6, 1)); !d.Reconfigured || d.RaisedTo <= 1 {
+		t.Errorf("after raising threshold: %+v", d)
 	}
 }
 
@@ -307,11 +306,11 @@ func TestReleaseLeastVulnerable(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := m.ReleaseLeastVulnerable(day(2018, 6, 1)); err == nil {
+	if _, err := m.releaseLeastVulnerable(day(2018, 6, 1)); err == nil {
 		t.Error("release from empty quarantine succeeded")
 	}
 	m.quarantine = []Replica{rUB, rDE}
-	r, err := m.ReleaseLeastVulnerable(day(2018, 6, 1))
+	r, err := m.releaseLeastVulnerable(day(2018, 6, 1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -320,6 +319,137 @@ func TestReleaseLeastVulnerable(t *testing.T) {
 	}
 	if len(m.Quarantine()) != 1 || len(m.Pool()) != 1 {
 		t.Errorf("sets after release: q=%v pool=%v", m.Quarantine(), m.Pool())
+	}
+}
+
+// TestRoundRemediation pins Round's remediation of Algorithm 1's corner
+// cases: an exhausted pool gets one release and one retry, a round with
+// no acceptable candidate raises the threshold to 1.5× + 1 at most 8
+// times, and either way the round draws from the rng exactly as the
+// same steps taken by hand.
+func TestRoundRemediation(t *testing.T) {
+	now := day(2018, 6, 1)
+	rFE := NewReplica("FE26", "fedoraproject:fedora:26") // no vulnerabilities: fully patched
+	everywhere := func(n int) []*osint.Vulnerability {
+		var vs []*osint.Vulnerability
+		for i := 0; i < n; i++ {
+			vs = append(vs, mkVuln(fmt.Sprintf("CVE-2018-01%02d", i), day(2018, 5, 1), 9.8, "everywhere", ub, de, so, w1))
+		}
+		return vs
+	}
+	cases := []struct {
+		name             string
+		corpus           []*osint.Vulnerability
+		config           Config
+		pool, quarantine []Replica
+		threshold        float64
+		released         string // "" when nothing is released
+		requeued         string // IDs the round requeued, comma-joined
+		raises           int
+		reconfigured     bool
+		quarantineAfter  int
+	}{
+		{
+			name: "no corner case",
+			corpus: []*osint.Vulnerability{
+				mkVuln("CVE-2018-0001", day(2018, 5, 1), 9.8, "shared critical", ub, de),
+			},
+			config: Config{rUB, rDE, rSO}, pool: []Replica{rW1}, threshold: 5,
+			reconfigured: true, quarantineAfter: 1,
+		},
+		{
+			name: "empty pool: one release, a retry that reconfigures",
+			corpus: []*osint.Vulnerability{
+				mkVuln("CVE-2018-0001", day(2018, 5, 1), 9.8, "shared critical", ub, de),
+				mkVuln("CVE-2018-0002", day(2018, 5, 1), 3.0, "minor solaris", so),
+				mkVuln("CVE-2018-0003", day(2018, 5, 1), 5.0, "windows a", w1),
+				mkVuln("CVE-2018-0004", day(2018, 5, 1), 5.0, "windows b", w1),
+			},
+			config: Config{rUB, rDE}, quarantine: []Replica{rW1, rSO}, threshold: 1,
+			released: "SO11", reconfigured: true, quarantineAfter: 2,
+		},
+		{
+			name: "empty pool: the retry finds no candidate and nothing more is tried",
+			corpus: append(everywhere(1),
+				mkVuln("CVE-2018-0003", day(2018, 5, 1), 5.0, "windows a", w1)),
+			config: Config{rUB, rDE}, quarantine: []Replica{rW1, rSO}, threshold: 1,
+			released: "SO11", quarantineAfter: 1,
+		},
+		{
+			name:   "no candidate: raises until one fits",
+			corpus: everywhere(1),
+			config: Config{rUB, rDE}, pool: []Replica{rSO, rW1}, threshold: 1,
+			raises: 4, reconfigured: true, quarantineAfter: 1,
+		},
+		{
+			name:   "no candidate: the first call's requeue is kept",
+			corpus: everywhere(1),
+			config: Config{rUB, rDE}, pool: []Replica{rSO, rW1}, quarantine: []Replica{rFE}, threshold: 1,
+			requeued: "FE26", raises: 1, reconfigured: true, quarantineAfter: 1,
+		},
+		{
+			name:   "no candidate: gives up after 8 raises",
+			corpus: everywhere(8),
+			config: Config{rUB, rDE}, pool: []Replica{rSO, rW1}, threshold: 1,
+			raises: 8,
+		},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			e := engine(t, tc.corpus)
+			build := func() (*Monitor, *rand.Rand) {
+				rng := rand.New(rand.NewSource(3))
+				m, err := RestoreMonitor(e, tc.config, tc.pool, tc.quarantine,
+					MonitorConfig{Threshold: tc.threshold, Rand: rng})
+				if err != nil {
+					t.Fatal(err)
+				}
+				return m, rng
+			}
+			m, rng := build()
+			d := m.Round(now)
+			if d.Released.ID != tc.released {
+				t.Errorf("released %q, want %q", d.Released.ID, tc.released)
+			}
+			if got := strings.Join(replicaIDs(d.Requeued), ","); got != tc.requeued {
+				t.Errorf("requeued %q, want %q", got, tc.requeued)
+			}
+			want := 0.0
+			if tc.raises > 0 {
+				want = tc.threshold
+				for i := 0; i < tc.raises; i++ {
+					want = want*1.5 + 1
+				}
+			}
+			if d.RaisedTo != want {
+				t.Errorf("raised to %v, want %v (%d raises)", d.RaisedTo, want, tc.raises)
+			}
+			if d.Reconfigured != tc.reconfigured || len(m.Quarantine()) != tc.quarantineAfter {
+				t.Errorf("reconfigured %v with quarantine %v, want %v with %d",
+					d.Reconfigured, replicaIDs(m.Quarantine()), tc.reconfigured, tc.quarantineAfter)
+			}
+
+			// The same steps by hand: Monitor, then the remediation.
+			h, hrng := build()
+			_, err := h.Monitor(now)
+			switch {
+			case errors.Is(err, ErrPoolExhausted):
+				if _, err := h.releaseLeastVulnerable(now); err == nil {
+					_, _ = h.Monitor(now) // a corner case the retry meets stands
+				}
+			case errors.Is(err, ErrNoCandidate):
+				for i := 0; i < 8 && errors.Is(err, ErrNoCandidate); i++ {
+					h.cfg.Threshold = h.cfg.Threshold*1.5 + 1
+					_, err = h.Monitor(now)
+				}
+			}
+			if got, by := m.Config().IDs(), h.Config().IDs(); !sameSet(got, by) || m.Threshold() != h.Threshold() {
+				t.Errorf("Round left %v at %v, by hand %v at %v", got, m.Threshold(), by, h.Threshold())
+			}
+			if rng.Int63() != hrng.Int63() {
+				t.Error("Round and the steps by hand drew differently from the rng")
+			}
+		})
 	}
 }
 
@@ -372,13 +502,6 @@ func TestNewMonitorValidation(t *testing.T) {
 	}
 	if _, err := NewMonitor(e, Config{rUB}, nil, MonitorConfig{Threshold: -1, Rand: rng}); err == nil {
 		t.Error("negative threshold accepted")
-	}
-}
-
-func TestRaiseThresholdRejectsLowering(t *testing.T) {
-	m, _ := monitorFixture(t)
-	if err := m.RaiseThreshold(m.Threshold() - 1); err == nil {
-		t.Error("threshold lowering accepted")
 	}
 }
 

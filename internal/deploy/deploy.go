@@ -165,7 +165,6 @@ type Node struct {
 	membership func() *bft.Membership // current-membership source for joins
 	os         catalog.OS
 	replica    *bft.Replica
-	bootedAt   time.Time
 	retired    bool
 }
 
@@ -277,7 +276,6 @@ func (n *Node) PowerOn(osID string, joining bool) error {
 	replica.Start()
 	n.os = os
 	n.replica = replica
-	n.bootedAt = time.Now()
 	n.mu.Unlock()
 	n.builder.boots.Add(1)
 	return nil

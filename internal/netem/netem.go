@@ -11,8 +11,8 @@
 // The wrapper sits strictly on the send side: a delayed frame is held in
 // a lifecycle-tied goroutine and handed to the inner network's Send when
 // its delivery time arrives. The inner network keeps full ownership of
-// queues, interceptors and fault injection — chaos reaches them through
-// Inner().
+// queues, interceptors and fault injection; a caller that injects faults
+// keeps its own handle on the inner network, as the chaos harness does.
 package netem
 
 import (

@@ -36,11 +36,9 @@ type Env struct {
 	// CVSSv3).
 	SharedCVSS PairMetric
 	// Threshold is the Lazarus reconfiguration threshold (Equation 5
-	// units). Zero or negative selects the adaptive rule: 1.05 × the
-	// risk of the initial greedy minimum-risk configuration plus one
-	// fresh HIGH-severity exploited weakness (the Equation 5 sum grows
-	// with the length of the vulnerability history, so an absolute
-	// constant cannot transfer across datasets).
+	// units). Zero or negative selects StartLazarus's adaptive rule (the
+	// Equation 5 sum grows with the length of the vulnerability history,
+	// so an absolute constant cannot transfer across datasets).
 	Threshold float64
 }
 
@@ -220,15 +218,22 @@ func (s *greedy) setMetric(cfg core.Config, asof time.Time) float64 {
 	return total
 }
 
-// GreedyMinRiskConfig assembles a low-risk configuration by greedy
-// construction over the Equation 5 pair metric, restarting several times
-// and keeping the best. The control plane uses it to seed Algorithm 1.
-func GreedyMinRiskConfig(universe []core.Replica, n int, eval core.RiskEvaluator, asof time.Time, rng *rand.Rand) (core.Config, float64, error) {
+// StartLazarus seeds Algorithm 1, for the control plane and for the
+// simulated Lazarus strategy alike. The initial configuration is the best
+// of 8 greedy constructions over the Equation 5 pair metric: one start
+// varies a lot with its random first replica, and the threshold must
+// anchor to the risk a good configuration can actually achieve. A
+// threshold of zero or less selects the adaptive rule, 1.05 × that
+// configuration's risk plus 8.75 (one fresh HIGH-severity exploited
+// shared weakness, 7.0 × 1.25): less would trigger on noise, more would
+// sleep through exactly the events Lazarus exists for. The rest of the
+// universe is the Monitor's pool.
+func StartLazarus(universe []core.Replica, n int, eval core.RiskEvaluator, threshold float64, asof time.Time, rng *rand.Rand) (*core.Monitor, error) {
 	if len(universe) < n || n <= 0 {
-		return nil, 0, fmt.Errorf("strategies: universe %d, n %d", len(universe), n)
+		return nil, fmt.Errorf("strategies: universe %d, n %d", len(universe), n)
 	}
 	if eval == nil || rng == nil {
-		return nil, 0, errors.New("strategies: nil evaluator or rng")
+		return nil, errors.New("strategies: nil evaluator or rng")
 	}
 	metric := func(ri, rj core.Replica, now time.Time) float64 {
 		return eval.Risk(core.Config{ri, rj}, now)
@@ -241,7 +246,16 @@ func GreedyMinRiskConfig(universe []core.Replica, n int, eval core.RiskEvaluator
 			best, bestRisk = cand, r
 		}
 	}
-	return best, bestRisk, nil
+	if threshold <= 0 {
+		threshold = bestRisk*1.05 + 8.75
+	}
+	pool := make([]core.Replica, 0, len(universe)-n)
+	for _, r := range universe {
+		if !best.Contains(r.ID) {
+			pool = append(pool, r)
+		}
+	}
+	return core.NewMonitor(eval, best, pool, core.MonitorConfig{Threshold: threshold, Rand: rng})
 }
 
 // greedyMinConfig assembles a minimal-metric configuration: start from a
@@ -324,14 +338,12 @@ type lazarus struct {
 	env     Env
 	rng     *rand.Rand
 	monitor *core.Monitor
-	// poolFloor: when POOL drops below this, the least-vulnerable
-	// quarantined replica is released early (the paper's second
-	// administrator remediation, automated).
-	poolFloor int
 }
 
-// NewLazarus builds the Lazarus strategy: Algorithm 1 over the Equation 5
-// risk metric with clustering-aware shared-vulnerability detection.
+// NewLazarus builds the Lazarus strategy: the control plane's Algorithm 1
+// policy (StartLazarus, then core.Monitor.Round each day) over the
+// Equation 5 risk metric with clustering-aware shared-vulnerability
+// detection.
 func NewLazarus(env Env, rng *rand.Rand) (Strategy, error) {
 	if err := env.validate(); err != nil {
 		return nil, err
@@ -342,96 +354,24 @@ func NewLazarus(env Env, rng *rand.Rand) (Strategy, error) {
 	if env.Evaluator == nil {
 		return nil, errors.New("strategies: Lazarus needs a risk evaluator")
 	}
-	return &lazarus{env: env, rng: rng, poolFloor: 2}, nil
+	return &lazarus{env: env, rng: rng}, nil
 }
 
 func (s *lazarus) Name() string { return "Lazarus" }
 
-// Init seeds Algorithm 1 with a greedy minimum-risk configuration (pair
-// metric = the Equation 5 pair contribution) and derives the adaptive
-// threshold from its risk when no absolute threshold was configured.
 func (s *lazarus) Init(asof time.Time) (core.Config, error) {
-	pairRisk := func(ri, rj core.Replica, now time.Time) float64 {
-		return s.env.Evaluator.Risk(core.Config{ri, rj}, now)
-	}
-	// Multi-start greedy: the single-start result varies a lot with the
-	// random first replica, and the threshold must anchor to the risk
-	// level a good configuration can actually achieve.
-	best := greedyMinConfig(s.env.Universe, s.env.N, pairRisk, asof, s.rng)
-	bestRisk := s.env.Evaluator.Risk(best, asof)
-	for restart := 0; restart < 7; restart++ {
-		cand := greedyMinConfig(s.env.Universe, s.env.N, pairRisk, asof, s.rng)
-		if r := s.env.Evaluator.Risk(cand, asof); r < bestRisk {
-			best, bestRisk = cand, r
-		}
-	}
-	threshold := s.env.Threshold
-	if threshold <= 0 {
-		// 5% headroom over the achievable baseline plus one fresh
-		// HIGH-severity exploited shared weakness (7.0 x 1.25): anything
-		// less would trigger on noise, anything more would sleep through
-		// exactly the events Lazarus exists for.
-		threshold = bestRisk*1.05 + 8.75
-	}
-	// Algorithm 1 picks uniformly at random among acceptable candidates so
-	// that observing the pool does not reveal the next configuration; the
-	// initial selection follows the same rule — sample configurations and
-	// choose randomly among those below the threshold.
-	const initSamples = 200
-	candidates := []core.Config{best}
-	for t := 0; t < initSamples; t++ {
-		idx := s.rng.Perm(len(s.env.Universe))[:s.env.N]
-		cand := make(core.Config, s.env.N)
-		for i, j := range idx {
-			cand[i] = s.env.Universe[j]
-		}
-		if s.env.Evaluator.Risk(cand, asof) <= threshold {
-			candidates = append(candidates, cand)
-		}
-	}
-	best = candidates[s.rng.Intn(len(candidates))]
-	pool := make([]core.Replica, 0, len(s.env.Universe)-s.env.N)
-	for _, r := range s.env.Universe {
-		if !best.Contains(r.ID) {
-			pool = append(pool, r)
-		}
-	}
-	m, err := core.NewMonitor(s.env.Evaluator, best, pool, core.MonitorConfig{
-		Threshold: threshold,
-		Rand:      s.rng,
-	})
+	m, err := StartLazarus(s.env.Universe, s.env.N, s.env.Evaluator, s.env.Threshold, asof, s.rng)
 	if err != nil {
 		return nil, err
 	}
 	s.monitor = m
-	return best.Clone(), nil
+	return m.Config(), nil
 }
 
 func (s *lazarus) Step(asof time.Time) (core.Config, error) {
 	if s.monitor == nil {
 		return nil, errors.New("strategies: Lazarus Step before Init")
 	}
-	_, err := s.monitor.Monitor(asof)
-	switch {
-	case errors.Is(err, core.ErrPoolExhausted):
-		// Remediation: release the least-vulnerable quarantined replica
-		// and retry once.
-		if _, relErr := s.monitor.ReleaseLeastVulnerable(asof); relErr == nil {
-			_, err = s.monitor.Monitor(asof)
-		}
-	case errors.Is(err, core.ErrNoCandidate):
-		// The paper's first administrator remediation, automated: raise
-		// the threshold (10%) so the next round can reconfigure.
-		err = s.monitor.RaiseThreshold(s.monitor.Threshold() * 1.1)
-	}
-	if err != nil && !errors.Is(err, core.ErrNoCandidate) && !errors.Is(err, core.ErrPoolExhausted) {
-		return nil, err
-	}
-	// Keep the spare pool healthy regardless of reconfiguration outcome.
-	for len(s.monitor.Pool()) < s.poolFloor && len(s.monitor.Quarantine()) > 0 {
-		if _, relErr := s.monitor.ReleaseLeastVulnerable(asof); relErr != nil {
-			break
-		}
-	}
+	s.monitor.Round(asof)
 	return s.monitor.Config(), nil
 }

@@ -221,6 +221,36 @@ func TestLazarusAvoidsSharedPairOverTime(t *testing.T) {
 	}
 }
 
+// TestLazarusInitIsStartLazarus: the simulated strategy starts where the
+// control plane's Bootstrap does, with StartLazarus's configuration and
+// threshold, adaptive or fixed.
+func TestLazarusInitIsStartLazarus(t *testing.T) {
+	asof := day(2018, 6, 1)
+	for _, threshold := range []float64{0, 5} {
+		env := testEnv(t)
+		env.Threshold = threshold
+		for seed := int64(0); seed < 10; seed++ {
+			s, err := NewLazarus(env, rand.New(rand.NewSource(seed)))
+			if err != nil {
+				t.Fatal(err)
+			}
+			cfg, err := s.Init(asof)
+			if err != nil {
+				t.Fatal(err)
+			}
+			m, err := StartLazarus(env.Universe, env.N, env.Evaluator, threshold, asof, rand.New(rand.NewSource(seed)))
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, want := strings.Join(cfg.IDs(), ","), strings.Join(m.Config().IDs(), ",")
+			if thr := s.(*lazarus).monitor.Threshold(); got != want || thr != m.Threshold() {
+				t.Errorf("threshold %v, seed %d: Init %s at %v, StartLazarus %s at %v",
+					threshold, seed, got, thr, want, m.Threshold())
+			}
+		}
+	}
+}
+
 func TestLazarusStepBeforeInit(t *testing.T) {
 	s, err := NewLazarus(testEnv(t), rand.New(rand.NewSource(1)))
 	if err != nil {
