@@ -7,7 +7,7 @@ import (
 	"os"
 	"time"
 
-	"lazarus/internal/controlplane"
+	"lazarus/internal/chaos"
 	"lazarus/internal/metrics"
 )
 
@@ -38,7 +38,7 @@ func chaosRun(rounds int, seed int64, metricsOut string, controllerFaults, byzFa
 	reg := metrics.NewRegistry()
 	fmt.Printf("== chaos: %d monitor rounds, seed %d, controller faults %v, byzantine faults %v, wan %q ==\n",
 		rounds, seed, controllerFaults, byzFaults, wanProfile)
-	rep, err := controlplane.RunChaos(ctx, controlplane.ChaosConfig{
+	rep, err := chaos.Run(ctx, chaos.Config{
 		Rounds:        rounds,
 		Seed:          seed,
 		ClientWorkers: 2,

@@ -10,6 +10,7 @@ import (
 	"lazarus/internal/apps/kvs"
 	"lazarus/internal/bft"
 	"lazarus/internal/bft/bfttest"
+	"lazarus/internal/netem"
 	"lazarus/internal/transport"
 	"lazarus/internal/workload"
 )
@@ -52,11 +53,12 @@ func TestApplicationWithoutCheckpointer(t *testing.T) {
 
 			// Three checkpoint intervals without replica 3 put the group
 			// past its window (2 x 4); the next ones tell it so.
-			cluster.Net.Isolate(3)
+			iso := netem.IsolateNode(cluster.Net.Nodes(), 3)
+			cluster.Net.Apply(iso)
 			for i := 0; i < 14; i++ {
 				put(i)
 			}
-			cluster.Net.Rejoin(3)
+			cluster.Net.Revert(iso)
 			for i := 14; i < 24; i++ {
 				put(i)
 			}

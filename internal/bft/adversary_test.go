@@ -1,7 +1,7 @@
 package bft
 
 // White-box regression tests for the protocol holes the Byzantine chaos
-// attackers (byzantine.go, controlplane/chaos.go) flushed out. Each test
+// attackers (byzantine.go, internal/chaos) flushed out. Each test
 // fails on the pre-fix code; together they pin the validation gaps shut:
 // forged prepared proofs in view changes, stale-epoch view-change and
 // new-view replay, certificate stripping, executed-instance digest

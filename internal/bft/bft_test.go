@@ -164,20 +164,19 @@ func TestViewChangeCatchesUpStraggler(t *testing.T) {
 	// Partition replica 3 and commit ops it misses entirely. The op
 	// count stays far below CheckpointInterval (128): catch-up can only
 	// come through the new view's re-proposals, never a snapshot.
-	c.net.Isolate(3)
+	iso := c.isolate(3)
 	for i := 0; i < 5; i++ {
 		want += 2
 		if got := decodeInt(invoke(t, cl, "add 2")); got != want {
 			t.Fatalf("partitioned-phase result = %d, want %d", got, want)
 		}
 	}
-	c.net.Rejoin(3)
+	c.net.Revert(iso)
 
 	// Silence the view-0 primary. Replicas 1 and 2 time out on the next
 	// request, replica 3 joins the view change via the f+1 boost, and
 	// the view-1 primary re-proposes everything replica 3 missed.
-	c.net.Isolate(0)
-	defer c.net.Rejoin(0)
+	defer c.net.Revert(c.isolate(0))
 
 	// With replica 0 down, ordering this request needs a quorum of 1, 2
 	// and 3 — i.e. replica 3 must take part in the view change and the
@@ -245,11 +244,11 @@ func TestLaggingReplicaCatchesUpViaStateTransfer(t *testing.T) {
 	defer cl.Close()
 
 	// Partition replica 3, run past several checkpoints, heal.
-	c.net.Isolate(3)
+	iso := c.isolate(3)
 	for i := 0; i < 30; i++ {
 		invoke(t, cl, "add 1")
 	}
-	c.net.Rejoin(3)
+	c.net.Revert(iso)
 	// Nudge the group so new checkpoints reveal the gap.
 	for i := 0; i < 10; i++ {
 		invoke(t, cl, "add 1")

@@ -1,6 +1,8 @@
 // Package bfttest provides a ready-made in-process BFT cluster for tests,
 // examples and benchmarks: n replicas over an in-memory network, key
 // management, clients, and a trusted controller for reconfigurations.
+// The network is a netem layer without conditions, so tests can apply
+// partitions to it.
 package bfttest
 
 import (
@@ -10,6 +12,7 @@ import (
 	"time"
 
 	"lazarus/internal/bft"
+	"lazarus/internal/netem"
 	"lazarus/internal/transport"
 )
 
@@ -33,7 +36,7 @@ type Options struct {
 
 // Cluster is a running in-process BFT deployment.
 type Cluster struct {
-	Net        *transport.Memory
+	Net        *netem.Network
 	Membership *bft.Membership
 	Replicas   map[transport.NodeID]*bft.Replica
 	Apps       map[transport.NodeID]bft.Application
@@ -61,7 +64,7 @@ func Launch(appFactory AppFactory, opts Options) (*Cluster, error) {
 		opts.Clients = 4
 	}
 	c := &Cluster{
-		Net:        transport.NewMemory(transport.MemoryConfig{}),
+		Net:        netem.Wrap(transport.NewMemory(transport.MemoryConfig{}), netem.Config{}),
 		Replicas:   make(map[transport.NodeID]*bft.Replica),
 		Apps:       make(map[transport.NodeID]bft.Application),
 		opts:       opts,

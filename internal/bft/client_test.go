@@ -10,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	"lazarus/internal/netem"
 	"lazarus/internal/transport"
 )
 
@@ -207,12 +208,13 @@ func TestClientHonorsContext(t *testing.T) {
 		defer cl.Close()
 		// Every replica drops off for about 25 request timeouts: more
 		// attempts, backoff included, than any fixed budget of eight.
+		var isos []*netem.Partition
 		for _, r := range c.membership.Replicas {
-			c.net.Isolate(r)
+			isos = append(isos, c.isolate(r))
 		}
 		time.AfterFunc(500*time.Millisecond, func() {
-			for _, r := range c.membership.Replicas {
-				c.net.Rejoin(r)
+			for _, p := range isos {
+				c.net.Revert(p)
 			}
 		})
 		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)

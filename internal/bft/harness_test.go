@@ -12,6 +12,7 @@ import (
 	"testing"
 	"time"
 
+	"lazarus/internal/netem"
 	"lazarus/internal/transport"
 )
 
@@ -76,10 +77,13 @@ func decodeInt(b []byte) int64 {
 	return int64(binary.BigEndian.Uint64(b))
 }
 
-// cluster is a complete in-memory BFT deployment for tests.
+// cluster is a complete in-memory BFT deployment for tests. Every
+// endpoint goes through net, a netem layer without conditions that holds
+// the tests' partitions; mem beneath it takes the send and receive hooks.
 type cluster struct {
 	t          testing.TB
-	net        *transport.Memory
+	mem        *transport.Memory
+	net        *netem.Network
 	membership *Membership
 	replicas   map[transport.NodeID]*Replica
 	apps       map[transport.NodeID]*counterApp
@@ -105,9 +109,11 @@ func keypair(t testing.TB) (ed25519.PublicKey, ed25519.PrivateKey) {
 // nClients clients at ClientIDBase...
 func newCluster(t testing.TB, n, nClients int, tweak func(*ReplicaConfig)) *cluster {
 	t.Helper()
+	inner := transport.NewMemory(transport.MemoryConfig{Seed: 1})
 	c := &cluster{
 		t:          t,
-		net:        transport.NewMemory(transport.MemoryConfig{Seed: 1}),
+		mem:        inner,
+		net:        netem.Wrap(inner, netem.Config{}),
 		replicas:   make(map[transport.NodeID]*Replica),
 		apps:       make(map[transport.NodeID]*counterApp),
 		keys:       make(map[transport.NodeID]ed25519.PrivateKey),
@@ -174,15 +180,23 @@ func (c *cluster) addReplica(id transport.NodeID, joining bool) *Replica {
 // send arrives.
 func (c *cluster) mute(ids ...transport.NodeID) {
 	for _, id := range ids {
-		c.net.Intercept(id, func(transport.NodeID, []byte) [][]byte { return nil })
+		c.mem.Intercept(id, func(transport.NodeID, []byte) [][]byte { return nil })
 	}
 }
 
 // attack hands a replica's outgoing traffic to an Attacker holding its key.
 func (c *cluster) attack(id transport.NodeID, kind AttackKind) *Attacker {
 	atk := NewAttacker(id, c.keys[id], c.clientKeys, kind, 1)
-	c.net.Intercept(id, atk.Intercept)
+	c.mem.Intercept(id, atk.Intercept)
 	return atk
+}
+
+// isolate cuts id off from every other endpoint, both ways, until the
+// returned partition is reverted.
+func (c *cluster) isolate(id transport.NodeID) *netem.Partition {
+	p := netem.IsolateNode(c.net.Nodes(), id)
+	c.net.Apply(p)
+	return p
 }
 
 func (c *cluster) start() {

@@ -164,7 +164,7 @@ func TestProposalNeedsPrimaryChannel(t *testing.T) {
 		mu       sync.Mutex
 		prepared = make(map[uint64]bool)
 	)
-	c.net.Intercept(1, func(_ transport.NodeID, p []byte) [][]byte {
+	c.mem.Intercept(1, func(_ transport.NodeID, p []byte) [][]byte {
 		if m, err := Decode(p); err == nil && m.Type == MsgPrepare {
 			mu.Lock()
 			prepared[m.SeqNo] = true

@@ -160,8 +160,8 @@ func checkReadsLinearizable(t *testing.T, seed int64) {
 	})
 	atk := NewAttacker(attacker, c.keys[attacker], c.clientKeys, AttackReplay, seed)
 	atk.FreezeReads(newRegisterApp())
-	c.net.Intercept(attacker, atk.Intercept)
-	c.net.Observe(attacker, atk.Observe)
+	c.mem.Intercept(attacker, atk.Intercept)
+	c.mem.Observe(attacker, atk.Observe)
 	c.start()
 	defer c.stop()
 

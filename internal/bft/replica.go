@@ -379,10 +379,6 @@ func (r *Replica) Start() {
 	r.wg.Add(2)
 	go r.pump()
 	go r.loop()
-	if r.joining {
-		// A joining replica bootstraps by asking the group for state.
-		r.requestStateTransfer(transferJoin)
-	}
 }
 
 // Stop terminates the replica and waits for its goroutines, then gives
@@ -425,6 +421,12 @@ func (r *Replica) pump() {
 // loop is the single-threaded protocol engine.
 func (r *Replica) loop() {
 	defer r.wg.Done()
+	if r.joining {
+		// A joining replica bootstraps by asking the group for state.
+		// The request arms the progress timer, which only the loop may
+		// touch.
+		r.requestStateTransfer(transferJoin)
+	}
 	batchTicker := time.NewTicker(r.cfg.BatchDelay)
 	defer batchTicker.Stop()
 	for {

@@ -13,6 +13,7 @@ import (
 	"errors"
 	"fmt"
 	mrand "math/rand"
+	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -268,8 +269,9 @@ func (c *Controller) ScheduleCrash(plan CrashPlan) {
 	c.crashPlan.Store(&plan)
 }
 
-// isCrashed reports whether a crash point has fired.
-func (c *Controller) isCrashed() bool { return c.crashed.Load() }
+// Crashed reports whether the controller is dead: a crash point fired or
+// Crash ran.
+func (c *Controller) Crashed() bool { return c.crashed.Load() }
 
 // walAppend writes one record through the intent/outcome protocol: the
 // record is appended and synced BEFORE the caller runs the side effect
@@ -311,10 +313,12 @@ func (c *Controller) Crash() {
 // controller's reconfiguration authority) and the tracked node slots with
 // their LTUs. In a real deployment these are the physical machines; here
 // they are the handles a crashed in-process controller leaves behind for
-// Recover to re-adopt.
+// Recover to re-adopt, with the dead process's control client for Recover
+// to close.
 type Plant struct {
 	builder *deploy.Builder
 	nodes   map[transport.NodeID]*nodeSlot
+	client  *bft.Client
 }
 
 // Plant hands the surviving substrate to a successor (typically called on
@@ -326,7 +330,7 @@ func (c *Controller) Plant() Plant {
 	for id, slot := range c.nodes {
 		nodes[id] = slot
 	}
-	return Plant{builder: c.builder, nodes: nodes}
+	return Plant{builder: c.builder, nodes: nodes, client: c.client}
 }
 
 // Generation reports which controller process owns the WAL (0 = the
@@ -710,6 +714,84 @@ func (c *Controller) Membership() *bft.Membership {
 	return c.currentMembership()
 }
 
+// Replicas returns every running replica of the controller's nodes, by
+// node id.
+func (c *Controller) Replicas() map[transport.NodeID]*bft.Replica {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	reps := make(map[transport.NodeID]*bft.Replica, len(c.nodes))
+	for id, slot := range c.nodes {
+		if r := slot.node.Replica(); r != nil {
+			reps[id] = r
+		}
+	}
+	return reps
+}
+
+// NodeKey returns a node's signing key. A compromised replica signs with
+// its real key, so the chaos harness arms its attackers with this one.
+func (c *Controller) NodeKey(id transport.NodeID) (ed25519.PrivateKey, error) {
+	return c.builder.PrivateKey(id)
+}
+
+// Invariants checks what every round must leave true, and returns one
+// line per violation:
+//
+//  1. the service runs exactly n=3f+1 replicas, all of them members;
+//  2. the membership mirrors the OS→node map exactly (no half-applied
+//     ADDs, no forgotten REMOVEs);
+//  3. no node runs outside the membership (no leaked joiners);
+//  4. the swap ledger balances: attempts = successes + rollbacks, with
+//     no failed compensations.
+func (c *Controller) Invariants() []string {
+	var v []string
+	n := c.cfg.N
+	st := c.Status()
+	census := c.Census()
+
+	if len(st.Config) != n {
+		v = append(v, fmt.Sprintf("config has %d OSes, want %d (%v)", len(st.Config), n, st.Config))
+	}
+	if len(st.Members) != n {
+		v = append(v, fmt.Sprintf("membership has %d replicas, want %d (%v)", len(st.Members), n, st.Members))
+	}
+	if len(st.Nodes) != n {
+		v = append(v, fmt.Sprintf("os->node map has %d entries, want %d (%v)", len(st.Nodes), n, st.Nodes))
+	}
+	// Membership and osToNode must be exactly the same node set.
+	nodeSet := make([]transport.NodeID, 0, len(st.Nodes))
+	for _, id := range st.Nodes {
+		nodeSet = append(nodeSet, id)
+	}
+	sort.Slice(nodeSet, func(i, j int) bool { return nodeSet[i] < nodeSet[j] })
+	members := append([]transport.NodeID(nil), st.Members...)
+	sort.Slice(members, func(i, j int) bool { return members[i] < members[j] })
+	if fmt.Sprint(nodeSet) != fmt.Sprint(members) {
+		v = append(v, fmt.Sprintf("membership %v != os->node nodes %v", members, nodeSet))
+	}
+	// Every config OS maps to a node.
+	for _, osID := range st.Config {
+		if _, ok := st.Nodes[osID]; !ok {
+			v = append(v, fmt.Sprintf("config OS %s has no node", osID))
+		}
+	}
+	if len(census.Running) != n {
+		v = append(v, fmt.Sprintf("%d replicas running, want %d", len(census.Running), n))
+	}
+	if len(census.Orphans) > 0 {
+		v = append(v, fmt.Sprintf("leaked nodes running outside the membership: %v", census.Orphans))
+	}
+	stats := c.SwapStats()
+	if stats.RollbackFailures > 0 {
+		v = append(v, fmt.Sprintf("%d swap compensations failed", stats.RollbackFailures))
+	}
+	if stats.Attempts != stats.Successes+stats.Rollbacks+stats.RollbackFailures {
+		v = append(v, fmt.Sprintf("swap ledger unbalanced: %d attempts vs %d successes + %d rollbacks + %d aborts",
+			stats.Attempts, stats.Successes, stats.Rollbacks, stats.RollbackFailures))
+	}
+	return v
+}
+
 // MonitorRound runs one Algorithm 1 round (core.Monitor.Round, which
 // remediates the paper's corner cases) at the clock's current time and
 // executes any resulting replica replacement on the execution plane
@@ -720,7 +802,7 @@ func (c *Controller) Membership() *bft.Membership {
 // whose compensation failed stays open, and the next round resumes it
 // before Algorithm 1 runs.
 func (c *Controller) MonitorRound(ctx context.Context) (core.Decision, error) {
-	if c.isCrashed() {
+	if c.Crashed() {
 		return core.Decision{}, ErrControllerCrashed
 	}
 	c.mu.Lock()

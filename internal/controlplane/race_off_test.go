@@ -2,4 +2,4 @@
 
 package controlplane
 
-const raceEnabled = false
+const RaceEnabled = false

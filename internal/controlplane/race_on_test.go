@@ -2,7 +2,8 @@
 
 package controlplane
 
-// raceEnabled reports whether the race detector is compiled in; slow
+// RaceEnabled reports whether the race detector is compiled in; slow
 // replay-comparison tests skip under it to keep the package inside the
-// CI time budget (they still run in the plain `go test` pass).
-const raceEnabled = true
+// CI time budget (they still run in the plain `go test` pass). It is
+// exported for the package's external tests, which drive chaos runs.
+const RaceEnabled = true

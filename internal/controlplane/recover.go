@@ -142,6 +142,10 @@ func Recover(ctx context.Context, cfg Config, plant Plant) (*Controller, error) 
 	if plant.builder == nil {
 		return nil, errors.New("controlplane: recover needs the surviving plant")
 	}
+	// The predecessor is dead; its control client goes with it.
+	if plant.client != nil {
+		plant.client.Close()
+	}
 	replayStart := time.Now()
 	st, err := replayWALState(cfg.WAL)
 	if err != nil {

@@ -19,7 +19,6 @@ import (
 
 	"lazarus/internal/bft"
 	"lazarus/internal/core"
-	"lazarus/internal/deploy"
 	"lazarus/internal/transport"
 )
 
@@ -203,11 +202,6 @@ func (c *Controller) recordSwapLocked(rec SwapRecord) {
 	c.ins.swapTotalUS.Observe(rec.Finished.Sub(rec.Started).Microseconds())
 }
 
-// SetFaultPolicy installs (or clears, with nil) a deploy-layer failure
-// injection policy on the controller's builder — the chaos harness's
-// handle on the execution plane.
-func (c *Controller) SetFaultPolicy(p *deploy.FaultPolicy) { c.builder.SetFaultPolicy(p) }
-
 // Census reports the execution-plane node population, for invariant
 // checking: every running node should be a member of the current
 // membership, and nothing should run outside it.
@@ -268,7 +262,7 @@ func (op *swapOp) runStage(ctx context.Context, eff effect, attempts int, timeou
 	start, backoff := time.Now(), c.cfg.SwapBackoff
 	var err error
 	for a := 0; a < attempts; a++ {
-		if c.isCrashed() {
+		if c.Crashed() {
 			return fmt.Errorf("%v: %w", stage, ErrControllerCrashed)
 		}
 		if a > 0 {
@@ -384,7 +378,7 @@ type swapOp struct {
 // package comment. A rolled-back or still-open swap returns an error; a
 // rolled-forward one returns nil like any other success.
 func (c *Controller) executeSwap(ctx context.Context, removed, added core.Replica) error {
-	if c.isCrashed() {
+	if c.Crashed() {
 		return ErrControllerCrashed
 	}
 	c.swapMu.Lock()
@@ -454,7 +448,7 @@ func (op *swapOp) drive(ctx context.Context, s swapState) (SwapOutcome, error) {
 	var o observation
 	s, eff := step(s, o)
 	for eff != effClose && eff != effHold {
-		if o = op.run(ctx, eff); c.isCrashed() {
+		if o = op.run(ctx, eff); c.Crashed() {
 			// The dying process records nothing more; its successor
 			// resolves this swap from the WAL.
 			return 0, ErrControllerCrashed
@@ -463,7 +457,7 @@ func (op *swapOp) drive(ctx context.Context, s swapState) (SwapOutcome, error) {
 	}
 	// The census goes first: a successor that finds the end record also
 	// finds the monitor and OS map that go with it.
-	if c.walCensus(); c.isCrashed() {
+	if c.walCensus(); c.Crashed() {
 		return 0, ErrControllerCrashed
 	}
 	if eff == effHold {

@@ -6,12 +6,14 @@ import (
 	"crypto/rand"
 	"fmt"
 	"sort"
+	"sync"
 	"testing"
 	"time"
 
 	"lazarus/internal/apps/kvs"
 	"lazarus/internal/bft"
 	"lazarus/internal/catalog"
+	"lazarus/internal/netem"
 	"lazarus/internal/osint"
 	"lazarus/internal/transport"
 )
@@ -28,7 +30,7 @@ func TestCatchUpTimeoutRollsBack(t *testing.T) {
 	base := day(2018, 1, 16)
 	clock := func() time.Time { return base.Add(time.Since(start)) }
 
-	net := transport.NewMemory(transport.MemoryConfig{Seed: 1})
+	net := netem.Wrap(transport.NewMemory(transport.MemoryConfig{Seed: 1}), netem.Config{})
 	clientPub, clientPriv, err := ed25519.GenerateKey(rand.Reader)
 	if err != nil {
 		t.Fatal(err)
@@ -78,10 +80,9 @@ func TestCatchUpTimeoutRollsBack(t *testing.T) {
 
 	// Bootstrap used nodes 0..3; the swap engine will mint node 4 for the
 	// joiner. Cut its future links to every member so it can never catch
-	// up. (Cut records the pair even before the endpoint exists.)
-	for id := transport.NodeID(0); id < 4; id++ {
-		net.Cut(4, id)
-	}
+	// up. (A partition names ids, so it holds before node 4's endpoint
+	// exists.)
+	net.Apply(netem.IsolateNode([]transport.NodeID{0, 1, 2, 3}, 4))
 
 	before := ctrl.Status()
 	bombOSes := make([]string, 3)
@@ -321,16 +322,16 @@ func TestFailedCompensationResumesNextRound(t *testing.T) {
 		t.Fatal(err)
 	}
 	rig.serviceWrite(ctx, "preload", ctrl.Membership())
-	for id := transport.NodeID(0); id < 4; id++ {
-		rig.net.Cut(4, id) // the first joiner never catches up
-	}
+	rig.net.Apply(netem.IsolateNode([]transport.NodeID{0, 1, 2, 3}, 4)) // the first joiner never catches up
 	if err := ctrl.RefreshIntel(ctx, sharedBomb(t, ctrl, "CVE-2018-99003", base)); err != nil {
 		t.Fatal(err)
 	}
 	controlClient := transport.ClientIDBase + 9999
+	cutOff := netem.IsolateNode([]transport.NodeID{0, 1, 2, 3, 4}, controlClient)
+	var cut sync.Once
 	ctrl.ScheduleCrash(func(rec WALRecord) bool {
 		if rec.Kind == WALStageIntent && rec.Compensating {
-			rig.net.Isolate(controlClient)
+			cut.Do(func() { rig.net.Apply(cutOff) })
 		}
 		return false
 	})
@@ -344,12 +345,12 @@ func TestFailedCompensationResumesNextRound(t *testing.T) {
 	if len(ctrl.SwapHistory()) != 0 {
 		t.Errorf("history %+v, want the open swap unrecorded", ctrl.SwapHistory())
 	}
-	if len(checkInvariants(ctrl, 4)) == 0 {
+	if len(ctrl.Invariants()) == 0 {
 		t.Error("no invariant flags the open swap")
 	}
 
 	ctrl.ScheduleCrash(nil)
-	rig.net.Rejoin(controlClient)
+	rig.net.Revert(cutOff)
 	d, err := ctrl.MonitorRound(ctx)
 	if err != nil {
 		t.Fatalf("round after the failed compensation: %v", err)
@@ -357,7 +358,7 @@ func TestFailedCompensationResumesNextRound(t *testing.T) {
 	if !d.Reconfigured {
 		t.Error("the round after the resumed swap did not reconfigure")
 	}
-	for _, v := range checkInvariants(ctrl, 4) {
+	for _, v := range ctrl.Invariants() {
 		t.Errorf("invariant violation after the resumed round: %s", v)
 	}
 	var outcomes []SwapOutcome

@@ -184,13 +184,6 @@ func (w *MemWAL) Close() error {
 	return nil
 }
 
-// Len reports the number of records (tests and chaos reports).
-func (w *MemWAL) Len() int {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	return len(w.recs)
-}
-
 // Reopen makes a closed MemWAL appendable again, modeling a recovering
 // controller reopening its predecessor's log file.
 func (w *MemWAL) Reopen() {

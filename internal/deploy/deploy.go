@@ -12,41 +12,15 @@ import (
 	"errors"
 	"fmt"
 	"sync"
-	"sync/atomic"
-	"time"
 
 	"lazarus/internal/bft"
 	"lazarus/internal/catalog"
 	"lazarus/internal/transport"
 )
 
-// Lifecycle errors.
-var (
-	// ErrInjectedFault marks failures produced by a FaultPolicy, so tests
-	// and the swap engine can tell injected faults from real ones.
-	ErrInjectedFault = errors.New("deploy: injected fault")
-	// ErrRetired: the node was retired by the controller and can never
-	// host a replica again.
-	ErrRetired = errors.New("deploy: node retired")
-)
-
-// FaultPolicy injects deterministic failures into the node lifecycle so
-// the control plane's failure handling is testable (Bedrock-style
-// fault-injection-first). The zero value injects nothing. Policies are
-// installed on the Builder and consulted by every Node it provisioned.
-type FaultPolicy struct {
-	// FailPowerOnOS fails PowerOn for exactly these OS image ids.
-	FailPowerOnOS map[string]bool
-	// FailAfterBoots fails every PowerOn once the builder has completed
-	// this many successful boots (0 = never).
-	FailAfterBoots int
-	// StallBoot adds this delay to every PowerOn before it takes effect,
-	// simulating an image that boots far slower than its profile.
-	StallBoot time.Duration
-	// FailPowerOff makes PowerOff return an error while leaving the
-	// replica running — a hung hypervisor that ignores the kill.
-	FailPowerOff bool
-}
+// ErrRetired: the node was retired by the controller and can never host
+// a replica again.
+var ErrRetired = errors.New("deploy: node retired")
 
 // AppFactory builds the replicated service instance for a fresh replica.
 type AppFactory func() bft.Application
@@ -69,38 +43,9 @@ type BuilderConfig struct {
 type Builder struct {
 	cfg BuilderConfig
 
-	fault atomic.Pointer[FaultPolicy]
-	boots atomic.Int64
-
 	mu   sync.Mutex
 	keys map[transport.NodeID]ed25519.PrivateKey
 	pubs map[transport.NodeID]ed25519.PublicKey
-}
-
-// SetFaultPolicy installs (or, with nil, clears) the failure-injection
-// policy consulted by every node of this builder.
-func (b *Builder) SetFaultPolicy(p *FaultPolicy) { b.fault.Store(p) }
-
-// FaultPolicy returns the active policy (nil = none).
-func (b *Builder) FaultPolicy() *FaultPolicy { return b.fault.Load() }
-
-// Boots returns how many successful PowerOns the builder has completed.
-func (b *Builder) Boots() int { return int(b.boots.Load()) }
-
-// powerOnFault evaluates the policy for a PowerOn of osID: the injected
-// error to fail with, plus any boot stall to apply first.
-func (b *Builder) powerOnFault(osID string) (time.Duration, error) {
-	p := b.fault.Load()
-	if p == nil {
-		return 0, nil
-	}
-	if p.FailPowerOnOS[osID] {
-		return p.StallBoot, fmt.Errorf("%w: power-on of %s", ErrInjectedFault, osID)
-	}
-	if p.FailAfterBoots > 0 && int(b.boots.Load()) >= p.FailAfterBoots {
-		return p.StallBoot, fmt.Errorf("%w: boot budget %d exhausted", ErrInjectedFault, p.FailAfterBoots)
-	}
-	return p.StallBoot, nil
 }
 
 // NewBuilder validates the configuration.
@@ -207,8 +152,9 @@ func (n *Node) Replica() *bft.Replica {
 
 // PowerOn implements ltu.Driver: provision the OS image and start the
 // replica. Boot is instant: the image profile's boot time is
-// catalog data for the performance model, not a delay here. Injected faults (FaultPolicy) and retirement are surfaced as errors so
-// the controller's swap engine can retry or compensate.
+// catalog data for the performance model, not a delay here. Retirement
+// is surfaced as an error so the controller's swap engine can compensate;
+// injected faults come from the node's LTU, before the driver runs.
 func (n *Node) PowerOn(osID string, joining bool) error {
 	os, err := catalog.ByID(osID)
 	if err != nil {
@@ -227,14 +173,6 @@ func (n *Node) PowerOn(osID string, joining bool) error {
 		return fmt.Errorf("deploy: node %d already running %s", n.id, n.os.ID)
 	}
 	n.mu.Unlock()
-
-	stall, injected := n.builder.powerOnFault(osID)
-	if stall > 0 {
-		time.Sleep(stall)
-	}
-	if injected != nil {
-		return injected
-	}
 
 	n.builder.mu.Lock()
 	if _, err := n.builder.publicKeyLocked(n.id); err != nil {
@@ -263,8 +201,8 @@ func (n *Node) PowerOn(osID string, joining bool) error {
 	}
 
 	n.mu.Lock()
-	// Re-check under the lock: a stalled boot may have raced a Retire or
-	// a concurrent PowerOn, and a retired slot must never come back up.
+	// Re-check under the lock: the boot may have raced a Retire or a
+	// concurrent PowerOn, and a retired slot must never come back up.
 	if n.retired || n.replica != nil {
 		retired := n.retired
 		n.mu.Unlock()
@@ -277,23 +215,12 @@ func (n *Node) PowerOn(osID string, joining bool) error {
 	n.os = os
 	n.replica = replica
 	n.mu.Unlock()
-	n.builder.boots.Add(1)
 	return nil
 }
 
 // PowerOff implements ltu.Driver: stop and wipe the replica. Powering off
-// an idle node is a no-op (the command is idempotent). A FailPowerOff
-// fault leaves the replica running and returns an error, like a
-// hypervisor that ignored the kill.
+// an idle node is a no-op (the command is idempotent).
 func (n *Node) PowerOff() error {
-	if p := n.builder.fault.Load(); p != nil && p.FailPowerOff {
-		n.mu.Lock()
-		running := n.replica != nil
-		n.mu.Unlock()
-		if running {
-			return fmt.Errorf("%w: power-off of node %d", ErrInjectedFault, n.id)
-		}
-	}
 	n.mu.Lock()
 	replica := n.replica
 	n.replica = nil
@@ -306,8 +233,8 @@ func (n *Node) PowerOff() error {
 }
 
 // Retire is the controller's last-resort decommission: the machine is
-// wiped out-of-band, so it bypasses the LTU/driver path (and any injected
-// fault), stops whatever is running, and guarantees no in-flight or
+// wiped out-of-band, so it bypasses the LTU (and any fault injected
+// there), stops whatever is running, and guarantees no in-flight or
 // future PowerOn can ever bring the slot back.
 func (n *Node) Retire() {
 	n.mu.Lock()

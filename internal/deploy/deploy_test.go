@@ -210,97 +210,6 @@ func TestProvisionedGroupServes(t *testing.T) {
 	}
 }
 
-func TestFaultPolicyPowerOn(t *testing.T) {
-	b, _ := testBuilder(t)
-	m := fourNodeMembership(t, b)
-	node, err := b.NewNode(0, func() *bft.Membership { return m.Clone() })
-	if err != nil {
-		t.Fatal(err)
-	}
-	b.SetFaultPolicy(&FaultPolicy{FailPowerOnOS: map[string]bool{"UB16": true}})
-	if err := node.PowerOn("UB16", false); !errors.Is(err, ErrInjectedFault) {
-		t.Errorf("UB16 power-on err = %v, want ErrInjectedFault", err)
-	}
-	if node.Running() {
-		t.Error("node running after injected boot failure")
-	}
-	// Other images are unaffected.
-	if err := node.PowerOn("DE8", false); err != nil {
-		t.Fatalf("DE8 power-on under UB16-only policy: %v", err)
-	}
-	node.PowerOff()
-	// Clearing the policy heals the image.
-	b.SetFaultPolicy(nil)
-	if err := node.PowerOn("UB16", false); err != nil {
-		t.Fatalf("UB16 power-on after clearing policy: %v", err)
-	}
-	node.PowerOff()
-}
-
-func TestFaultPolicyFailAfterBoots(t *testing.T) {
-	b, _ := testBuilder(t)
-	m := fourNodeMembership(t, b)
-	node, err := b.NewNode(0, func() *bft.Membership { return m.Clone() })
-	if err != nil {
-		t.Fatal(err)
-	}
-	b.SetFaultPolicy(&FaultPolicy{FailAfterBoots: 1})
-	if err := node.PowerOn("UB16", false); err != nil {
-		t.Fatalf("boot within budget: %v", err)
-	}
-	node.PowerOff()
-	if err := node.PowerOn("DE8", false); !errors.Is(err, ErrInjectedFault) {
-		t.Errorf("boot past budget err = %v, want ErrInjectedFault", err)
-	}
-	if got := b.Boots(); got != 1 {
-		t.Errorf("builder counted %d boots, want 1", got)
-	}
-}
-
-func TestFaultPolicyStallBoot(t *testing.T) {
-	b, _ := testBuilder(t)
-	m := fourNodeMembership(t, b)
-	node, err := b.NewNode(0, func() *bft.Membership { return m.Clone() })
-	if err != nil {
-		t.Fatal(err)
-	}
-	b.SetFaultPolicy(&FaultPolicy{StallBoot: 60 * time.Millisecond})
-	start := time.Now()
-	if err := node.PowerOn("UB16", false); err != nil {
-		t.Fatal(err)
-	}
-	defer node.PowerOff()
-	if elapsed := time.Since(start); elapsed < 50*time.Millisecond {
-		t.Errorf("stalled boot took %v, want >= 60ms", elapsed)
-	}
-}
-
-func TestFaultPolicyFailPowerOff(t *testing.T) {
-	b, _ := testBuilder(t)
-	m := fourNodeMembership(t, b)
-	node, err := b.NewNode(0, func() *bft.Membership { return m.Clone() })
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := node.PowerOn("UB16", false); err != nil {
-		t.Fatal(err)
-	}
-	b.SetFaultPolicy(&FaultPolicy{FailPowerOff: true})
-	if err := node.PowerOff(); !errors.Is(err, ErrInjectedFault) {
-		t.Errorf("power-off err = %v, want ErrInjectedFault", err)
-	}
-	if !node.Running() {
-		t.Error("hung power-off stopped the replica anyway")
-	}
-	b.SetFaultPolicy(nil)
-	if err := node.PowerOff(); err != nil {
-		t.Fatalf("power-off after clearing policy: %v", err)
-	}
-	if node.Running() {
-		t.Error("node still running after successful power-off")
-	}
-}
-
 func TestPowerOffIdempotent(t *testing.T) {
 	b, _ := testBuilder(t)
 	m := fourNodeMembership(t, b)
@@ -308,16 +217,13 @@ func TestPowerOffIdempotent(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Powering off an idle node is a no-op, even repeatedly, and even with
-	// a FailPowerOff policy in force (nothing is running to hang).
+	// Powering off an idle node is a no-op, even repeatedly.
 	if err := node.PowerOff(); err != nil {
 		t.Fatalf("power-off of idle node: %v", err)
 	}
-	b.SetFaultPolicy(&FaultPolicy{FailPowerOff: true})
 	if err := node.PowerOff(); err != nil {
-		t.Fatalf("power-off of idle node under policy: %v", err)
+		t.Fatalf("second power-off of idle node: %v", err)
 	}
-	b.SetFaultPolicy(nil)
 	if err := node.PowerOn("UB16", false); err != nil {
 		t.Fatal(err)
 	}
@@ -339,14 +245,10 @@ func TestRetireIsTerminal(t *testing.T) {
 	if err := node.PowerOn("UB16", false); err != nil {
 		t.Fatal(err)
 	}
-	// Retire bypasses the driver path entirely: it stops the replica even
-	// while a FailPowerOff fault would hang a regular power-off.
-	b.SetFaultPolicy(&FaultPolicy{FailPowerOff: true})
 	node.Retire()
 	if node.Running() || !node.Retired() {
 		t.Errorf("after retire: running=%v retired=%v", node.Running(), node.Retired())
 	}
-	b.SetFaultPolicy(nil)
 	if err := node.PowerOn("DE8", false); !errors.Is(err, ErrRetired) {
 		t.Errorf("power-on of retired node err = %v, want ErrRetired", err)
 	}

@@ -122,10 +122,9 @@ type LTU struct {
 
 	mu       sync.Mutex
 	lastSeq  uint64
-	history  []Command // ring of the last histCap accepted commands
-	histNext int       // next write position in history
-	histLen  int       // filled entries (<= histCap)
-	histCap  int
+	history  [DefaultHistoryCap]Command // ring of the last accepted commands
+	histNext int                        // next write position in history
+	histLen  int                        // filled entries
 	injector Injector
 	accepted uint64
 }
@@ -138,18 +137,7 @@ func New(secret []byte, driver Driver) (*LTU, error) {
 	if driver == nil {
 		return nil, fmt.Errorf("ltu: nil driver")
 	}
-	return &LTU{secret: secret, driver: driver, histCap: DefaultHistoryCap}, nil
-}
-
-// SetHistoryCap resizes the command-history ring (minimum 1); existing
-// entries are discarded.
-func (l *LTU) SetHistoryCap(k int) {
-	if k < 1 {
-		k = 1
-	}
-	l.mu.Lock()
-	l.history, l.histNext, l.histLen, l.histCap = nil, 0, 0, k
-	l.mu.Unlock()
+	return &LTU{secret: secret, driver: driver}, nil
 }
 
 // SetInjector installs (or, with nil, clears) the fault hook.
@@ -201,12 +189,9 @@ func (l *LTU) Execute(sealed []byte) error {
 // once the ring is full.
 func (l *LTU) recordLocked(cmd Command) {
 	l.accepted++
-	if l.history == nil {
-		l.history = make([]Command, l.histCap)
-	}
 	l.history[l.histNext] = cmd
-	l.histNext = (l.histNext + 1) % l.histCap
-	if l.histLen < l.histCap {
+	l.histNext = (l.histNext + 1) % DefaultHistoryCap
+	if l.histLen < DefaultHistoryCap {
 		l.histLen++
 	}
 }
@@ -230,18 +215,14 @@ func (l *LTU) Accepted() uint64 {
 }
 
 // History returns the most recently accepted commands, oldest first. At
-// most the configured history cap (DefaultHistoryCap unless resized) is
-// retained.
+// most DefaultHistoryCap are retained.
 func (l *LTU) History() []Command {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	out := make([]Command, 0, l.histLen)
-	start := l.histNext - l.histLen
-	if start < 0 {
-		start += l.histCap
-	}
+	start := l.histNext - l.histLen + DefaultHistoryCap
 	for i := 0; i < l.histLen; i++ {
-		out = append(out, l.history[(start+i)%l.histCap])
+		out = append(out, l.history[(start+i)%DefaultHistoryCap])
 	}
 	return out
 }

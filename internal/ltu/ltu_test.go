@@ -137,20 +137,20 @@ func TestActionString(t *testing.T) {
 func TestHistoryRingBounded(t *testing.T) {
 	secret := []byte("s")
 	l, _ := New(secret, &fakeDriver{})
-	l.SetHistoryCap(5)
-	for seq := uint64(1); seq <= 12; seq++ {
+	const total = DefaultHistoryCap + 7 // wraps the ring
+	for seq := uint64(1); seq <= total; seq++ {
 		if err := l.Execute(seal(t, secret, Command{Seq: seq, Action: ActionPowerOn, OSID: "UB16"})); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if got := l.Accepted(); got != 12 {
-		t.Errorf("accepted = %d, want 12", got)
+	if got := l.Accepted(); got != total {
+		t.Errorf("accepted = %d, want %d", got, total)
 	}
 	hist := l.History()
-	if len(hist) != 5 {
-		t.Fatalf("history holds %d entries, want 5", len(hist))
+	if len(hist) != DefaultHistoryCap {
+		t.Fatalf("history holds %d entries, want %d", len(hist), DefaultHistoryCap)
 	}
-	// Oldest-first window of the most recent commands: seqs 8..12.
+	// Oldest-first window of the most recent commands: seqs 8..total.
 	for i, cmd := range hist {
 		if want := uint64(8 + i); cmd.Seq != want {
 			t.Errorf("history[%d].Seq = %d, want %d", i, cmd.Seq, want)

@@ -10,14 +10,16 @@
 //
 // The wrapper sits strictly on the send side: a delayed frame is held in
 // a lifecycle-tied goroutine and handed to the inner network's Send when
-// its delivery time arrives. The inner network keeps full ownership of
-// queues, interceptors and fault injection; a caller that injects faults
-// keeps its own handle on the inner network, as the chaos harness does.
+// its delivery time arrives. Partitions live here, and only here, so they
+// work over any inner network. The inner network keeps its queues and
+// interceptors; a caller that intercepts keeps its own handle on it, as
+// the chaos harness does.
 package netem
 
 import (
 	"context"
 	"math/rand"
+	"sort"
 	"sync"
 	"time"
 
@@ -27,8 +29,9 @@ import (
 
 // Config configures the condition layer.
 type Config struct {
-	// Profile selects the per-link conditions (nil behaves like Profiles
-	// lan: negligible delay, no loss).
+	// Profile selects the per-link conditions. Nil conditions nothing:
+	// frames forward inline, with no delay and no rng draw, and only an
+	// applied partition drops them.
 	Profile *Profile
 	// Seed roots the per-directed-link RNG streams. Link (src,dst) draws
 	// from a stream derived as Seed^(src<<32)^dst, so the decisions on
@@ -48,7 +51,8 @@ type Network struct {
 
 	mu      sync.Mutex
 	links   map[[2]transport.NodeID]*linkState
-	blocked map[[2]transport.NodeID]bool // directed: [src,dst]
+	blocked map[[2]transport.NodeID]int // directed [src,dst] -> partitions blocking it
+	nodes   map[transport.NodeID]bool   // every id an endpoint was opened for
 	closed  bool
 	done    chan struct{}
 	wg      sync.WaitGroup
@@ -99,24 +103,18 @@ type Stats struct {
 // Wrap builds the condition layer over inner. Closing the returned
 // network closes inner too.
 func Wrap(inner transport.Network, cfg Config) *Network {
-	p := cfg.Profile
-	if p == nil {
-		p = Profiles["lan"]
-	}
 	n := &Network{
 		inner:   inner,
-		profile: p,
+		profile: cfg.Profile,
 		seed:    cfg.Seed,
 		links:   make(map[[2]transport.NodeID]*linkState),
-		blocked: make(map[[2]transport.NodeID]bool),
+		blocked: make(map[[2]transport.NodeID]int),
+		nodes:   make(map[transport.NodeID]bool),
 		done:    make(chan struct{}),
 	}
 	n.ins.init(cfg.Metrics)
 	return n
 }
-
-// Profile returns the active link-condition profile.
-func (n *Network) Profile() *Profile { return n.profile }
 
 // NetemStats snapshots the layer's own counters (distinct from the inner
 // transport's Stats, which Stats() passes through).
@@ -140,7 +138,23 @@ func (n *Network) Endpoint(id transport.NodeID) (transport.Endpoint, error) {
 	if err != nil {
 		return nil, err
 	}
+	n.mu.Lock()
+	n.nodes[id] = true
+	n.mu.Unlock()
 	return &endpoint{net: n, inner: ep, id: id}, nil
+}
+
+// Nodes lists, in ascending order, every id an endpoint was opened for:
+// the peers an IsolateNode over them cuts a node off from.
+func (n *Network) Nodes() []transport.NodeID {
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	ids := make([]transport.NodeID, 0, len(n.nodes))
+	for id := range n.nodes {
+		ids = append(ids, id)
+	}
+	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
+	return ids
 }
 
 // Close drains the delay goroutines, then closes the inner network.
@@ -157,27 +171,12 @@ func (n *Network) Close() error {
 	return n.inner.Close()
 }
 
-// Block opens a directed partition: frames from src to dst are dropped
-// until Unblock. The reverse direction is unaffected — an asymmetric
-// partition is two nodes with only one of the two Blocks applied.
-func (n *Network) Block(src, dst transport.NodeID) {
-	n.mu.Lock()
-	n.blocked[[2]transport.NodeID{src, dst}] = true
-	n.mu.Unlock()
-}
-
-// Unblock heals one directed partition edge.
-func (n *Network) Unblock(src, dst transport.NodeID) {
-	n.mu.Lock()
-	delete(n.blocked, [2]transport.NodeID{src, dst})
-	n.mu.Unlock()
-}
-
-// Apply opens every directed edge of the partition.
+// Apply opens every directed edge of the partition. Partitions compose:
+// an edge stays blocked until every partition blocking it is reverted.
 func (n *Network) Apply(p *Partition) {
 	n.mu.Lock()
 	for _, e := range p.Edges {
-		n.blocked[e] = true
+		n.blocked[e]++
 	}
 	n.mu.Unlock()
 }
@@ -186,7 +185,9 @@ func (n *Network) Apply(p *Partition) {
 func (n *Network) Revert(p *Partition) {
 	n.mu.Lock()
 	for _, e := range p.Edges {
-		delete(n.blocked, e)
+		if n.blocked[e]--; n.blocked[e] <= 0 {
+			delete(n.blocked, e)
+		}
 	}
 	n.mu.Unlock()
 }
@@ -219,10 +220,10 @@ type delivery struct {
 }
 
 // plan decides, under the network lock, what happens to one frame on
-// src→dst: every call consumes exactly four draws from the link's RNG
-// stream (drop, duplicate, jitter, reorder) regardless of outcome, so
-// the stream position depends only on how many frames the link carried —
-// never on which way earlier decisions went.
+// src→dst: every conditioned call consumes exactly four draws from the
+// link's RNG stream (drop, duplicate, jitter, reorder) regardless of
+// outcome, so the stream position depends only on how many frames the
+// link carried — never on which way earlier decisions went.
 func (n *Network) plan(src, dst transport.NodeID, size int) (dels []delivery, ok bool) {
 	n.mu.Lock()
 	defer n.mu.Unlock()
@@ -230,9 +231,12 @@ func (n *Network) plan(src, dst transport.NodeID, size int) (dels []delivery, ok
 		return nil, false
 	}
 	n.ins.frames.Inc()
-	if n.blocked[[2]transport.NodeID{src, dst}] {
+	if n.blocked[[2]transport.NodeID{src, dst}] > 0 {
 		n.ins.dropsPart.Inc()
 		return nil, true
+	}
+	if n.profile == nil {
+		return []delivery{{}}, true
 	}
 	ls := n.link(src, dst)
 	c := &ls.class

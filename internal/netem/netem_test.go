@@ -2,6 +2,7 @@ package netem
 
 import (
 	"context"
+	"fmt"
 	"testing"
 	"time"
 
@@ -101,7 +102,8 @@ func TestAsymmetricBlock(t *testing.T) {
 	n := wrapMemory(t, "lan", 1)
 	a, _ := n.Endpoint(1)
 	b, _ := n.Endpoint(2)
-	n.Block(1, 2)
+	edge := &Partition{Edges: [][2]transport.NodeID{{1, 2}}}
+	n.Apply(edge)
 	if err := a.Send(2, []byte("blocked")); err != nil {
 		t.Fatalf("send: %v", err)
 	}
@@ -118,12 +120,104 @@ func TestAsymmetricBlock(t *testing.T) {
 	if s := n.NetemStats(); s.DropsPartition != 1 {
 		t.Fatalf("DropsPartition = %d, want 1", s.DropsPartition)
 	}
-	n.Unblock(1, 2)
+	n.Revert(edge)
 	if err := a.Send(2, []byte("healed")); err != nil {
 		t.Fatalf("send: %v", err)
 	}
 	if env, ok := recvOne(t, b, 2*time.Second); !ok || string(env.Payload) != "healed" {
 		t.Fatalf("healed direction should deliver, got ok=%v payload=%q", ok, env.Payload)
+	}
+}
+
+// TestNilProfileOnlyPartitions: a layer without a profile conditions
+// nothing — every frame reaches the inner network inline, in the order
+// the bare memory network delivers it, and none is delayed — and drops
+// exactly the frames that cross an applied partition, both ways, until it
+// is reverted. Partitions compose: an edge two of them block stays blocked
+// until both are reverted.
+func TestNilProfileOnlyPartitions(t *testing.T) {
+	ids := []transport.NodeID{0, 1, 2, 3}
+	bare := transport.NewMemory(transport.MemoryConfig{})
+	defer bare.Close()
+	n := Wrap(transport.NewMemory(transport.MemoryConfig{}), Config{Seed: 1})
+	defer n.Close()
+	// Every node sends to every other, then each inbox is drained: inline
+	// forwarding has queued every delivered frame before Send returns.
+	exchange := func(net transport.Network, tag string) map[transport.NodeID][]string {
+		eps := make(map[transport.NodeID]transport.Endpoint)
+		for _, id := range ids {
+			ep, err := net.Endpoint(id)
+			if err != nil {
+				t.Fatal(err)
+			}
+			eps[id] = ep
+		}
+		for _, src := range ids {
+			for _, dst := range ids {
+				if src != dst {
+					eps[src].Send(dst, []byte(fmt.Sprintf("%s %d>%d", tag, src, dst)))
+				}
+			}
+		}
+		got := make(map[transport.NodeID][]string)
+		for _, id := range ids {
+			got[id] = nil
+			for {
+				env, ok := recvOne(t, eps[id], 20*time.Millisecond)
+				if !ok {
+					break
+				}
+				got[id] = append(got[id], string(env.Payload))
+			}
+		}
+		return got
+	}
+	// want is what the bare network delivers, less the frames p blocks.
+	want := func(tag string, blocked ...*Partition) string {
+		all := exchange(bare, tag)
+		for id, frames := range all {
+			kept := frames[:0]
+			for _, f := range frames {
+				var src, dst transport.NodeID
+				fmt.Sscanf(f[len(tag)+1:], "%d>%d", &src, &dst)
+				cut := false
+				for _, p := range blocked {
+					for _, e := range p.Edges {
+						cut = cut || e == [2]transport.NodeID{src, dst}
+					}
+				}
+				if !cut {
+					kept = append(kept, f)
+				}
+			}
+			all[id] = kept
+		}
+		return fmt.Sprint(all)
+	}
+
+	if got, w := fmt.Sprint(exchange(n, "open")), want("open"); got != w {
+		t.Fatalf("nil profile delivered\n%s\nbare memory delivered\n%s", got, w)
+	}
+	iso, split := IsolateNode(ids, 3), SymmetricSplit(ids, 2)
+	n.Apply(iso)
+	if got, w := fmt.Sprint(exchange(n, "iso")), want("iso", iso); got != w {
+		t.Fatalf("under %s delivered\n%s\nwant\n%s", iso.Desc, got, w)
+	}
+	n.Apply(split)
+	n.Revert(iso)
+	if got, w := fmt.Sprint(exchange(n, "split")), want("split", split); got != w {
+		t.Fatalf("under %s delivered\n%s\nwant\n%s", split.Desc, got, w)
+	}
+	n.Revert(split)
+	if got, w := fmt.Sprint(exchange(n, "healed")), want("healed"); got != w {
+		t.Fatalf("after Revert delivered\n%s\nwant\n%s", got, w)
+	}
+	s := n.NetemStats()
+	if s.Frames != 4*12 || s.Delayed != 0 || s.DropsPartition != 6+8 || s.DropsLink != 0 {
+		t.Errorf("stats %+v, want 48 frames, none delayed, 14 partition drops", s)
+	}
+	if fmt.Sprint(n.Nodes()) != fmt.Sprint(ids) {
+		t.Errorf("Nodes() = %v, want the endpoints opened, %v", n.Nodes(), ids)
 	}
 }
 

@@ -15,7 +15,7 @@ const memInboxDepth = 4096
 
 // MemoryConfig shapes the simulated network.
 type MemoryConfig struct {
-	// DropRate is the probability in [0,1) that a message is lost.
+	// DropRate is the probability in [0,1] that a message is lost.
 	DropRate float64
 	// Seed drives the loss randomness.
 	Seed int64
@@ -25,8 +25,8 @@ type MemoryConfig struct {
 }
 
 // Memory is an in-process switchboard connecting endpoints by NodeID, with
-// programmable loss, per-link cuts and partitions. It is the deterministic
-// substrate for protocol tests; latency comes from wrapping it in netem.
+// programmable loss. It is the deterministic substrate for protocol tests;
+// latency and partitions come from wrapping it in netem.
 type Memory struct {
 	cfg   MemoryConfig
 	stats counters
@@ -36,7 +36,6 @@ type Memory struct {
 
 	mu           sync.Mutex
 	endpoints    map[NodeID]*memEndpoint
-	cut          map[[2]NodeID]bool
 	interceptors map[NodeID]SendInterceptor
 	observers    map[NodeID]RecvObserver
 	rng          *rand.Rand
@@ -49,7 +48,6 @@ func NewMemory(cfg MemoryConfig) *Memory {
 		cfg:          cfg,
 		inboxDepth:   memInboxDepth,
 		endpoints:    make(map[NodeID]*memEndpoint),
-		cut:          make(map[[2]NodeID]bool),
 		interceptors: make(map[NodeID]SendInterceptor),
 		observers:    make(map[NodeID]RecvObserver),
 		rng:          rand.New(rand.NewSource(cfg.Seed)),
@@ -91,40 +89,6 @@ func (m *Memory) Endpoint(id NodeID) (Endpoint, error) {
 	return ep, nil
 }
 
-// Cut severs the link between two nodes in both directions.
-func (m *Memory) Cut(a, b NodeID) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.cut[link(a, b)] = true
-}
-
-// Heal restores a previously cut link.
-func (m *Memory) Heal(a, b NodeID) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	delete(m.cut, link(a, b))
-}
-
-// Isolate cuts every link of the node (a crash or a partition of one).
-func (m *Memory) Isolate(id NodeID) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	for other := range m.endpoints {
-		if other != id {
-			m.cut[link(id, other)] = true
-		}
-	}
-}
-
-// Rejoin heals every link of the node.
-func (m *Memory) Rejoin(id NodeID) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	for other := range m.endpoints {
-		delete(m.cut, link(id, other))
-	}
-}
-
 // Intercept installs fn as the per-sender payload interceptor for id:
 // every Send from id first passes through fn, and whatever payloads it
 // returns are delivered in the original's place. fn runs outside the
@@ -152,13 +116,6 @@ func (m *Memory) Observe(id NodeID, fn RecvObserver) {
 	m.observers[id] = fn
 }
 
-func link(a, b NodeID) [2]NodeID {
-	if a > b {
-		a, b = b, a
-	}
-	return [2]NodeID{a, b}
-}
-
 // Close implements Network.
 func (m *Memory) Close() error {
 	m.mu.Lock()
@@ -183,7 +140,7 @@ func (ep *memEndpoint) ID() NodeID { return ep.id }
 
 // Send implements Endpoint. If a SendInterceptor is installed for this
 // sender, the payload is rewritten (outside the network lock) before
-// normal cut/loss handling applies to each resulting payload.
+// normal loss handling applies to each resulting payload.
 func (ep *memEndpoint) Send(to NodeID, payload []byte) error {
 	m := ep.net
 	m.mu.Lock()
@@ -214,11 +171,6 @@ func (ep *memEndpoint) sendOne(to NodeID, payload []byte) error {
 		m.mu.Unlock()
 		return ErrClosed
 	default:
-	}
-	if m.cut[link(ep.id, to)] {
-		m.mu.Unlock()
-		st.dropsLossy.Add(1)
-		return nil // silently lost, like a partitioned network
 	}
 	dst, ok := m.endpoints[to]
 	if !ok {

@@ -3,7 +3,7 @@ package transport
 import "testing"
 
 // TestMemoryStats exercises every memory-side counter: delivered frames,
-// link-cut and injected-loss drops, and inbox-overflow drops.
+// injected-loss drops, and inbox-overflow drops.
 func TestMemoryStats(t *testing.T) {
 	net := NewMemory(MemoryConfig{})
 	net.inboxDepth = 2
@@ -19,11 +19,11 @@ func TestMemoryStats(t *testing.T) {
 		t.Errorf("after one delivery: %+v", s)
 	}
 
-	net.Cut(1, 2)
-	a.Send(2, []byte("severed"))
-	net.Heal(1, 2)
+	net.cfg.DropRate = 1
+	a.Send(2, []byte("lost"))
+	net.cfg.DropRate = 0
 	if s = net.Stats(); s.DropsLossy != 1 {
-		t.Errorf("cut-link drop not counted: %+v", s)
+		t.Errorf("injected-loss drop not counted: %+v", s)
 	}
 
 	// Inbox capacity is 2 and one slot is taken: two more sends fit,

@@ -44,8 +44,7 @@ type Stats struct {
 	// DropsWriteFail counts frames lost to a broken connection or a
 	// tripped write deadline (TCP).
 	DropsWriteFail int64
-	// DropsLossy counts frames shed by injected loss or severed links
-	// (memory).
+	// DropsLossy counts frames shed by injected loss (memory).
 	DropsLossy int64
 }
 

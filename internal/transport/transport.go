@@ -1,7 +1,8 @@
 // Package transport carries messages between BFT nodes. It offers an
-// in-memory switchboard with programmable loss and partitions
-// (for deterministic protocol tests) and a TCP transport with
-// authenticated, length-prefixed frames (for multi-process deployments).
+// in-memory switchboard with programmable loss (for deterministic
+// protocol tests; netem adds latency and partitions) and a TCP transport
+// with authenticated, length-prefixed frames (for multi-process
+// deployments).
 // Both present the same interface to the BFT layer.
 package transport
 

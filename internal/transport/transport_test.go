@@ -56,31 +56,8 @@ func TestMemorySendCopiesPayload(t *testing.T) {
 	}
 }
 
-func TestMemoryCutAndHeal(t *testing.T) {
-	net := NewMemory(MemoryConfig{})
-	defer net.Close()
-	a, _ := net.Endpoint(1)
-	b, _ := net.Endpoint(2)
-	net.Cut(1, 2)
-	if err := a.Send(2, []byte("lost")); err != nil {
-		t.Fatalf("send over cut link errored: %v", err)
-	}
-	ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
-	defer cancel()
-	if _, err := b.Recv(ctx); err == nil {
-		t.Fatal("message crossed a cut link")
-	}
-	net.Heal(1, 2)
-	if err := a.Send(2, []byte("back")); err != nil {
-		t.Fatal(err)
-	}
-	if env := recvOne(t, b, time.Second); string(env.Payload) != "back" {
-		t.Errorf("payload = %q", env.Payload)
-	}
-}
-
 // TestMemoryObserve: an observer sees what is delivered to its node, with
-// the sender, and not what a cut link loses; removing it ends that.
+// the sender, and not what an interceptor swallows; removing it ends that.
 func TestMemoryObserve(t *testing.T) {
 	net := NewMemory(MemoryConfig{})
 	defer net.Close()
@@ -91,35 +68,14 @@ func TestMemoryObserve(t *testing.T) {
 	net.Observe(2, func(from NodeID, payload []byte) { seen = append(seen, fmt.Sprintf("%d:%s", from, payload)) })
 	a.Send(2, []byte("one"))
 	b.Send(1, []byte("not to 2"))
-	net.Cut(3, 2)
+	net.Intercept(3, func(NodeID, []byte) [][]byte { return nil })
 	c.Send(2, []byte("lost"))
-	net.Heal(3, 2)
+	net.Intercept(3, nil)
 	c.Send(2, []byte("two"))
 	net.Observe(2, nil)
 	a.Send(2, []byte("unseen"))
 	if got := fmt.Sprint(seen); got != "[1:one 3:two]" {
 		t.Errorf("observer saw %s, want [1:one 3:two]", got)
-	}
-}
-
-func TestMemoryIsolateRejoin(t *testing.T) {
-	net := NewMemory(MemoryConfig{})
-	defer net.Close()
-	a, _ := net.Endpoint(1)
-	b, _ := net.Endpoint(2)
-	c, _ := net.Endpoint(3)
-	net.Isolate(2)
-	a.Send(2, []byte("x"))
-	c.Send(2, []byte("y"))
-	ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
-	defer cancel()
-	if _, err := b.Recv(ctx); err == nil {
-		t.Fatal("isolated node received a message")
-	}
-	net.Rejoin(2)
-	a.Send(2, []byte("z"))
-	if env := recvOne(t, b, time.Second); string(env.Payload) != "z" {
-		t.Errorf("payload = %q", env.Payload)
 	}
 }
 
