@@ -148,16 +148,89 @@ func appendMessage(b []byte, m *Message, err *error) []byte {
 	return b
 }
 
-// Encode serializes the message for the transport.
+// The size helpers below return exactly the number of bytes the append
+// helper of the same name appends, so Encode allocates its buffer once.
+
+func sizeBlob(p []byte) int { return 4 + len(p) }
+
+func sizeRequest(req *Request) int {
+	return 8 + 8 + 1 + sizeBlob(req.Op) + sizeBlob(req.Sig)
+}
+
+func sizeBatch(batch *Batch) int {
+	n := 4
+	for i := range batch.Requests {
+		n += sizeRequest(&batch.Requests[i])
+	}
+	return n
+}
+
+func sizeMessages(msgs []Message) int {
+	n := 4
+	for i := range msgs {
+		n += sizeMessage(&msgs[i])
+	}
+	return n
+}
+
+func sizeProofs(proofs []PreparedProof) int {
+	n := 4
+	for i := range proofs {
+		p := &proofs[i]
+		n += 8 + 8 + len(p.BatchDigest) + 1 + sizeMessages(p.Prepares)
+		if p.Batch != nil {
+			n += sizeBatch(p.Batch)
+		}
+	}
+	return n
+}
+
+func sizeMessage(m *Message) int {
+	n := 1 + 4*8
+	switch {
+	case m.Type == MsgRequest && m.Request != nil:
+		n += sizeRequest(m.Request) + sizeBlob(m.Sig)
+	case m.Type == MsgPrePrepare && m.Batch != nil:
+		n += len(m.BatchDigest) + sizeBatch(m.Batch)
+	case m.Type == MsgPrepare:
+		n += len(m.BatchDigest) + sizeBlob(m.Sig)
+	case m.Type == MsgCommit:
+		n += len(m.BatchDigest)
+	case m.Type == MsgReply || m.Type == MsgReadReply:
+		n += 8 + 8 + sizeBlob(m.Result) + sizeBlob(m.Sig)
+	case m.Type == MsgCheckpoint:
+		n += len(m.StateDigest) + 8 + sizeBlob(m.Sig)
+	case m.Type == MsgViewChange:
+		n += 8 + 8 + sizeProofs(m.Prepared) + sizeBlob(m.Sig)
+	case m.Type == MsgNewView:
+		n += 8 + sizeMessages(m.NewViewMsgs) + sizeBlob(m.Sig)
+	case m.Type == MsgStateRequest:
+		n += sizeBlob(m.Sig)
+	case m.Type == MsgStateReply:
+		n += 8 + len(m.StateDigest) + sizeBlob(m.Snapshot) + sizeBlob(m.Sig)
+	case m.Type == MsgCatchUp:
+		n += sizeProofs(m.Prepared)
+	}
+	return n
+}
+
+// Encode serializes the message for the transport into one buffer of
+// exactly its size.
 func Encode(m *Message) ([]byte, error) {
 	var err error
-	b := appendMessage(nil, m, &err)
+	b := appendMessage(make([]byte, 0, sizeMessage(m)), m, &err)
 	return b, err
 }
 
 // Decode deserializes a message. A payload that is truncated, carries
 // trailing bytes, names an unknown type or claims more than it holds is
 // an error.
+//
+// The message's byte fields alias the payload, which becomes the
+// message's: a received payload belongs to its consumer, and nothing
+// writes to a decoded field in place. Each field is capped at its own
+// length, so appending to one reallocates instead of overwriting the bytes
+// after it.
 func Decode(payload []byte) (*Message, error) {
 	r := wireReader{buf: payload, ok: true}
 	m := &Message{}
@@ -182,14 +255,14 @@ type wireReader struct {
 // exactly.
 func (r *wireReader) done() bool { return r.ok && r.off == len(r.buf) }
 
-// take returns the next n bytes of the payload, or nil after failing the
-// reader if fewer remain.
+// take returns the next n bytes of the payload, capped at n, or nil after
+// failing the reader if fewer remain.
 func (r *wireReader) take(n int) []byte {
 	if !r.ok || n > len(r.buf)-r.off {
 		r.ok = false
 		return nil
 	}
-	p := r.buf[r.off : r.off+n]
+	p := r.buf[r.off : r.off+n : r.off+n]
 	r.off += n
 	return p
 }
@@ -227,16 +300,15 @@ func (r *wireReader) digest() (d Digest) {
 	return d
 }
 
-// blob reads a length-prefixed byte slice (nil when empty). The bytes are
-// copied out: the payload buffer belongs to the transport and may be
-// reused.
+// blob reads a length-prefixed byte slice (nil when empty), where it lies
+// in the payload (see Decode).
 func (r *wireReader) blob() []byte {
 	n := r.u32()
 	if n == 0 || n > maxWireBytes {
 		r.ok = r.ok && n == 0
 		return nil
 	}
-	return append([]byte(nil), r.take(int(n))...)
+	return r.take(int(n))
 }
 
 // count reads an element count and fails the reader if the bytes that

@@ -336,3 +336,126 @@ func BenchmarkCodecDecodePrePrepare16(b *testing.B) {
 		}
 	}
 }
+
+// byteFields returns every exported byte slice reachable from v: a
+// message's Sig, Result and Snapshot, its requests' Op and Sig, and the
+// same in every message and certificate nested in it.
+func byteFields(v reflect.Value) [][]byte {
+	var out [][]byte
+	switch v.Kind() {
+	case reflect.Pointer:
+		if !v.IsNil() {
+			out = byteFields(v.Elem())
+		}
+	case reflect.Struct:
+		for i := 0; i < v.NumField(); i++ {
+			if v.Type().Field(i).IsExported() {
+				out = append(out, byteFields(v.Field(i))...)
+			}
+		}
+	case reflect.Slice:
+		if v.Type().Elem().Kind() == reflect.Uint8 {
+			return [][]byte{v.Bytes()}
+		}
+		for i := 0; i < v.Len(); i++ {
+			out = append(out, byteFields(v.Index(i))...)
+		}
+	}
+	return out
+}
+
+// offsetIn returns where f's first byte lies in payload, or -1.
+func offsetIn(payload, f []byte) int {
+	for k := range payload {
+		if &payload[k] == &f[0] {
+			return k
+		}
+	}
+	return -1
+}
+
+// TestDecodeAliasesPayload: the byte fields of a decoded REQUEST,
+// PRE-PREPARE and REPLY lie in the payload they were decoded from, each
+// capped at its length, so appending to one reallocates and leaves the
+// payload as it was.
+func TestDecodeAliasesPayload(t *testing.T) {
+	for _, want := range []*Message{hotMessages()[0], hotMessages()[3], request4K(), reply4K()} {
+		payload := mustEncode(t, want)
+		orig := bytes.Clone(payload)
+		m, err := Decode(payload)
+		if err != nil {
+			t.Fatal(err)
+		}
+		aliased := 0
+		for _, f := range byteFields(reflect.ValueOf(m)) {
+			if len(f) == 0 {
+				continue
+			}
+			off := offsetIn(payload, f)
+			if off < 0 || off+len(f) > len(payload) || !bytes.Equal(payload[off:off+len(f)], f) {
+				t.Fatalf("%v: a %d-byte field does not lie in its payload", want.Type, len(f))
+			}
+			if cap(f) != len(f) {
+				t.Fatalf("%v: the field at %d has cap %d, len %d", want.Type, off, cap(f), len(f))
+			}
+			if grown := append(f, 0xee); &grown[0] == &f[0] {
+				t.Fatalf("%v: appending to the field at %d grew it in place", want.Type, off)
+			}
+			aliased++
+		}
+		if aliased < 2 || !bytes.Equal(payload, orig) {
+			t.Errorf("%v: %d fields aliased; payload unchanged: %v", want.Type, aliased, bytes.Equal(payload, orig))
+		}
+	}
+}
+
+// TestEncodeAllocatesOnce: Encode sizes its buffer exactly, so a REQUEST,
+// a PRE-PREPARE and a REPLY each cost one allocation.
+func TestEncodeAllocatesOnce(t *testing.T) {
+	for _, m := range []*Message{hotMessages()[0], hotMessages()[3], hotMessages()[8], request4K(), reply4K()} {
+		if allocs := testing.AllocsPerRun(50, func() { _, _ = Encode(m) }); allocs != 1 {
+			t.Errorf("encoding a %v allocated %v times, want once", m.Type, allocs)
+		}
+		if p := mustEncode(t, m); cap(p) != len(p) {
+			t.Errorf("a %v encodes to %d bytes in a buffer of %d", m.Type, len(p), cap(p))
+		}
+	}
+}
+
+// request4K and reply4K are a KVS put of a 4 KiB value, signed and MAC'd,
+// and the reply of a get that returns one.
+func request4K() *Message {
+	req := &Request{Client: transport.ClientIDBase, Seq: 7, Op: make([]byte, 4096+16), Sig: make([]byte, 64)}
+	return &Message{Type: MsgRequest, From: transport.ClientIDBase, Request: req, Sig: make([]byte, 32)}
+}
+
+func reply4K() *Message {
+	return &Message{Type: MsgReply, From: 2, View: 1, Epoch: 1, ReplySeq: 7,
+		ReplyClient: transport.ClientIDBase, Result: make([]byte, 4096+3), Sig: make([]byte, 32)}
+}
+
+func benchmarkEncode(b *testing.B, m *Message) {
+	b.SetBytes(int64(len(mustEncode(b, m))))
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if _, err := Encode(m); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+func benchmarkDecode(b *testing.B, m *Message) {
+	payload := mustEncode(b, m)
+	b.SetBytes(int64(len(payload)))
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if _, err := Decode(payload); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+func BenchmarkCodecEncodeRequest4K(b *testing.B) { benchmarkEncode(b, request4K()) }
+func BenchmarkCodecDecodeRequest4K(b *testing.B) { benchmarkDecode(b, request4K()) }
+func BenchmarkCodecEncodeReply4K(b *testing.B)   { benchmarkEncode(b, reply4K()) }
+func BenchmarkCodecDecodeReply4K(b *testing.B)   { benchmarkDecode(b, reply4K()) }

@@ -10,7 +10,9 @@ import (
 
 // FuzzDecode: whatever the bytes, Decode never panics and never allocates
 // more than their number justifies; what decodes has exactly one encoding
-// (Encode(Decode(p)) == p) and survives the round trip unchanged.
+// (Encode(Decode(p)) == p), in a buffer Encode sized exactly, and survives
+// the round trip unchanged; and every byte field it decodes is capped at
+// its length, so appending to one cannot write into the payload.
 func FuzzDecode(f *testing.F) {
 	for _, m := range allMessages() {
 		f.Add(mustEncode(f, m))
@@ -22,9 +24,17 @@ func FuzzDecode(f *testing.F) {
 		if err != nil {
 			return
 		}
+		for _, f := range byteFields(reflect.ValueOf(m)) {
+			if cap(f) != len(f) {
+				t.Fatalf("decoding %x gave a field of len %d, cap %d", payload, len(f), cap(f))
+			}
+		}
 		again, err := Encode(m)
 		if err != nil || !bytes.Equal(again, payload) {
 			t.Fatalf("decoded %x, re-encoded %x (err %v)", payload, again, err)
+		}
+		if cap(again) != len(again) {
+			t.Fatalf("re-encoding %x sized its buffer at %d", payload, cap(again))
 		}
 		if back, err := Decode(again); err != nil || !reflect.DeepEqual(back, m) {
 			t.Fatalf("round trip of %x: got %+v (err %v), want %+v", payload, back, err, m)

@@ -318,7 +318,13 @@ const signedInputFixed = len(messageInputTag) + 5*8 + 2*32 + 2*8 + 4 + 8 + 1 + 3
 // where a proof is view:u64 seq:u64 batchDigest (from:u64 sig:blob)*, the
 // list its prepares.
 func (m *Message) signedInput() []byte {
-	b := make([]byte, 0, signedInputFixed+len(m.Result))
+	b := m.appendSignedHeader(make([]byte, 0, signedInputFixed+len(m.Result)))
+	return append(b, m.Result...)
+}
+
+// appendSignedHeader appends signedInput up to the result's bytes, which
+// a MAC takes where they lie (replyKey.sum).
+func (m *Message) appendSignedHeader(b []byte) []byte {
 	b = append(b, messageInputTag...)
 	b = appendU64(b, uint64(m.Type))
 	b = appendU64(b, uint64(m.From))
@@ -357,7 +363,7 @@ func (m *Message) signedInput() []byte {
 	// result, and any member could forge votes for arbitrary results.
 	b = appendU64(b, m.ReplySeq)
 	b = appendU64(b, uint64(m.ReplyClient))
-	return appendBlob(b, m.Result)
+	return appendU32(b, uint32(len(m.Result)))
 }
 
 // Sign signs the message with the replica's key. Replies are sealed with a

@@ -35,6 +35,8 @@ type replyKey struct {
 	// peer is the other side's ed25519 public key: a holder handed a new
 	// key set derives again only for the peers whose key changed.
 	peer ed25519.PublicKey
+	// hdr is scratch for a message's signed input before its result.
+	hdr []byte
 }
 
 // newReplyKey derives the reply key between the holder of priv and the
@@ -75,7 +77,11 @@ func (k *replyKey) sum(m *Message) []byte {
 	if m.Type == MsgRequest && m.Request != nil {
 		m.Request.writeInput(k.h)
 	} else {
-		k.h.Write(m.signedInput())
+		// signedInput without its copy of the result, which can be
+		// kilobytes: the result goes to the hash where it lies.
+		k.hdr = m.appendSignedHeader(k.hdr[:0])
+		k.h.Write(k.hdr)
+		k.h.Write(m.Result)
 	}
 	return k.h.Sum(nil)
 }

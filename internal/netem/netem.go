@@ -293,9 +293,11 @@ func (e *endpoint) Close() error { return e.inner.Close() }
 
 // Send plans the frame's fate under the link's conditions and forwards
 // it to the inner transport, immediately or from a delay goroutine. The
-// payload is forwarded by reference: senders never mutate a payload
-// after Send (the BFT layer broadcasts one shared encoding), and the
-// inner transport copies on delivery where it must.
+// payload is forwarded by reference, a duplicate too: senders never
+// mutate a payload after Send (the BFT layer broadcasts one shared
+// encoding). The memory transport copies it once per recipient; TCP
+// sends it where it lies, and each receiver reads its own copy off the
+// socket.
 func (e *endpoint) Send(to transport.NodeID, payload []byte) error {
 	n := e.net
 	dels, ok := n.plan(e.id, to, len(payload))

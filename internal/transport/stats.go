@@ -17,6 +17,10 @@ type Stats struct {
 	// (TCP) or dispatched toward an inbox (memory). Frames shed before
 	// that point appear under a drop counter instead.
 	FramesSent, BytesSent int64
+	// Writes counts the vectored writes made, failed ones too (TCP
+	// only): a writer sends every frame queued when it wakes in one, so
+	// FramesSent/Writes is the frames a write carries.
+	Writes int64
 	// FramesRecv and BytesRecv count authenticated frames arriving at
 	// an endpoint, before inbox admission.
 	FramesRecv, BytesRecv int64
@@ -42,7 +46,7 @@ type Stats struct {
 	// different node (TCP).
 	DropsMisrouted int64
 	// DropsWriteFail counts frames lost to a broken connection or a
-	// tripped write deadline (TCP).
+	// tripped write deadline (TCP): every frame of the failed write.
 	DropsWriteFail int64
 	// DropsLossy counts frames shed by injected loss (memory).
 	DropsLossy int64
@@ -69,6 +73,7 @@ func (s Stats) String() string {
 	}
 	add("sent", s.FramesSent)
 	add("sentB", s.BytesSent)
+	add("writes", s.Writes)
 	add("recv", s.FramesRecv)
 	add("recvB", s.BytesRecv)
 	add("dials", s.Dials)
@@ -95,6 +100,7 @@ func (s Stats) String() string {
 // are just unregistered — Stats() is unchanged either way.
 type counters struct {
 	framesSent, bytesSent        *metrics.Counter
+	writes                       *metrics.Counter
 	framesRecv, bytesRecv        *metrics.Counter
 	dials, dialFailures, redials *metrics.Counter
 	writeDeadlineTrips           *metrics.Counter
@@ -111,6 +117,7 @@ type counters struct {
 func (c *counters) init(reg *metrics.Registry, prefix string) {
 	c.framesSent = reg.Counter(prefix + ".frames_sent")
 	c.bytesSent = reg.Counter(prefix + ".bytes_sent")
+	c.writes = reg.Counter(prefix + ".writes")
 	c.framesRecv = reg.Counter(prefix + ".frames_recv")
 	c.bytesRecv = reg.Counter(prefix + ".bytes_recv")
 	c.dials = reg.Counter(prefix + ".dials")
@@ -129,6 +136,7 @@ func (c *counters) snapshot() Stats {
 	return Stats{
 		FramesSent:         c.framesSent.Value(),
 		BytesSent:          c.bytesSent.Value(),
+		Writes:             c.writes.Value(),
 		FramesRecv:         c.framesRecv.Value(),
 		BytesRecv:          c.bytesRecv.Value(),
 		Dials:              c.dials.Value(),

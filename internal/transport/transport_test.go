@@ -9,7 +9,7 @@ import (
 	"time"
 )
 
-func recvOne(t *testing.T, ep Endpoint, timeout time.Duration) Envelope {
+func recvOne(t testing.TB, ep Endpoint, timeout time.Duration) Envelope {
 	t.Helper()
 	ctx, cancel := context.WithTimeout(context.Background(), timeout)
 	defer cancel()
