@@ -128,9 +128,9 @@ type handle struct {
 	released bool
 }
 
-// undo is what a key held when a handle was taken.
+// undo is what a key held when a handle was taken: its stored entry.
 type undo struct {
-	value []byte
+	entry []byte
 	had   bool
 }
 
@@ -235,25 +235,26 @@ func (s *Store) Snapshot() ([]byte, error) {
 func encodeEntries(base map[string][]byte, over map[string]undo) []byte {
 	keys := make([]string, 0, len(base)+len(over))
 	size := binary.MaxVarintLen64
-	for k, v := range base {
+	for k, e := range base {
 		if _, ok := over[k]; !ok {
 			keys = append(keys, k)
-			size += 2*binary.MaxVarintLen64 + len(k) + len(v)
+			size += 2*binary.MaxVarintLen64 + len(k) + len(e)
 		}
 	}
 	for k, u := range over {
 		if u.had {
 			keys = append(keys, k)
-			size += 2*binary.MaxVarintLen64 + len(k) + len(u.value)
+			size += 2*binary.MaxVarintLen64 + len(k) + len(u.entry)
 		}
 	}
 	slices.Sort(keys)
 	buf := binary.AppendUvarint(make([]byte, 0, size), uint64(len(keys)))
 	for _, k := range keys {
-		v := base[k]
+		e := base[k]
 		if u, ok := over[k]; ok {
-			v = u.value
+			e = u.entry
 		}
+		v := value(e)
 		buf = binary.AppendUvarint(buf, uint64(len(k)))
 		buf = append(buf, k...)
 		buf = binary.AppendUvarint(buf, uint64(len(v)))
@@ -297,7 +298,7 @@ func (s *Store) Restore(snapshot []byte) error {
 		if i > 0 && keys[i] <= keys[i-1] {
 			return fmt.Errorf("kvs: restore: key %d out of order", i)
 		}
-		data[keys[i]] = append([]byte(nil), v...)
+		data[keys[i]] = answer(v)
 	}
 	if len(rest) != 0 {
 		return fmt.Errorf("kvs: restore: %d bytes after the last entry", len(rest))
@@ -312,7 +313,7 @@ func (s *Store) Restore(snapshot []byte) error {
 	s.data = data
 	s.idx.reset()
 	for _, k := range keys { // sorted, so appending keeps every bucket sorted
-		b, leaf := s.idx.place(k, data[k])
+		b, leaf := s.idx.place(k, value(data[k]))
 		bk := &s.idx.buckets[b]
 		bk.keys = append(bk.keys, k)
 		bk.leaves = append(bk.leaves, leaf[:]...)

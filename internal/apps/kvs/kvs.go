@@ -64,13 +64,30 @@ func DecodeOp(payload []byte) (Op, error) {
 // by every write, so a checkpoint costs what was written since the last
 // one (see checkpoint.go).
 type Store struct {
-	mu   sync.RWMutex
+	mu sync.RWMutex
+	// data maps each key to its GET answer, valTag followed by the value
+	// (see answer), so that a read returns it without copying.
 	data map[string][]byte
 	idx  index
 	// newest is the most recent live checkpoint handle; writes log into
 	// it what they overwrite.
 	newest *handle
 }
+
+// valTag opens a GET's answer to a key that holds a value.
+const valTag = "VAL"
+
+// answer makes a key's stored entry: valTag and a copy of v, in one
+// exactly sized buffer so that appending to an answer reallocates.
+func answer(v []byte) []byte {
+	a := make([]byte, len(valTag)+len(v))
+	copy(a, valTag)
+	copy(a[len(valTag):], v)
+	return a
+}
+
+// value is the value a stored entry holds.
+func value(entry []byte) []byte { return entry[len(valTag):] }
 
 // New returns an empty store.
 func New() *Store {
@@ -102,16 +119,17 @@ func (s *Store) Query(payload []byte) []byte {
 	return s.read(op)
 }
 
-// read answers a GET or SIZE; the caller holds the lock.
+// read answers a GET or SIZE; the caller holds the lock. A GET's answer
+// is the stored entry itself, which nothing modifies in place.
 func (s *Store) read(op Op) []byte {
 	if op.Kind == OpSize {
 		return []byte(fmt.Sprintf("SIZE %d", len(s.data)))
 	}
-	v, ok := s.data[op.Key]
+	e, ok := s.data[op.Key]
 	if !ok {
 		return []byte("NIL")
 	}
-	return append([]byte("VAL"), v...)
+	return e
 }
 
 // Execute implements bft.Application.
@@ -124,13 +142,13 @@ func (s *Store) Execute(payload []byte) []byte {
 	defer s.mu.Unlock()
 	switch op.Kind {
 	case OpPut:
-		// Stored values are never modified in place: handles and undo
-		// records share them.
-		value := append([]byte(nil), op.Value...)
+		// Stored entries are never modified in place: handles, undo
+		// records and GET answers share them.
+		e := answer(op.Value)
 		old, had := s.data[op.Key]
 		s.remember(op.Key, old, had)
-		s.data[op.Key] = value
-		s.idx.put(op.Key, value)
+		s.data[op.Key] = e
+		s.idx.put(op.Key, value(e))
 		return []byte("OK")
 	case OpGet, OpSize:
 		return s.read(op)
@@ -159,9 +177,9 @@ func (s *Store) Len() int {
 func (s *Store) Get(key string) ([]byte, bool) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	v, ok := s.data[key]
+	e, ok := s.data[key]
 	if !ok {
 		return nil, false
 	}
-	return append([]byte(nil), v...), true
+	return append([]byte(nil), value(e)...), true
 }

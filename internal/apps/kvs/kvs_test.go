@@ -294,7 +294,7 @@ func TestCheckpointProperty(t *testing.T) {
 		}
 		sort.Sort(sort.Reverse(sort.StringSlice(keys)))
 		for _, k := range keys {
-			put, _ := EncodeOp(Op{Kind: OpPut, Key: k, Value: s.data[k]})
+			put, _ := EncodeOp(Op{Kind: OpPut, Key: k, Value: value(s.data[k])})
 			rebuilt.Execute(put)
 		}
 		d3, h3 := mustCheckpoint(t, s)
