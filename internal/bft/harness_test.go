@@ -8,6 +8,7 @@ import (
 	"encoding/binary"
 	"encoding/gob"
 	"fmt"
+	"net"
 	"sync"
 	"testing"
 	"time"
@@ -77,23 +78,32 @@ func decodeInt(b []byte) int64 {
 	return int64(binary.BigEndian.Uint64(b))
 }
 
-// cluster is a complete in-memory BFT deployment for tests. Every
-// endpoint goes through net, a netem layer without conditions that holds
-// the tests' partitions; mem beneath it takes the send and receive hooks.
+// cluster is a complete BFT deployment for tests. Every endpoint goes
+// through net, a netem layer that holds the tests' partitions; beneath it
+// is mem, which takes the send and receive hooks, or loopback TCP.
 type cluster struct {
-	t          testing.TB
-	mem        *transport.Memory
-	net        *netem.Network
-	membership *Membership
-	replicas   map[transport.NodeID]*Replica
-	apps       map[transport.NodeID]*counterApp
-	keys       map[transport.NodeID]ed25519.PrivateKey
-	pubs       map[transport.NodeID]ed25519.PublicKey
-	clientKeys map[transport.NodeID]ed25519.PublicKey
-	clientPriv map[transport.NodeID]ed25519.PrivateKey
-	ctrlPriv   ed25519.PrivateKey
-	ctrlPub    ed25519.PublicKey
-	cfgTweak   func(*ReplicaConfig)
+	t             testing.TB
+	mem           *transport.Memory // nil over TCP
+	net           *netem.Network
+	membership    *Membership
+	replicas      map[transport.NodeID]*Replica
+	apps          map[transport.NodeID]*counterApp
+	keys          map[transport.NodeID]ed25519.PrivateKey
+	pubs          map[transport.NodeID]ed25519.PublicKey
+	clientKeys    map[transport.NodeID]ed25519.PublicKey
+	clientPriv    map[transport.NodeID]ed25519.PrivateKey
+	ctrlPriv      ed25519.PrivateKey
+	ctrlPub       ed25519.PublicKey
+	cfgTweak      func(*ReplicaConfig)
+	clientTimeout time.Duration // what client gives each request
+}
+
+// clusterNet is what a cluster's endpoints talk over: the in-memory
+// transport (the zero value) or loopback TCP with a frame key per link,
+// under netem with the named profile ("" conditions nothing).
+type clusterNet struct {
+	tcp     bool
+	profile string
 }
 
 func keypair(t testing.TB) (ed25519.PublicKey, ed25519.PrivateKey) {
@@ -106,21 +116,25 @@ func keypair(t testing.TB) (ed25519.PublicKey, ed25519.PrivateKey) {
 }
 
 // newCluster builds (but does not start) n replicas with ids 0..n-1 and
-// nClients clients at ClientIDBase...
+// nClients clients at ClientIDBase... over the in-memory transport.
 func newCluster(t testing.TB, n, nClients int, tweak func(*ReplicaConfig)) *cluster {
+	return newClusterOver(t, clusterNet{}, n, nClients, tweak)
+}
+
+// newClusterOver is newCluster over the given network. The keys come
+// first: over TCP they are the links' identities.
+func newClusterOver(t testing.TB, over clusterNet, n, nClients int, tweak func(*ReplicaConfig)) *cluster {
 	t.Helper()
-	inner := transport.NewMemory(transport.MemoryConfig{Seed: 1})
 	c := &cluster{
-		t:          t,
-		mem:        inner,
-		net:        netem.Wrap(inner, netem.Config{}),
-		replicas:   make(map[transport.NodeID]*Replica),
-		apps:       make(map[transport.NodeID]*counterApp),
-		keys:       make(map[transport.NodeID]ed25519.PrivateKey),
-		pubs:       make(map[transport.NodeID]ed25519.PublicKey),
-		clientKeys: make(map[transport.NodeID]ed25519.PublicKey),
-		clientPriv: make(map[transport.NodeID]ed25519.PrivateKey),
-		cfgTweak:   tweak,
+		t:             t,
+		replicas:      make(map[transport.NodeID]*Replica),
+		apps:          make(map[transport.NodeID]*counterApp),
+		keys:          make(map[transport.NodeID]ed25519.PrivateKey),
+		pubs:          make(map[transport.NodeID]ed25519.PublicKey),
+		clientKeys:    make(map[transport.NodeID]ed25519.PublicKey),
+		clientPriv:    make(map[transport.NodeID]ed25519.PrivateKey),
+		cfgTweak:      tweak,
+		clientTimeout: 400 * time.Millisecond,
 	}
 	c.ctrlPub, c.ctrlPriv = keypair(t)
 	ids := make([]transport.NodeID, n)
@@ -138,10 +152,67 @@ func newCluster(t testing.TB, n, nClients int, tweak func(*ReplicaConfig)) *clus
 		id := transport.ClientIDBase + transport.NodeID(i)
 		c.clientKeys[id], c.clientPriv[id] = keypair(t)
 	}
+	var prof *netem.Profile
+	if over.profile != "" {
+		if prof, err = netem.ByName(over.profile); err != nil {
+			t.Fatal(err)
+		}
+	}
+	c.net = netem.Wrap(c.inner(over.tcp), netem.Config{Profile: prof, Seed: 1})
 	for _, id := range ids {
 		c.addReplica(id, false)
 	}
 	return c
+}
+
+// inner builds the transport beneath the netem layer: memory, or TCP on
+// free loopback ports with the replicas' and clients' keys as the links'
+// identities, so every link has its own frame key.
+func (c *cluster) inner(tcp bool) transport.Network {
+	if !tcp {
+		c.mem = transport.NewMemory(transport.MemoryConfig{Seed: 1})
+		return c.mem
+	}
+	cfg := transport.TCPConfig{
+		Addrs:      make(map[transport.NodeID]string),
+		Keys:       make(map[transport.NodeID]ed25519.PublicKey),
+		Identities: make(map[transport.NodeID]ed25519.PrivateKey),
+		Seed:       1,
+	}
+	for id, pub := range c.pubs {
+		cfg.Keys[id], cfg.Identities[id] = pub, c.keys[id]
+	}
+	for id, pub := range c.clientKeys {
+		cfg.Keys[id], cfg.Identities[id] = pub, c.clientPriv[id]
+	}
+	ports := freePorts(c.t, len(cfg.Keys))
+	for id := range cfg.Keys {
+		cfg.Addrs[id], ports = ports[0], ports[1:]
+	}
+	tnet, err := transport.NewTCP(cfg)
+	if err != nil {
+		c.t.Fatal(err)
+	}
+	return tnet
+}
+
+// freePorts grabs n distinct loopback addresses.
+func freePorts(t testing.TB, n int) []string {
+	t.Helper()
+	addrs := make([]string, n)
+	listeners := make([]net.Listener, n)
+	for i := 0; i < n; i++ {
+		ln, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		listeners[i] = ln
+		addrs[i] = ln.Addr().String()
+	}
+	for _, ln := range listeners {
+		ln.Close()
+	}
+	return addrs
 }
 
 // addReplica creates one replica (joining replicas are not members yet).
@@ -223,7 +294,7 @@ func (c *cluster) client(i int) *Client {
 		ReplicaKeys:    c.pubs,
 		F:              c.membership.F(),
 		Net:            c.net,
-		RequestTimeout: 400 * time.Millisecond,
+		RequestTimeout: c.clientTimeout,
 	})
 	if err != nil {
 		c.t.Fatal(err)

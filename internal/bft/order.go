@@ -36,19 +36,28 @@ type ReconfigOp struct {
 // request payload: prefix add:u8 replica:u64 pubKey:blob (see codec.go).
 // Only requests signed by the controller key execute.
 func EncodeReconfigOp(op ReconfigOp) []byte {
-	b := appendBool(append([]byte(nil), reconfigPrefix...), op.Add)
-	b = appendU64(b, uint64(op.Replica))
-	return appendBlob(b, op.PubKey)
+	var w wire
+	op.walk(&w)
+	w.writeAfter(reconfigPrefix)
+	op.walk(&w)
+	return w.buf
+}
+
+// walk walks the operation after its prefix.
+func (op *ReconfigOp) walk(w *wire) {
+	w.bool(&op.Add)
+	w.id(&op.Replica)
+	w.blob(&op.PubKey)
 }
 
 func decodeReconfigOp(payload []byte) (ReconfigOp, bool) {
 	if !bytes.HasPrefix(payload, reconfigPrefix) {
 		return ReconfigOp{}, false
 	}
-	r := wireReader{buf: payload, off: len(reconfigPrefix), ok: true}
-	add := r.u8()
-	op := ReconfigOp{Add: add == 1, Replica: transport.NodeID(r.u64()), PubKey: r.blob()}
-	return op, add <= 1 && r.done()
+	var op ReconfigOp
+	w := wire{mode: reading, buf: payload, off: len(reconfigPrefix)}
+	op.walk(&w)
+	return op, w.done()
 }
 
 // onRequest handles a client request: authenticate, deduplicate, queue

@@ -79,10 +79,22 @@ var reconfigResultPrefix = []byte("\x00BFT-RECONFIG-RESULT\x00")
 // epoch:u64 detail:blob (see codec.go) — identical on every correct
 // replica, so reply vote counting matches.
 func (r ReconfigResult) Encode() []byte {
-	b := append([]byte(nil), reconfigResultPrefix...)
-	b = append(b, byte(r.Status))
-	b = appendU64(b, r.Epoch)
-	return appendBlob(b, []byte(r.Detail))
+	var w wire
+	r.walk(&w)
+	w.writeAfter(reconfigResultPrefix)
+	r.walk(&w)
+	return w.buf
+}
+
+// walk walks the result after its prefix.
+func (r *ReconfigResult) walk(w *wire) {
+	status, detail := uint8(r.Status), []byte(r.Detail)
+	w.u8(&status)
+	w.u64(&r.Epoch)
+	w.blob(&detail)
+	if w.mode == reading {
+		r.Status, r.Detail = ReconfigStatus(status), string(detail)
+	}
 }
 
 // String renders the result for logs.
@@ -99,9 +111,10 @@ func DecodeReconfigResult(reply []byte) (ReconfigResult, error) {
 	if !bytes.HasPrefix(reply, reconfigResultPrefix) {
 		return ReconfigResult{}, fmt.Errorf("bft: reply %.40q is not a reconfiguration result", reply)
 	}
-	rd := wireReader{buf: reply, off: len(reconfigResultPrefix), ok: true}
-	r := ReconfigResult{Status: ReconfigStatus(rd.u8()), Epoch: rd.u64(), Detail: string(rd.blob())}
-	if !rd.done() {
+	var r ReconfigResult
+	w := wire{mode: reading, buf: reply, off: len(reconfigResultPrefix)}
+	r.walk(&w)
+	if !w.done() {
 		return ReconfigResult{}, fmt.Errorf("bft: malformed reconfiguration result %.40q", reply)
 	}
 	switch r.Status {

@@ -38,53 +38,49 @@ type clientEntry struct {
 	LastSeq uint64
 }
 
-// Smallest encodings of the envelope's list entries (see wireReader.count).
+// Smallest encodings of the envelope's list entries (see wire.count).
 const (
 	minMemberWire = 8 + 4
 	minClientWire = 8 + 8
 )
 
-// appendMeta appends the protocol metadata — lastExec ‖ epoch ‖ members ‖
-// client table, every list behind its length — in the codec.go layout.
+// walkMeta walks the protocol metadata — lastExec ‖ epoch ‖ members ‖
+// client table, every list behind its count — in the codec.go layout.
 // It is the envelope's header and the part of it a checkpoint vote hashes.
-func (s *replicaSnapshot) appendMeta(b []byte) []byte {
-	b = appendU64(b, s.LastExec)
-	b = appendU64(b, s.Epoch)
-	b = appendU32(b, uint32(len(s.Members)))
-	for _, m := range s.Members {
-		b = appendBlob(appendU64(b, uint64(m.ID)), m.Key)
+func (s *replicaSnapshot) walkMeta(w *wire) {
+	w.u64(&s.LastExec)
+	w.u64(&s.Epoch)
+	for i, n := 0, list(w, &s.Members, minMemberWire, 0); i < n && !w.failed; i++ {
+		w.id(&s.Members[i].ID)
+		w.blob(&s.Members[i].Key)
 	}
-	b = appendU32(b, uint32(len(s.Clients)))
-	for _, c := range s.Clients {
-		b = appendU64(appendU64(b, uint64(c.ID)), c.LastSeq)
+	for i, n := 0, list(w, &s.Clients, minClientWire, 0); i < n && !w.failed; i++ {
+		w.id(&s.Clients[i].ID)
+		w.u64(&s.Clients[i].LastSeq)
 	}
-	return b
 }
 
-// encode serializes the envelope: the metadata, then the application
-// state as a blob.
+// walk walks the envelope: the metadata, then the application state as a
+// blob.
+func (s *replicaSnapshot) walk(w *wire) {
+	s.walkMeta(w)
+	w.blob(&s.AppState)
+}
+
 func (s *replicaSnapshot) encode() []byte {
-	return appendBlob(s.appendMeta(nil), s.AppState)
+	var w wire
+	s.walk(&w)
+	w.writeAfter(nil)
+	s.walk(&w)
+	return w.buf
 }
 
 // decodeSnapshot parses an envelope written by encode.
 func decodeSnapshot(payload []byte) (replicaSnapshot, error) {
-	r := wireReader{buf: payload, ok: true}
-	s := replicaSnapshot{LastExec: r.u64(), Epoch: r.u64()}
-	if n := r.count(minMemberWire); n > 0 {
-		s.Members = make([]memberEntry, n)
-		for i := 0; i < n && r.ok; i++ {
-			s.Members[i] = memberEntry{ID: transport.NodeID(r.u64()), Key: r.blob()}
-		}
-	}
-	if n := r.count(minClientWire); n > 0 {
-		s.Clients = make([]clientEntry, n)
-		for i := 0; i < n && r.ok; i++ {
-			s.Clients[i] = clientEntry{ID: transport.NodeID(r.u64()), LastSeq: r.u64()}
-		}
-	}
-	s.AppState = r.blob()
-	if !r.done() {
+	var s replicaSnapshot
+	w := wire{mode: reading, buf: payload}
+	s.walk(&w)
+	if !w.done() {
 		return replicaSnapshot{}, fmt.Errorf("malformed snapshot envelope (%d bytes)", len(payload))
 	}
 	return s, nil
@@ -96,7 +92,11 @@ func decodeSnapshot(payload []byte) (replicaSnapshot, error) {
 // taking a checkpoint does not serialize anything; a replica that restores
 // a snapshot recomputes it from what it restored.
 func stateDigest(app Digest, meta *replicaSnapshot) Digest {
-	return sha256.Sum256(meta.appendMeta(app[:]))
+	var w wire
+	meta.walkMeta(&w)
+	w.writeAfter(app[:])
+	meta.walkMeta(&w)
+	return sha256.Sum256(w.buf)
 }
 
 // frozenState is the replica as of one sequence number: digest now, bytes
